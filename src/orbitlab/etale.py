@@ -9,25 +9,29 @@ classes carry a representative element plus per-factor labels:
   * Q_p odd: (valuation mod 2, residue QR bit) per unramified factor;
   * Q_2:     (valuation mod 2, 1+2O-level bits, trace bit) computed in
              O/8O -- a unit is a square iff it is one mod 8;
-  * Q:       exact global answer via factorization over each number field
-             factor (with norm and real-sign prescreens).
+  * Q:       per irreducible factor, an exact answer with a certificate:
+             "no" is a non-square norm, or an odd unramified prime at which
+             the element is a unit non-residue, or chi(t^2) irreducible for
+             the element's characteristic polynomial chi; "yes" is an
+             explicit beta with beta^2 = element, checked by multiplication.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 import sympy
 
 from .errors import PrecisionError, PreconditionError, UsageError
-from .linalg import Mat, det as mat_det
-from .poly import Poly, discriminant, ext_gcd, factor, powmod, to_sympy
+from .linalg import Mat, charpoly, det as mat_det, solve
+from .poly import (Poly, discriminant, distinct_degree_split, ext_gcd, factor,
+                   gcd, powmod, to_sympy)
 from .rings import (GF, QQ, RR, Padic, PadicField, PrimeField, Qp,
                     RationalField, RealField)
 
 _x = sympy.Symbol("x")
-_t = sympy.Symbol("t")
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +39,7 @@ _t = sympy.Symbol("t")
 
 
 def real_roots_exact(f: Poly):
-    """Sorted exact real roots (sympy CRootOf) of a separable f over Q/R."""
+    """Sorted exact real roots (sympy root objects) of a separable f over Q/R."""
     expr = to_sympy(f)
     return sympy.real_roots(expr, _x)
 
@@ -43,12 +47,12 @@ def real_roots_exact(f: Poly):
 def rational_approx(root, dx):
     """A rational within dx of a real algebraic root expression.
 
-    Roots from sympy may be CRootOf objects or explicit radical
+    Roots from sympy may be RootOf objects or explicit radical
     expressions (for factorable polynomials); both are handled.
     """
     if root.is_Rational:
         return sympy.Rational(root)
-    if isinstance(root, sympy.CRootOf):
+    if isinstance(root, sympy.RootOf):
         return root.eval_rational(dx=dx)
     digits = max(20, len(str(sympy.Integer(sympy.ceiling(1 / dx)))) + 5)
     return sympy.Rational(str(root.evalf(digits)))
@@ -309,14 +313,6 @@ def _coeff_map(src, dst):
     raise UsageError(f"no coefficient map from {src!r}")
 
 
-def etale_build(f: Poly) -> EtaleAlgebra:
-    return EtaleAlgebra(f)
-
-
-def etale_norm_trace(algebra: EtaleAlgebra, a: Poly):
-    return algebra.norm(a), algebra.trace(a)
-
-
 # ---------------------------------------------------------------------------
 # square classes
 
@@ -405,33 +401,20 @@ class SquareClass:
                 return all(lab == (0, 0) for lab in self.labels)
             return all(lab[0] == 0 and not any(lab[1]) and lab[2] == 0
                        for lab in self.labels)
-        return self._global_is_square()
+        return all(w.root is not None for w in self.witnesses())
 
-    def _global_is_square(self) -> bool:
+    def witnesses(self):
+        """Per irreducible factor over Q, the SquareWitness deciding whether
+        rep is a square there; stops after the first non-square factor."""
         alg, rep = self.algebra, self.rep
-        for i, fi in enumerate(alg.factors):
-            # N(s^2) = N(s)^2, so a non-square norm rules the factor out
-            Ni = alg.norm_in_factor(rep, i)
-            if not QQ.is_square(Ni):
-                return False
-            if fi.degree == 1:
-                if not QQ.is_square(rep.eval(-fi.coeff(0))):
-                    return False
-                continue
-            # real-place screen
-            for root in real_roots_exact(fi):
-                if sign_at_root(rep.mod(fi), root) < 0:
-                    return False
-            # exact test over the number field factor
-            alpha = sympy.CRootOf(to_sympy(fi), 0)
-            comp = rep.mod(fi)
-            val = sum(sympy.Rational(c) * alpha ** k
-                      for k, c in enumerate(comp.coeffs))
-            _, parts = sympy.factor_list(_t ** 2 - val, _t, extension=alpha)
-            degs = sorted(sympy.Poly(g, _t).degree() for g, _ in parts)
-            if degs != [1, 1]:
-                return False
-        return True
+        if not isinstance(alg.ring, RationalField) or isinstance(alg.ring, RealField):
+            raise UsageError("square witnesses are defined over Q")
+        for i in range(alg.r):
+            w = _factor_witness(alg.comp_algebra(i), rep.mod(alg.factors[i]),
+                                alg.norm_in_factor(rep, i))
+            yield w
+            if w.root is None:
+                return
 
     def norm_is_square(self) -> bool:
         return self.algebra.ring.is_square(self.algebra.norm(self.rep))
@@ -470,6 +453,118 @@ def square_class(algebra: EtaleAlgebra, a: Poly, place=None) -> SquareClass:
         return SquareClass(algebra, a)
     loc = algebra.localize(place)
     return SquareClass(loc, algebra.convert_element(a, place))
+
+
+# ---------------------------------------------------------------------------
+# certified global square test over Q (Cohen, GTM 138)
+
+
+class SquareWitness(NamedTuple):
+    """How an element alpha of K = Q[x]/(factor) was decided.
+
+    root:  beta with beta^2 = alpha in K, so alpha is a square;
+    prime: an odd prime dividing neither disc(factor) nor a denominator, at
+           which alpha is a unit and a non-residue in some residue field,
+           so alpha is not a square.
+    With neither, alpha is not a square because its norm is not a rational
+    square or chi(t^2) has no factor of degree deg K (chi = charpoly).
+    """
+
+    factor: Poly
+    root: Poly | None = None
+    prime: int | None = None
+
+
+# odd primes tried by the non-residue screen before the exact root search
+_SCREEN_PRIMES = tuple(sympy.primerange(3, 32))
+
+
+def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
+    """Decide whether alpha is a square in the number field K (over Q)."""
+    fi = K.f
+    if not QQ.is_square(norm):  # N(s^2) = N(s)^2
+        return SquareWitness(fi)
+    if fi.degree == 1:  # alpha is the rational number norm
+        return SquareWitness(fi, root=Poly.const(QQ, QQ.sqrt(norm)))
+    p = _nonresidue_prime(K, alpha, norm)
+    if p is not None:
+        return SquareWitness(fi, prime=p)
+    beta = _square_root(K, alpha)
+    if beta is None:
+        return SquareWitness(fi)
+    if K.mul(beta, beta) != alpha:
+        raise PreconditionError("square root failed its check")
+    return SquareWitness(fi, root=beta)
+
+
+def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm):
+    """A screen prime at which alpha is a unit non-residue, or None.
+
+    p must not divide disc(f), a denominator of f or alpha, or the
+    numerator of N(alpha): then Z_p[x]/(f) is etale over Z_p and alpha is a
+    unit in it, so a square alpha would be a square in every residue field.
+    """
+    bad = discriminant(K.f).numerator * norm.numerator
+    for c in K.f.coeffs + alpha.coeffs:
+        bad *= c.denominator
+    for p in _SCREEN_PRIMES:
+        if bad % p == 0:
+            continue
+        F = GF(p)
+        abar = alpha.map_ring(F, F.from_fraction)
+        one = Poly.const(F, F.one)
+        # Euler's criterion on all residue fields of degree k at once
+        for k, part in distinct_degree_split(K.f.map_ring(F, F.from_fraction)):
+            if powmod(abar, (p ** k - 1) // 2, part) != one:
+                return p
+    return None
+
+
+def _square_root(K: EtaleAlgebra, alpha: Poly):
+    """beta with beta^2 = alpha in the number field K, or None if alpha is
+    not a square.
+
+    The root is read off chi(t^2) for the characteristic polynomial chi of
+    an element a that generates K. When alpha does not (chi not squarefree:
+    alpha lies in a proper subfield, Q included), a = alpha * s^2 for
+    s = x + k, k = 0, 1, ..., has the same square class. Each proper
+    subfield F takes at most two k: (x + k)^2 in alpha^-1 F for three k
+    would put 1, x and x^2 there, hence x in F. So the search ends.
+    """
+    one, x = K.one(), K.gamma()
+    for s in itertools.chain([one], (x + K.scalar(k) for k in itertools.count())):
+        a = K.mul(alpha, K.mul(s, s))
+        chi = charpoly(K.mult_matrix(a))
+        if gcd(chi, chi.derivative()).degree == 0:
+            root = _generator_root(K, a, chi)
+            return None if root is None else K.mul(root, K.inv(s))
+
+
+def _generator_root(K: EtaleAlgebra, a: Poly, chi: Poly):
+    """Square root of a generator a of K with characteristic polynomial chi.
+
+    chi(t^2) = +-chi_b(t) chi_b(-t) when a = b^2; each irreducible factor of
+    chi(t^2) has degree d or 2d, and a factor h of degree d is the minimal
+    polynomial of a root b of a. In Q[t]/(h) = K (t -> b), t^2 is a, so
+    writing t = sum r_k (t^2)^k mod h gives b = sum r_k a^k.
+    """
+    d = K.n
+    t2 = Poly(QQ, [QQ.zero, QQ.zero, QQ.one])
+    h = next((g for g, _ in factor(chi.compose(t2)) if g.degree == d), None)
+    if h is None:
+        return None
+    t2 = t2.mod(h)
+    cols, w = [], Poly.const(QQ, QQ.one)
+    for _ in range(d):
+        cols.append([w.coeff(j) for j in range(d)])
+        w = (w * t2).mod(h)
+    r = solve(Mat(QQ, list(zip(*cols))), [QQ.one if j == 1 else QQ.zero
+                                          for j in range(d)])
+    beta, power = Poly(QQ, []), K.one()
+    for rk in r:
+        beta = beta + power.scale(rk)
+        power = K.mul(power, a)
+    return beta
 
 
 # ---------------------------------------------------------------------------

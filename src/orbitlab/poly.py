@@ -203,6 +203,24 @@ def powmod(a: Poly, e: int, m: Poly) -> Poly:
     return out
 
 
+def distinct_degree_split(f: Poly) -> list:
+    """[(k, f_k)] for a monic squarefree f over GF(p): f_k is the product of
+    the irreducible factors of degree k, listed when it is not 1."""
+    x = Poly.gen(f.ring)
+    out, rest, h, k = [], f, x, 0
+    while rest.degree >= 2 * (k + 1):
+        k += 1
+        h = powmod(h, f.ring.p, rest)  # x^(p^k) mod rest
+        part = gcd(h - x, rest)
+        if part.degree > 0:
+            out.append((k, part))
+            rest = rest.divmod(part)[0]
+            h = h.mod(rest)
+    if rest.degree > 0:  # what is left has one factor
+        out.append((rest.degree, rest))
+    return out
+
+
 def resultant(f: Poly, g: Poly):
     R = f.ring
     if f.is_zero() or g.is_zero():

@@ -289,8 +289,8 @@ def _square_free_of(disc, ring):
         return _squarefree(fr.numerator * fr.denominator)
     if isinstance(ring, PadicField):
         v = disc.valuation()
-        u = disc.unit_mod(min(3, disc.prec))
-        return Fraction(ring.p ** (v % 2) * (u if ring.p == 2 else u % ring.p))
+        u = disc.unit_mod(3 if ring.p == 2 else 1)  # digits fixing its class
+        return Fraction(ring.p ** (v % 2) * u)
     raise UsageError("no squarefree representative here")
 
 

@@ -493,9 +493,13 @@ def Qp(p: int, prec: int = DEFAULT_PRECISION) -> PadicField:
 
 
 def _val_and_unit(x, p: int):
-    """Write a nonzero rational (or Padic) as p^v * unit; return (v, unit mod p^3)."""
+    """Write a nonzero rational (or Padic) as p^v * unit; return (v, unit).
+
+    A Padic unit is read to the digits the symbol depends on (3 at p = 2,
+    1 otherwise) and raises PrecisionError when it has fewer.
+    """
     if isinstance(x, Padic):
-        return x.valuation(), x.unit_mod(min(3, x.prec))
+        return x.valuation(), x.unit_mod(3 if p == 2 else 1)
     x = _as_fraction(x)
     if x == 0:
         raise PreconditionError("Hilbert symbol of zero")

@@ -1,0 +1,222 @@
+"""The certified global square test over Q against the number-field oracle.
+
+The oracle is the decision the package made before the certified test: a
+real-sign screen, then sympy factoring of t^2 - alpha over Q(alpha). It is
+slow (tens of milliseconds per element) and is kept here only as a
+reference.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from orbitlab.census import height_enumerate
+from orbitlab.etale import (EtaleAlgebra, SquareClass, real_roots_exact,
+                            sign_at_root, square_class)
+from orbitlab.orbits import algebra_of, distinguished_coincide
+from orbitlab.poly import Poly, discriminant, to_sympy
+from orbitlab.rings import GF, QQ
+from orbitlab.thetarep import Invariants
+
+_t = sympy.Symbol("t")
+
+
+def oracle_is_square(alg: EtaleAlgebra, rep: Poly) -> bool:
+    """Whether rep is a square in the Q-algebra alg, by number-field factoring."""
+    for i, fi in enumerate(alg.factors):
+        if not QQ.is_square(alg.norm_in_factor(rep, i)):
+            return False
+        if fi.degree == 1:
+            if not QQ.is_square(rep.eval(-fi.coeff(0))):
+                return False
+            continue
+        for root in real_roots_exact(fi):
+            if sign_at_root(rep.mod(fi), root) < 0:
+                return False
+        alpha = sympy.CRootOf(to_sympy(fi), 0)
+        val = sum(sympy.Rational(c) * alpha ** k
+                  for k, c in enumerate(rep.mod(fi).coeffs))
+        _, parts = sympy.factor_list(_t ** 2 - val, _t, extension=alpha)
+        if sorted(sympy.Poly(g, _t).degree() for g, _ in parts) != [1, 1]:
+            return False
+    return True
+
+
+def _q_poly(desc):
+    """Poly over Q from descending integer coefficients."""
+    return Poly.from_ints(QQ, list(reversed(desc)))
+
+
+def _neg_gamma(c: Invariants):
+    L = algebra_of(c)
+    return L, L.mul(L.gamma(), L.scalar(-1))
+
+
+def _inv(a1, a2, e):
+    return Invariants(QQ, (Fraction(a1), Fraction(a2)), Fraction(e))
+
+
+@functools.lru_cache(maxsize=None)
+def _rs_box_tuples(X):
+    """The regular semisimple tuples ((a1, a2), e) of the height-X box."""
+    out = []
+    for r in height_enumerate(X, 3):
+        (a1, a2), e = r["a"], r["e"]
+        if e != 0 and discriminant(_inv(a1, a2, e).fpoly()) != 0:
+            out.append(((a1, a2), e))
+    return out
+
+
+def _square_tuple(rng, span=3):
+    """f = prod(x + theta_i^2) over the roots theta_i of a random monic
+    integer cubic g, and e = +-g(0): then -gamma = theta^2 is a square."""
+    while True:
+        b1, b2, b3 = (rng.randint(-span, span) for _ in range(3))
+        c = _inv(b1 * b1 - 2 * b2, b2 * b2 - 2 * b1 * b3,
+                 b3 * rng.choice((1, -1)))
+        if c.e != 0 and discriminant(c.fpoly()) != 0:
+            return c
+
+
+def check_witnesses(cls: SquareClass):
+    """Check every certificate of a global square class independently of
+    the code that made it; return the decision they support."""
+    alg, rep = cls.algebra, cls.rep
+    witnesses = list(cls.witnesses())
+    assert [w.factor for w in witnesses] == alg.factors[:len(witnesses)]
+    for w in witnesses:
+        fi, alpha = w.factor, rep.mod(w.factor)
+        if w.root is not None:
+            assert w.prime is None
+            assert (w.root * w.root).mod(fi) == alpha
+        elif w.prime is not None:
+            p = w.prime
+            assert p % 2 == 1 and sympy.isprime(p)
+            dens = [c.denominator for c in fi.coeffs + alpha.coeffs]
+            assert all(d % p for d in dens)
+            assert discriminant(fi).numerator % p != 0  # unramified
+            F = GF(p)
+            fbar = fi.map_ring(F, F.from_fraction)
+            labels = SquareClass(EtaleAlgebra(fbar),
+                                 alpha.map_ring(F, F.from_fraction)).labels
+            assert 1 in labels  # a unit non-residue in some residue field
+    return all(w.root is not None for w in witnesses)
+
+
+class TestAgainstOracle:
+    def test_x2_box_slice(self):
+        tuples = _rs_box_tuples(2)
+        assert len(tuples) == 3026
+        yes = 0
+        for (a1, a2), e in tuples[::15]:
+            L, ng = _neg_gamma(_inv(a1, a2, e))
+            cls = square_class(L, ng)
+            answer = cls.is_trivial()
+            assert answer == oracle_is_square(L, ng), (a1, a2, e)
+            assert check_witnesses(cls) == answer
+            yes += answer
+        assert 0 < yes < len(tuples[::15])
+
+    def test_constructed_squares(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            c = _square_tuple(rng)
+            L, ng = _neg_gamma(c)
+            assert distinguished_coincide(c) is True
+            assert oracle_is_square(L, ng)
+            assert check_witnesses(square_class(L, ng))
+
+    def test_linear_times_quadratic(self):
+        # f = (x - 1)(x^2 + 3x + 4) = x^3 + 2x^2 + x - 4, as an algebra
+        L = EtaleAlgebra(_q_poly([1, 2, 1, -4]))
+        assert [g.degree for g in L.factors] == [1, 2]
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(40):
+            b = Poly(QQ, [Fraction(rng.randint(-3, 3)) for _ in range(3)])
+            if QQ.is_zero(L.norm(b)):
+                continue
+            for a in (b, L.mul(b, b), L.mul(L.mul(b, b), L.scalar(-1))):
+                cls = SquareClass(L, a)
+                answer = cls.is_trivial()
+                assert answer == oracle_is_square(L, a)
+                assert check_witnesses(cls) == answer
+                seen.add(answer)
+        assert seen == {True, False}
+
+    def test_split_tuples(self):
+        # tuples whose f has a linear and an irreducible quadratic factor
+        found = 0
+        for (a1, a2), e in _rs_box_tuples(2):
+            c = _inv(a1, a2, e)
+            L, ng = _neg_gamma(c)
+            if [g.degree for g in L.factors] != [1, 2]:
+                continue
+            assert distinguished_coincide(c) == oracle_is_square(L, ng)
+            found += 1
+            if found == 20:
+                break
+        assert found == 20
+
+    @pytest.mark.parametrize("desc", [[1, 0, -1, 1], [1, 0, -10, 0, 1],
+                                      [1, 0, 0, 0, -2]])
+    def test_random_elements_and_squares(self, desc):
+        L = EtaleAlgebra(_q_poly(desc))
+        rng = random.Random(5)
+        for _ in range(5):
+            b = Poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(L.n)])
+            if QQ.is_zero(L.norm(b)):
+                continue
+            b2 = L.mul(b, b)
+            for a in (b, b2, -b2):
+                cls = SquareClass(L, a)
+                answer = cls.is_trivial()
+                assert answer == oracle_is_square(L, a)
+                assert check_witnesses(cls) == answer
+
+
+class TestCertificates:
+    def test_square_has_root(self):
+        # x^3 - x + 1 and the square of x + 2
+        L = EtaleAlgebra(_q_poly([1, 0, -1, 1]))
+        b = _q_poly([1, 2])
+        [w] = SquareClass(L, L.mul(b, b)).witnesses()
+        assert w.root in (b, -b)
+
+    def test_screen_names_prime(self):
+        # -x in Q[x]/(x^3 - x + 1): norm 1, a non-residue at some good prime
+        L = EtaleAlgebra(_q_poly([1, 0, -1, 1]))
+        cls = SquareClass(L, -L.gamma())
+        [w] = cls.witnesses()
+        assert w.root is None and w.prime is not None
+        assert not check_witnesses(cls)
+
+    def test_non_square_norm_has_no_certificate(self):
+        L = EtaleAlgebra(_q_poly([1, 0, -1, 1]))
+        [w] = SquareClass(L, L.scalar(2)).witnesses()
+        assert w.root is None and w.prime is None
+
+
+class TestNonGenerating:
+    """Q(zeta_8) = Q[x]/(x^4 + 1): elements in proper subfields."""
+
+    @pytest.mark.parametrize("desc, expected", [
+        ([1, 0, 0], True),       # x^2 = i = zeta_8^2
+        ([2], True),             # (zeta + zeta^-1)^2 = 2
+        ([-1], True),            # i^2
+        ([3], False),
+        ([1, 0, 1], False),      # 1 + i
+        ([1, 0], False),         # zeta_8
+    ])
+    def test_cyclotomic_eight(self, desc, expected):
+        L = EtaleAlgebra(_q_poly([1, 0, 0, 0, 1]))
+        a = _q_poly(desc)
+        cls = SquareClass(L, a)
+        assert cls.is_trivial() is expected
+        assert oracle_is_square(L, a) is expected
+        assert check_witnesses(cls) is expected
+

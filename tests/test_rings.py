@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlab.errors import UsageError
+from orbitlab.errors import PrecisionError, UsageError
 from orbitlab.rings import (GF, QQ, RR, PadicField, Qp, hilbert_symbol,
                             sqrt_mod_p)
 
@@ -104,6 +104,21 @@ class TestHilbertSymbol:
         # (p, u) at odd p = Legendre(u | p)
         assert hilbert_symbol(Fraction(5), Fraction(2), Qp(5, 20)) == -1
         assert hilbert_symbol(Fraction(5), Fraction(4), Qp(5, 20)) == 1
+
+    @pytest.mark.parametrize("prec", [1, 2])
+    def test_two_adic_unit_needs_three_digits(self, prec):
+        # 3 + O(2^prec) cannot be told from 1 or 7 mod 8, and (3, 2)_2 = -1
+        # while (1, 2)_2 = +1: the symbol must decline, not guess
+        K = Qp(2, prec)
+        with pytest.raises(PrecisionError):
+            hilbert_symbol(K.from_fraction(3), 2, K)
+        with pytest.raises(PrecisionError):
+            hilbert_symbol(2, K.from_fraction(3), K)
+        assert hilbert_symbol(Qp(2, 3).from_fraction(3), 2, Qp(2, 3)) == -1
+
+    def test_odd_p_unit_needs_one_digit(self):
+        K = Qp(5, 1)
+        assert hilbert_symbol(K.from_fraction(5), K.from_fraction(2), K) == -1
 
     @given(a=nonzero_rationals, b=nonzero_rationals, c=nonzero_rationals)
     @settings(max_examples=40, deadline=None)
