@@ -1,6 +1,15 @@
-"""Finite-field and integral statistics: exhaustive invariant sweeps over
-F_p, brute-force orthogonal-group orbit oracles for tiny (n, p), height-box
+"""Finite-field and integral statistics: invariant sweeps over F_p,
+brute-force orthogonal-group orbit oracles for tiny (n, p), height-box
 enumeration over Z, and the strict-inclusion local test family.
+
+The sweeps classify invariant tuples (a, e), f = x^n + a_1 x^(n-1) + ...
++ e^2, by how f factors over F_p and by whether -gamma (the class of -x)
+is a square in every factor. For n = 3 all p^3 tuples are read off the
+p^3 products (x - r)(x^2 + b x + c): counting the products that give each
+cubic yields its number of roots, and counting those with -r or c a
+non-residue decides -gamma. Other n are sampled, and each sample is
+classified by one distinct-degree split of f with Euler's criterion for -x
+on each part (poly.euler_split).
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, PreconditionError, UsageError
-from .rings import QQ, PrimeField
+from .poly import euler_split
+from .rings import QQ, PrimeField, is_prime
 from .thetarep import Invariants
 
 DEFAULT_SEED = 0xA5EED
@@ -53,23 +63,11 @@ def _cubic_grids(p: int):
     a1, a2, e = np.meshgrid(r, r, r, indexing="ij")
     a1, a2, e = a1.ravel(), a2.ravel(), e.ravel()
     a3 = (e * e) % p
-    # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3 c + a^2 b^2 - 4 b^3 - 27 c^2
-    disc = (18 * a1 * a2 % p * a3 + (p - 4) * pow_np(a1, 3, p) % p * a3
-            + pow_np(a1, 2, p) * pow_np(a2, 2, p)
-            + (p - 4) * pow_np(a2, 3, p) + (p - 27 % p) * pow_np(a3, 2, p)
-            ) % p
+    # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3 c + a^2 b^2 - 4 b^3 - 27 c^2;
+    # every term is below 30 p^4, exact in int64 for p < 10^4
+    disc = (a1 * a2 * (18 * a3 + a1 * a2) - 4 * (a1 ** 3 * a3 + a2 ** 3)
+            - 27 * a3 * a3) % p
     return a1, a2, e, a3, disc
-
-
-def pow_np(arr, k: int, p: int):
-    out = np.ones_like(arr)
-    base = arr % p
-    while k:
-        if k & 1:
-            out = out * base % p
-        base = base * base % p
-        k >>= 1
-    return out
 
 
 def _qr_table(p: int):
@@ -78,36 +76,38 @@ def _qr_table(p: int):
     return t
 
 
-def _root_data(a1, a2, a3, p: int):
-    """(nroots, prod_flags): count of distinct roots in F_p of each monic
-    cubic, and whether -gamma is a square componentwise."""
-    N = a1.shape[0]
-    nroots = np.zeros(N, dtype=np.int64)
+def _root_counts(p: int):
+    """(nroots, bad) indexed by (a1 p + a2) p + a3 for every monic cubic
+    x^3 + a1 x^2 + a2 x + a3 over F_p.
+
+    Builds all p^3 products (x - r)(x^2 + b x + c). A cubic with k distinct
+    roots is such a product for exactly k pairs (r, q), so nroots counts
+    them; bad counts the pairs with -r or c = q(0) a non-residue.
+    """
+    r, b, c = (g.ravel() for g in np.meshgrid(
+        *[np.arange(p, dtype=np.int64)] * 3, indexing="ij"))
+    # (x - r)(x^2 + b x + c) = x^3 + (b - r) x^2 + (c - r b) x - r c
+    key = ((b - r) % p * p + (c - r * b) % p) * p + (-r * c) % p
     qr = _qr_table(p)
-    neg_ok = np.ones(N, dtype=bool)
-    root_prod = np.ones(N, dtype=np.int64)  # product of roots found (units)
-    any_zero_root = np.zeros(N, dtype=bool)
-    for r in range(p):
-        val = (r ** 3 % p + a1 * (r * r % p) + a2 * r + a3) % p
-        hit = val == 0
-        nroots += hit
-        if r == 0:
-            any_zero_root |= hit
-        neg_ok &= ~hit | qr[(-r) % p]
-        root_prod = np.where(hit & (r != 0), root_prod * r % p, root_prod)
-    return nroots, neg_ok, root_prod, any_zero_root
+    bad = ~(qr[-r % p] & qr[c])
+    return (np.bincount(key, minlength=p ** 3),
+            np.bincount(key[bad], minlength=p ** 3))
 
 
 def fp_sweep(p: int, n: int = 3, seed: int = DEFAULT_SEED,
              sample_size: int = 20000) -> SweepReport:
     """Counts of the invariant-tuple classes over F_p with exact densities.
 
-    n = 3 is a closed-form exhaustive sweep; other (odd) n fall back to
-    seeded sampling with the sample size reported.
+    n = 3 (p <= 97) is exhaustive over all p^3 tuples, read off the p^3
+    products (x - r)(x^2 + b x + c) by factorization type (_root_counts).
+    Other odd n, and n = 3 at larger p, fall back to seeded sampling with
+    the sample size reported; each sample is classified by one
+    distinct-degree split of f over F_p with Euler's criterion for -x
+    (poly.euler_split), without factoring it.
     """
     if n % 2 == 0 or n < 3:
         raise UsageError("n must be odd and at least 3")
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise UsageError("p must be an odd prime")
     if n == 3 and p <= 97:
         return _fp_sweep_cubic(p, seed)
@@ -118,12 +118,16 @@ def _fp_sweep_cubic(p: int, seed: int) -> SweepReport:
     a1, a2, e, a3, disc = _cubic_grids(p)
     total = p ** 3
     rs = (e != 0) & (disc != 0)
-    nroots, neg_ok, root_prod, zero_root = _root_data(a1, a2, a3, p)
+    nroots, bad = _root_counts(p)
+    key = (a1 * p + a2) * p + a3
+    nroots = nroots[key]
     qr = _qr_table(p)
     # factor counts for separable cubics: 3 roots -> 3, 1 root -> 2, 0 -> 1
     nfact = np.where(nroots == 3, 3, np.where(nroots == 1, 2, 1))
     irreducible = rs & (nroots == 0)
-    dist_coincide = _distinguished_mask(p, a1, a2, a3, nroots, neg_ok, qr)
+    # -gamma is a square in a component iff its norm is: -r at a root r,
+    # q(0) on an irreducible quadratic q, f(0) = e^2 on an irreducible cubic
+    dist_coincide = bad[key] == 0
     # members with e = 0: f = x (x^2 + a1 x + a2), distinct nonzero roots
     # of the quadratic with square product
     quad_disc = (a1 * a1 - 4 * a2) % p
@@ -151,68 +155,34 @@ def _fp_sweep_cubic(p: int, seed: int) -> SweepReport:
     return SweepReport(p, 3, total, counts, densities, True, total, seed)
 
 
-def _distinguished_mask(p, a1, a2, a3, nroots, neg_ok, qr):
-    """-gamma a square in L = F_p[x]/(f), componentwise, for cubics.
-
-    3 roots: all -r_i squares.  1 root r: -r square and the norm of -gamma
-    in the quadratic factor (= f(0)/(-r) * ... = q(0)) square.  0 roots:
-    always (odd-degree extension: square norm suffices, and N(-gamma) =
-    f(0) = e^2).
-    """
-    N = a1.shape[0]
-    out = np.zeros(N, dtype=bool)
-    out |= nroots == 0
-    out |= (nroots == 3) & neg_ok
-    one_root = nroots == 1
-    if one_root.any():
-        # find the root r, then q(0) = a3 / (-r) when r != 0; if the root
-        # is 0 the quadratic is x^2 + a1 x + a2 with q-norm of -gamma = a2
-        ok = np.zeros(N, dtype=bool)
-        for r in range(p):
-            val = (r ** 3 % p + a1 * (r * r % p) + a2 * r + a3) % p
-            hit = one_root & (val == 0)
-            if not hit.any():
-                continue
-            if r == 0:
-                ok |= hit & qr[a2 % p]
-            else:
-                q0 = a3 * pow(int((-r) % p), p - 2, p) % p
-                ok |= hit & qr[(-r) % p] & qr[q0]
-        out |= one_root & ok
-    return out
-
-
 def _fp_sweep_sampled(p: int, n: int, seed: int, sample_size: int
                       ) -> SweepReport:
-    from .poly import Poly, discriminant, factor
-    ring = PrimeField(p)
     rng = random.Random(seed)
     counts = {"total": sample_size, "regular_semisimple": 0,
               "irreducible": 0, "reducible_rs": 0,
               "nontrivial_stabilizer": 0, "distinguished_coincide": 0,
               "e_zero": 0, "smallonetwo": 0}
     dist_or_non_rs = 0
+    neg_x = [0, p - 1]
     for _ in range(sample_size):
         a = [rng.randrange(p) for _ in range(n - 1)]
         e = rng.randrange(p)
-        coeffs = [e * e % p] + list(reversed(a)) + [1]
-        f = Poly(ring, [ring.from_int(x) for x in coeffs])
-        rs = e != 0 and not ring.is_zero(discriminant(f))
         if e == 0:
             counts["e_zero"] += 1
-        if not rs:
+            dist_or_non_rs += 1
+            continue
+        parts = euler_split([e * e % p] + a[::-1] + [1], neg_x, p)
+        if parts is None:  # f is not squarefree
             dist_or_non_rs += 1
             continue
         counts["regular_semisimple"] += 1
-        parts = factor(f)
-        r = len(parts)
-        if r == 1:
+        if sum((len(g) - 1) // k for k, g, _ in parts) == 1:
             counts["irreducible"] += 1
         else:
             counts["reducible_rs"] += 1
-        if r > 1:
             counts["nontrivial_stabilizer"] += 1
-        if _neg_gamma_square_fp(ring, parts):
+        # -gamma = -x is a square in every residue field
+        if all(square for _, _, square in parts):
             counts["distinguished_coincide"] += 1
             dist_or_non_rs += 1
     densities = {k: Fraction(counts[k], sample_size)
@@ -223,23 +193,6 @@ def _fp_sweep_sampled(p: int, n: int, seed: int, sample_size: int
     densities["reducible"] = densities.pop("reducible_rs")
     return SweepReport(p, n, p ** n, counts, densities, False,
                        sample_size, seed)
-
-
-def _neg_gamma_square_fp(ring, parts) -> bool:
-    # In F_q/F_p an element is a square iff its norm is a square in F_p,
-    # and N(-gamma) over F_p[x]/(g) = prod(-root) = (-1)^deg (-1)^deg g(0).
-    return all(ring.is_square(g.coeff(0)) for g, _ in parts)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +447,7 @@ def diverges_family(p: int, n: int = 3, count: int = 30,
     p * f(p) a p-adic square."""
     if n != 3:
         raise UsageError("the test family is implemented for n = 3")
-    if p % 2 == 0 or not _is_prime(p):
+    if p % 2 == 0 or not is_prime(p):
         raise UsageError("p must be an odd prime")
     rng = random.Random(seed ^ p)
     out = []

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import census as census_mod
+from .census import DEFAULT_SEED
 from .errors import OrbitlabError, UsageError
 from .etale import norm_one_classes
 from .lattices import (LatticeBasis, cassels_diagonalize, self_dualize,
@@ -24,10 +25,8 @@ from .orbits import (algebra_of, alpha1_construct, orbit_from_class,
                      recompute_class, stabilizer_info)
 from .quadforms import GramForm
 from .rings import (GF, QQ, RR, DEFAULT_PRECISION, PadicField, PrimeField,
-                    Qp, RationalField, RealField)
+                    Qp, RationalField, RealField, is_prime)
 from .thetarep import Invariants, invariants_of, lift
-
-DEFAULT_SEED = 0xA5EED
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,7 @@ def parse_base(text: str):
         return Qp(p, prec)
     if text.startswith("F:"):
         q = int(text[2:])
-        if not census_mod._is_prime(q):
+        if not is_prime(q):
             raise UsageError(
                 f"F:{q}: only prime fields are supported (q prime)")
         return GF(q)
@@ -74,7 +73,7 @@ def _parse_prime(text: str, name: str) -> int:
         p = int(text)
     except ValueError as exc:
         raise UsageError(f"{name} must be an integer") from exc
-    if not census_mod._is_prime(p):
+    if not is_prime(p):
         raise UsageError(f"{name} = {p} is not prime")
     return p
 
@@ -375,9 +374,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--f", default=None)
     p.add_argument("--e", default=None)
     p.add_argument("--count", type=int, default=30)
-    p.add_argument("--threads", type=int, default=1,
-                   help="data-parallel sweeps only; results are identical"
-                        " for any schedule")
     add_seed(p)
 
     p = sub.add_parser("heights", help="integral height-window stream")
@@ -404,8 +400,6 @@ def dispatch(argv, out=None) -> int:
         if args.verb == "census":
             if args.action == "orbits" and (args.f is None or args.e is None):
                 raise UsageError("census orbits requires --f and --e")
-            if args.threads < 1:
-                raise UsageError("--threads must be >= 1")
         return _HANDLERS[args.verb](args, out)
     except OrbitlabError as exc:
         _emit({"error": {"code": type(exc).__name__, "exit": exc.code,

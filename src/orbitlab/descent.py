@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .census import DEFAULT_SEED
 from .errors import PreconditionError, UsageError
 from .etale import (EtaleAlgebra, SquareClass, norm_one_classes,
                     real_roots_exact, square_class)
@@ -18,7 +19,6 @@ from .rings import QQ, PadicField, PrimeField, RationalField, RealField
 from .thetarep import Invariants
 
 DEFAULT_BUDGET = 2000
-DEFAULT_SEED = 0xA5EED
 
 
 @dataclass

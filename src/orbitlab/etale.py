@@ -26,8 +26,8 @@ import sympy
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve
-from .poly import (Poly, discriminant, distinct_degree_split, ext_gcd, factor,
-                   gcd, powmod, to_sympy)
+from .poly import (Poly, discriminant, euler_split, ext_gcd, factor, gcd,
+                   powmod, to_sympy)
 from .rings import (GF, QQ, RR, Padic, PadicField, PrimeField, Qp,
                     RationalField, RealField)
 
@@ -511,12 +511,10 @@ def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm):
         if bad % p == 0:
             continue
         F = GF(p)
-        abar = alpha.map_ring(F, F.from_fraction)
-        one = Poly.const(F, F.one)
-        # Euler's criterion on all residue fields of degree k at once
-        for k, part in distinct_degree_split(K.f.map_ring(F, F.from_fraction)):
-            if powmod(abar, (p ** k - 1) // 2, part) != one:
-                return p
+        fbar, abar = (list(g.map_ring(F, F.from_fraction).coeffs)
+                      for g in (K.f, alpha))
+        if not all(square for _, _, square in euler_split(fbar, abar, p)):
+            return p
     return None
 
 

@@ -203,24 +203,6 @@ def powmod(a: Poly, e: int, m: Poly) -> Poly:
     return out
 
 
-def distinct_degree_split(f: Poly) -> list:
-    """[(k, f_k)] for a monic squarefree f over GF(p): f_k is the product of
-    the irreducible factors of degree k, listed when it is not 1."""
-    x = Poly.gen(f.ring)
-    out, rest, h, k = [], f, x, 0
-    while rest.degree >= 2 * (k + 1):
-        k += 1
-        h = powmod(h, f.ring.p, rest)  # x^(p^k) mod rest
-        part = gcd(h - x, rest)
-        if part.degree > 0:
-            out.append((k, part))
-            rest = rest.divmod(part)[0]
-            h = h.mod(rest)
-    if rest.degree > 0:  # what is left has one factor
-        out.append((rest.degree, rest))
-    return out
-
-
 def resultant(f: Poly, g: Poly):
     R = f.ring
     if f.is_zero() or g.is_zero():
@@ -345,6 +327,58 @@ def _zdivmod_monic(a, b, mod):
         while a and a[-1] == 0:
             a.pop()
     return q, a
+
+
+def _zgcd(a, b, p):
+    """Monic gcd over GF(p) of a and a nonzero b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _zdivmod_monic(a, b, p)[1]
+    return a
+
+
+def _zpowmod(a, e, m, p):
+    """a^e mod the monic m over GF(p), for e >= 1."""
+    out, base = [1], _zdivmod_monic(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _zdivmod_monic(_zmul(out, base, p), m, p)[1]
+        e >>= 1
+        if e:
+            base = _zdivmod_monic(_zmul(base, base, p), m, p)[1]
+    return out
+
+
+def euler_split(f, a, p):
+    """Distinct-degree split of f over GF(p), p odd, with Euler's criterion
+    for a on each part (Cantor-Zassenhaus, Math. Comp. 36, 1981).
+
+    f is monic and a a unit modulo f, both ascending lists of residues.
+    Returns [(k, f_k, square)]: f_k != 1 is the product of the irreducible
+    factors of f of degree k, and square says whether a is a square in
+    every residue field F_p[x]/(g), g | f_k, i.e. a^((p^k - 1)/2) = 1 mod
+    f_k. Returns None when f is not squarefree (gcd(f, f') != 1).
+    """
+    df = [i * c % p for i, c in enumerate(f)][1:]
+    while df and df[-1] == 0:
+        df.pop()
+    if not df or len(_zgcd(f, df, p)) > 1:
+        return None
+    x = [0, 1]
+    parts, rest, h, k = [], list(f), x, 0
+    while len(rest) > 2 * (k + 1):  # else rest is irreducible
+        k += 1
+        h = _zpowmod(h, p, rest, p)  # x^(p^k) mod rest
+        part = _zgcd(rest, _zsub(h, x, p), p)
+        if len(part) > 1:
+            parts.append((k, part))
+            rest = _zdivmod_monic(rest, part, p)[0]
+            h = _zdivmod_monic(h, rest, p)[1]
+    if len(rest) > 1:  # what is left is irreducible
+        parts.append((len(rest) - 1, rest))
+    return [(k, g, _zpowmod(a, (p ** k - 1) // 2, g, p) == [1])
+            for k, g in parts]
 
 
 def _bezout_mod_p(g, h, p):

@@ -16,9 +16,17 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import sympy
+
 from .errors import PrecisionError, PreconditionError, UsageError
 
 DEFAULT_PRECISION = 20
+
+
+def is_prime(n: int) -> bool:
+    """Primality; deterministic for n < 2^64 (sympy's Miller-Rabin bases)
+    and BPSW above."""
+    return sympy.isprime(n)
 
 
 def _as_fraction(x) -> Fraction:
@@ -311,7 +319,7 @@ class PrimeField:
     char: int
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise UsageError(f"GF({p}): only prime fields are supported")
         self.p = p
         self.char = p
@@ -385,7 +393,7 @@ class PadicField:
     char = 0
 
     def __init__(self, p: int, prec: int = DEFAULT_PRECISION):
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise UsageError(f"Qp: {p} is not prime")
         if prec < 1:
             raise UsageError("precision must be >= 1")

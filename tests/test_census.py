@@ -1,4 +1,7 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from orbitlab.census import (bruteforce_orbits, diverges_family, fp_sweep,
 from orbitlab.errors import BudgetError, UsageError
 from orbitlab.etale import EtaleAlgebra, square_class
 from orbitlab.poly import Poly, discriminant, factor
-from orbitlab.rings import GF, Qp
+from orbitlab.rings import GF, Qp, is_prime
 from orbitlab.thetarep import Invariants
 
 
@@ -55,6 +58,33 @@ def _oracle_sweep(p):
     return counts
 
 
+def _oracle_sampled(p, n, seed, sample_size):
+    """Recount of a sampled sweep with sympy factoring of every sample,
+    drawing the same (a, e) as fp_sweep."""
+    F = GF(p)
+    rng = random.Random(seed)
+    counts = dict.fromkeys(("regular_semisimple", "irreducible",
+                            "reducible_rs", "nontrivial_stabilizer",
+                            "distinguished_coincide", "e_zero",
+                            "smallonetwo"), 0)
+    counts["total"] = sample_size
+    for _ in range(sample_size):
+        a = [rng.randrange(p) for _ in range(n - 1)]
+        e = rng.randrange(p)
+        counts["e_zero"] += e == 0
+        f = Poly(F, [e * e % p] + a[::-1] + [1])
+        if e == 0 or F.is_zero(discriminant(f)):
+            continue
+        counts["regular_semisimple"] += 1
+        parts = factor(f)
+        counts["irreducible" if len(parts) == 1 else "reducible_rs"] += 1
+        counts["nontrivial_stabilizer"] += len(parts) > 1
+        # N(-gamma) over F_p[x]/(g) is g(0)
+        counts["distinguished_coincide"] += all(
+            F.is_square(g.coeff(0)) for g, _ in parts)
+    return counts
+
+
 class TestSweep:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_pure_python_oracle(self, p):
@@ -94,6 +124,26 @@ class TestSweep:
 
     def test_deterministic(self):
         assert fp_sweep(7).serialize() == fp_sweep(7).serialize()
+
+    def test_n3_matches_recorded_reports(self):
+        """Every exhaustive report, against the serialized reports of the
+        earlier root-scan implementation for every odd p <= 97."""
+        path = Path(__file__).parent / "data" / "fp_sweep_n3.json"
+        recorded = json.loads(path.read_text())
+        assert sorted(map(int, recorded)) == [
+            p for p in range(3, 98, 2) if is_prime(p)]
+        for p, rep in recorded.items():
+            assert fp_sweep(int(p)).serialize() == rep, p
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 0xA5EED])
+    def test_sampled_matches_factor_oracle(self, p, seed):
+        rep = fp_sweep(p, 5, seed, 500)
+        counts = _oracle_sampled(p, 5, seed, 500)
+        assert rep.counts == counts
+        assert rep.densities["distinguished_or_non_rs"] == Fraction(
+            counts["distinguished_coincide"] + 500
+            - counts["regular_semisimple"], 500)
 
 
 class TestGroupOrder:

@@ -205,12 +205,6 @@ class TestCensusVerb:
                                 "--count", "2"])
         assert code == 2
 
-    def test_threads_validated(self):
-        code, _ = run(["census", "sweep", "--p", "5", "--threads", "0"])
-        assert code == 2
-        code, _ = run(["census", "sweep", "--p", "5", "--threads", "2"])
-        assert code == 0
-
 
 class TestHeightsVerb:
     def test_stream_and_summary(self):

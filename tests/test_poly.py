@@ -1,10 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from orbitlab.errors import PrecisionError
-from orbitlab.poly import (Poly, discriminant, factor, gcd,
+from orbitlab.poly import (Poly, discriminant, euler_split, factor, gcd,
                            parse_coeff_list, resultant)
 from orbitlab.rings import GF, QQ, Qp
 
@@ -120,3 +122,49 @@ class TestFactor:
         assert f.coeffs == (Fraction(1), Fraction(-1), Fraction(0),
                             Fraction(1))
         assert f.eval(Fraction(2)) == 7
+
+
+class TestEulerSplit:
+    """euler_split(f, -x, p) against the sympy factorization over GF(p)."""
+
+    @staticmethod
+    def _agrees_with_factor(p, coeffs) -> bool:
+        """Check one monic f with f(0) != 0; True when f is squarefree."""
+        F = GF(p)
+        f = Poly(F, coeffs)
+        parts = euler_split(coeffs, [0, p - 1], p)
+        if F.is_zero(discriminant(f)):
+            assert parts is None
+            return False
+        factors = [g for g, _ in factor(f)]
+        for k, fk, square in parts:
+            of_degree_k = [g for g in factors if g.degree == k]
+            prod = Poly(F, [1])
+            for g in of_degree_k:
+                prod = prod * g
+            assert list(prod.coeffs) == fk
+            # -x has norm g(0) on F_p[x]/(g)
+            assert square == all(F.is_square(g.coeff(0)) for g in of_degree_k)
+        assert sum((len(fk) - 1) // k for k, fk, _ in parts) == len(factors)
+        assert all(sq for _, _, sq in parts) == all(
+            F.is_square(g.coeff(0)) for g in factors)
+        return True
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_squarefree_quintic(self, p):
+        squarefree = sum(
+            self._agrees_with_factor(p, list(low) + [1])
+            for low in itertools.product(range(p), repeat=5) if low[0])
+        # monic squarefree quintics: p^5 - p^4; those divisible by x are
+        # x g with g squarefree of degree 4 and g(0) != 0
+        g4 = sum(self._agrees_with_factor(p, list(low) + [1])
+                 for low in itertools.product(range(p), repeat=4) if low[0])
+        assert squarefree + g4 == p ** 5 - p ** 4
+
+    def test_seeded_septics(self):
+        rng = random.Random(0xA5EED)
+        squarefree = 0
+        for _ in range(300):
+            low = [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(6)]
+            squarefree += self._agrees_with_factor(7, low + [1])
+        assert squarefree > 200

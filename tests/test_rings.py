@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,20 +140,10 @@ class TestHilbertSymbol:
     @settings(max_examples=30, deadline=None)
     def test_product_formula(self, a, b):
         # product over all places of (a, b)_v = 1; only finitely many -1
-        primes = set()
+        primes = {2}
         for x in (a, b):
             for t in (x.numerator, x.denominator):
-                t = abs(t)
-                d = 2
-                while d * d <= t:
-                    if t % d == 0:
-                        primes.add(d)
-                        while t % d == 0:
-                            t //= d
-                    d += 1
-                if t > 1:
-                    primes.add(t)
-        primes.add(2)
+                primes.update(sympy.factorint(abs(t)))
         prod = hilbert_symbol(a, b, RR)
         for p in sorted(primes):
             prod *= hilbert_symbol(a, b, Qp(p, 24))
