@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, PreconditionError, UsageError
-from .poly import euler_split
+from .orbits import distinguished_coincide
+from .poly import discriminant, euler_split
 from .rings import QQ, PrimeField, is_prime
 from .thetarep import Invariants
 
@@ -388,12 +389,10 @@ def height_enumerate(X: int, n: int = 3, flags: bool = False):
         rec = {"a": list(a), "e": e}
         if flags:
             c = Invariants(QQ, tuple(Fraction(x) for x in a), Fraction(e))
-            from .poly import discriminant
             rs = e != 0 and not QQ.is_zero(discriminant(c.fpoly()))
             rec["regular_semisimple"] = rs
             rec["minimal"] = _is_minimal(a, e, n)
             if rs:
-                from .orbits import distinguished_coincide
                 rec["distinguished_coincide"] = distinguished_coincide(c)
         yield rec
 
@@ -465,7 +464,6 @@ def diverges_family(p: int, n: int = 3, count: int = 30,
         a1 = -(r1 + r2)
         a2 = r1 * r2
         c = Invariants(QQ, (Fraction(a1), Fraction(a2)), Fraction(e))
-        from .poly import discriminant
         if QQ.is_zero(discriminant(c.fpoly())):
             continue
         out.append(c)

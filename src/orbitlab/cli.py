@@ -16,16 +16,16 @@ from fractions import Fraction
 
 from . import census as census_mod
 from .census import DEFAULT_SEED
+from .descent import local_image, sel12_local
 from .errors import OrbitlabError, UsageError
 from .etale import norm_one_classes
-from .lattices import (LatticeBasis, cassels_diagonalize, self_dualize,
-                       working_precision)
+from .lattices import LatticeBasis, cassels_diagonalize, self_dualize
 from .linalg import Mat
 from .orbits import (algebra_of, alpha1_construct, orbit_from_class,
                      recompute_class, stabilizer_info)
+from .poly import discriminant
 from .quadforms import GramForm
-from .rings import (GF, QQ, RR, DEFAULT_PRECISION, PadicField, PrimeField,
-                    Qp, RationalField, RealField, is_prime)
+from .rings import GF, QQ, RR, DEFAULT_PRECISION, Qp, is_prime
 from .thetarep import Invariants, invariants_of, lift
 
 
@@ -133,7 +133,6 @@ def _scalar_strs(mat: Mat):
 
 def _invariants_json(c: Invariants) -> dict:
     ring = c.ring
-    from .poly import discriminant
     rs = (not ring.is_zero(c.e)
           and not ring.is_zero(discriminant(c.fpoly())))
     return {"a": [ring.scalar_str(a) for a in c.a],
@@ -208,11 +207,10 @@ def _parse_place(text: str):
 
 
 def _cmd_descent(args, out) -> int:
-    from .descent import local_image, sel12_local
     ring = parse_base(args.base)
     c = parse_invariants(args.f, args.e, ring)
     place = None if args.place is None else _parse_place(args.place)
-    if isinstance(ring, (PadicField, PrimeField, RealField)):
+    if not ring.is_global:  # a local base is its own place
         place = None
     if args.action == "sel12":
         image = sel12_local(c, place, budget=args.budget, seed=args.seed)

@@ -12,10 +12,10 @@ from fractions import Fraction
 from .census import DEFAULT_SEED
 from .errors import PreconditionError, UsageError
 from .etale import (EtaleAlgebra, SquareClass, norm_one_classes,
-                    real_roots_exact, square_class)
+                    rational_approx, real_roots_exact, square_class)
 from .orbits import algebra_of, stabilizer_info
 from .poly import Poly, discriminant
-from .rings import QQ, PadicField, PrimeField, RationalField, RealField
+from .rings import QQ
 from .thetarep import Invariants
 
 DEFAULT_BUDGET = 2000
@@ -92,20 +92,13 @@ def local_mw_size(c: Invariants, place, which: int) -> int:
     """|J(k_v)/2J(k_v)| = b_v * |J[2](k_v)|: b_v is 1 at odd p and over
     finite fields, 2^g at 2, 2^(-g) over R."""
     ts = two_torsion_size(c, place)
-    g = c.n // 2
-    ring = _place_ring(c, place)
-    if isinstance(ring, RealField):
-        size, rem = divmod(ts, 2 ** g)
-        if rem:
-            raise PreconditionError(
-                "real 2-torsion count not divisible by 2^g "
-                "(falsifies the root-count bookkeeping)")
-        return size
-    if isinstance(ring, PadicField) and ring.p == 2:
-        return (2 ** g) * ts
-    if isinstance(ring, (PrimeField, PadicField)):
-        return ts
-    raise UsageError("local size needs a local place")
+    ring = c.ring if place is None else place
+    size = ring.local_size_factor(c.n // 2) * ts
+    if size != int(size):
+        raise PreconditionError(
+            "real 2-torsion count not divisible by 2^g "
+            "(falsifies the root-count bookkeeping)")
+    return int(size)
 
 
 @dataclass
@@ -121,25 +114,11 @@ class LocalImage:
 
     def serialize(self) -> dict:
         return {
-            "place": _place_name(self.place),
+            "place": self.place.tag,
             "classes": sorted(str(c.labels) for c in self.classes),
             "target": self.target,
             "complete": self.complete,
         }
-
-
-def _place_ring(c: Invariants, place):
-    return c.ring if place is None else place
-
-
-def _place_name(place) -> str:
-    if isinstance(place, RealField):
-        return "R"
-    if isinstance(place, PadicField):
-        return f"Qp:{place.p}"
-    if isinstance(place, PrimeField):
-        return f"F:{place.p}"
-    return "Q"
 
 
 def _close_under_product(classes, trivial):
@@ -157,11 +136,9 @@ def _close_under_product(classes, trivial):
 def _good_reduction(c: Invariants, ring, which: int) -> bool:
     """Odd residue characteristic, p-integral invariants, unit disc(f);
     curve 2 (y^2 = x f(x)) additionally needs f(0) = e^2 to be a unit."""
-    if not (isinstance(ring, PadicField) and ring.p != 2):
+    if not ring.is_padic or ring.is_dyadic:
         return False
-    conv = c if c.ring == ring else Invariants(
-        ring, tuple(ring.from_fraction(a) for a in c.a),
-        ring.from_fraction(c.e))
+    conv = _localized(c, ring)
     vals = [a.valuation() for a in conv.a if not a.is_zero()]
     if any(v < 0 for v in vals):
         return False
@@ -176,7 +153,7 @@ def _good_reduction(c: Invariants, ring, which: int) -> bool:
 def _localized(c: Invariants, ring):
     if c.ring == ring:
         return c
-    if not isinstance(c.ring, RationalField) or isinstance(c.ring, RealField):
+    if not c.ring.is_global:
         raise UsageError("place change requires rational invariants")
     return Invariants(ring, tuple(ring.from_fraction(a) for a in c.a),
                       ring.from_fraction(c.e))
@@ -184,7 +161,6 @@ def _localized(c: Invariants, ring):
 
 def _real_components(h: Poly):
     """Rational sample x-values, several per connected arc where h >= 0."""
-    from .etale import rational_approx
     roots = real_roots_exact(h.map_ring(QQ, Fraction))
     cuts = []
     for r in roots:
@@ -231,11 +207,11 @@ def local_image(c: Invariants, place, which: int,
                 ) -> LocalImage:
     """Subgroup of (L^x/L^x2)_{N=1} generated by descent classes of local
     points, with a completeness flag against the local size target."""
-    ring = _place_ring(c, place)
+    ring = c.ring if place is None else place
     target = local_mw_size(c, place, which)
     L = algebra_of(c)
 
-    if isinstance(ring, PrimeField):
+    if ring.is_finite:
         # every class is soluble over a finite field
         classes = norm_one_classes(L if c.ring == ring else
                                    EtaleAlgebra(_localized(c, ring).fpoly()))
@@ -256,14 +232,10 @@ def local_image(c: Invariants, place, which: int,
     trivial = square_class(L, L.one(), place)
     group = _close_under_product(generators, trivial)
 
-    if isinstance(ring, RealField):
-        if not isinstance(c.ring, RationalField):
-            raise UsageError("real sampling requires rational invariants")
+    if ring.is_real:
         candidates = _real_components(curve.hpoly().map_ring(QQ, Fraction))
-    elif isinstance(ring, PadicField):
-        candidates = _qp_candidates(ring.p, budget, seed)
     else:
-        raise UsageError("local image needs a local place")
+        candidates = _qp_candidates(ring.p, budget, seed)
 
     f = curve.fpoly()
     cring = c.ring
@@ -278,7 +250,7 @@ def local_image(c: Invariants, place, which: int,
             if cring.is_zero(fx) or (which == 2 and cring.is_zero(x0b)):
                 continue
             rhs = fx if which == 1 else cring.mul(x0b, fx)
-            if not ring_is_square_at(cring, ring, rhs):
+            if not ring.is_square(ring.from_fraction(rhs)):
                 continue
             el = L.add(L.scalar(x0b),
                        L.mul(L.gamma(), L.scalar(cring.neg(cring.one))))
@@ -290,15 +262,6 @@ def local_image(c: Invariants, place, which: int,
         if not any(cls == g for g in group):
             group = _close_under_product(group + [cls], trivial)
     return LocalImage(ring, group, target, len(group) >= target, which)
-
-
-def ring_is_square_at(base, place_ring, value) -> bool:
-    """Whether a base-field value is a square in the completion."""
-    if base == place_ring:
-        return base.is_square(value)
-    if isinstance(place_ring, RealField):
-        return Fraction(value) > 0
-    return place_ring.is_square(place_ring.from_fraction(Fraction(value)))
 
 
 def sel12_local(c: Invariants, place, budget: int = DEFAULT_BUDGET,

@@ -1,19 +1,28 @@
 """Etale algebras L = k[x]/(f) with norm/trace and square-class arithmetic.
 
-Elements are polynomials of degree < deg f over the base ring. Square
-classes carry a representative element plus per-factor labels:
+Elements are polynomials of degree < deg f over the base ring. The ring is
+also the place, and the code asks it (is_real, is_global, is_finite,
+is_padic, is_dyadic) instead of testing its class. Square classes carry a
+representative element plus labels; a class is trivial when its labels
+are those of 1, and two classes are equal when their labels are, except
+over Q and Q_2, where the product is tested instead:
 
   * GF(p):   quadratic-residue bit per factor (square in GF(p^d) iff the
              norm down to GF(p) is a residue);
   * R:       sign at each real root (complex pairs contribute nothing);
   * Q_p odd: (valuation mod 2, residue QR bit) per unramified factor;
   * Q_2:     (valuation mod 2, 1+2O-level bits, trace bit) computed in
-             O/8O -- a unit is a square iff it is one mod 8;
-  * Q:       per irreducible factor, an exact answer with a certificate:
-             "no" is a non-square norm, or an odd unramified prime at which
-             the element is a unit non-residue, or chi(t^2) irreducible for
-             the element's characteristic polynomial chi; "yes" is an
-             explicit beta with beta^2 = element, checked by multiplication.
+             O/8O -- a unit is a square iff it is one mod 8; two classes
+             can share a label;
+  * Q:       no labels; per irreducible factor, an exact answer with a
+             certificate: "no" is a non-square norm, or an odd unramified
+             prime at which the element is a unit non-residue, or chi(t^2)
+             irreducible for the element's characteristic polynomial chi;
+             "yes" is an explicit beta with beta^2 = element, checked by
+             multiplication.
+
+norm_one_classes enumerates (L^x/L^x2)_{N=1} at a local place from the
+generators of each factor: unit classes, times {1, p} over Q_p.
 """
 
 from __future__ import annotations
@@ -28,8 +37,7 @@ from .errors import PrecisionError, PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve
 from .poly import (Poly, discriminant, euler_split, ext_gcd, factor, gcd,
                    powmod, to_sympy)
-from .rings import (GF, QQ, RR, Padic, PadicField, PrimeField, Qp,
-                    RationalField, RealField)
+from .rings import GF, QQ, Padic
 
 _x = sympy.Symbol("x")
 
@@ -179,7 +187,7 @@ class EtaleAlgebra:
         self.ring = ring
         self.f = f
         self.n = f.degree
-        if isinstance(ring, RealField):
+        if ring.is_real:
             self._factors = None
             self.real_roots = real_roots_exact(f)
             self.n_pairs = (self.n - len(self.real_roots)) // 2
@@ -188,6 +196,7 @@ class EtaleAlgebra:
             self._factors = _UNFACTORED
         self._comp_cache = {}
         self._idem_cache = None
+        self._one_labels = None
 
     @property
     def factors(self):
@@ -238,9 +247,6 @@ class EtaleAlgebra:
             raise PreconditionError("element not invertible (shares a factor)")
         return s.scale(self.ring.inv(d.coeff(0))).mod(self.f)
 
-    def power(self, a: Poly, e: int) -> Poly:
-        return powmod(a, e, self.f)
-
     def mult_matrix(self, a: Poly) -> Mat:
         """Matrix of multiplication by a in the power basis (columns a*x^j)."""
         a = a.mod(self.f)
@@ -256,6 +262,15 @@ class EtaleAlgebra:
 
     def trace(self, a: Poly):
         return self.mult_matrix(a).trace()
+
+    def pairing_gram(self, w: Poly) -> Mat:
+        """Gram of (x, y) -> Tr(w * x * y) in the power basis."""
+        traces, acc = [], w
+        for _ in range(2 * self.n - 1):
+            traces.append(self.trace(acc))
+            acc = self.mul(acc, self.gamma())
+        return Mat(self.ring, [[traces[i + j] for j in range(self.n)]
+                               for i in range(self.n)])
 
     def is_unit(self, a: Poly) -> bool:
         return not self.ring.is_zero(self.norm(a))
@@ -297,20 +312,15 @@ class EtaleAlgebra:
 
     def localize(self, place) -> "EtaleAlgebra":
         """The same algebra over a completion (base must be Q)."""
-        if not isinstance(self.ring, RationalField) or isinstance(self.ring, RealField):
+        if not self.ring.is_global:
             raise UsageError("localize only from a Q-algebra")
-        conv = _coeff_map(self.ring, place)
-        return EtaleAlgebra(self.f.map_ring(place, conv))
+        return EtaleAlgebra(self.f.map_ring(place, place.from_fraction))
 
-    def convert_element(self, a: Poly, place) -> Poly:
-        conv = _coeff_map(self.ring, place)
-        return a.map_ring(place, conv)
-
-
-def _coeff_map(src, dst):
-    if isinstance(src, RationalField):
-        return lambda c: dst.from_fraction(c)
-    raise UsageError(f"no coefficient map from {src!r}")
+    def one_labels(self):
+        """Square-class labels of 1, computed once per algebra."""
+        if self._one_labels is None:
+            self._one_labels = SquareClass(self, self.one()).labels
+        return self._one_labels
 
 
 # ---------------------------------------------------------------------------
@@ -328,36 +338,33 @@ class SquareClass:
     # -- labels ----------------------------------------------------------
 
     def _compute_labels(self):
+        """Signs at the real roots over R; None over Q (decided by
+        witnesses); one label per factor at GF(p), Q_p and Q_2."""
         alg, ring, rep = self.algebra, self.algebra.ring, self.rep
-        if isinstance(ring, RealField):
+        if ring.is_real:
             return tuple(sign_at_root(rep, r) for r in alg.real_roots)
-        if isinstance(ring, PrimeField):
-            out = []
-            for i in range(alg.r):
-                Ni = alg.norm_in_factor(rep, i)
-                if ring.is_zero(Ni):
-                    raise PreconditionError("square class of a non-unit")
-                out.append(0 if ring.is_square(Ni) else 1)
-            return tuple(out)
-        if isinstance(ring, PadicField):
-            return tuple(self._padic_factor_label(i) for i in range(alg.r))
-        if isinstance(ring, RationalField):
+        if ring.is_global:
             if ring.is_zero(alg.norm(rep)):
                 raise PreconditionError("square class of a non-unit")
             return None
-        raise UsageError(f"square classes unsupported over {ring!r}")
+        return tuple(self._factor_label(i) for i in range(alg.r))
 
-    def _padic_factor_label(self, i: int):
+    def _factor_label(self, i: int):
         alg, ring = self.algebra, self.algebra.ring
+        Ni = alg.norm_in_factor(self.rep, i)
+        if ring.is_finite:
+            # square in GF(p^d) iff the norm down to GF(p) is a residue
+            if ring.is_zero(Ni):
+                raise PreconditionError("square class of a non-unit")
+            return 0 if ring.is_square(Ni) else 1
         p = ring.p
         d = alg.factors[i].degree
-        Ni = alg.norm_in_factor(self.rep, i)
         vN = Ni.valuation()
         if vN % d != 0:
             raise PreconditionError(
                 "factor appears ramified; only unramified factors are supported")
         vK = vN // d
-        if p != 2:
+        if not ring.is_dyadic:
             unit = Ni.u  # unit part of the norm, mod p^prec
             qr = 0 if pow(unit % p, (p - 1) // 2, p) == 1 else 1
             return (vK % 2, qr)
@@ -367,23 +374,8 @@ class SquareClass:
         scalec = Padic.from_fraction(Fraction(1, 2 ** vK) if vK >= 0
                                      else Fraction(2 ** (-vK)), 2, ring.prec)
         unit_el = (comp.scale(scalec)).mod(fi)
-        u8, f8 = [], []
-        for k in range(d):
-            c = unit_el.coeff(k)
-            if c.is_zero():
-                u8.append(0)
-            else:
-                if c.valuation() < 0:
-                    raise PreconditionError("non-integral unit coordinates at 2")
-                u8.append(c.u * 2 ** c.valuation() % 8)
-        for k in range(d + 1):
-            c = fi.coeff(k)
-            if c.is_zero():
-                f8.append(0)
-            else:
-                if c.valuation() < 0:
-                    raise PreconditionError("non-integral factor at 2")
-                f8.append(c.u * 2 ** c.valuation() % 8)
+        u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
+        f8 = _residues(fi, 8, d + 1, "non-integral factor at 2")
         fbar = Poly(GF(2), [c % 2 for c in f8])
         ebits, tracebit = _unit2_data(tuple(u8), f8, fbar)
         return (vK % 2, ebits, tracebit)
@@ -391,23 +383,15 @@ class SquareClass:
     # -- predicates -------------------------------------------------------
 
     def is_trivial(self) -> bool:
-        ring = self.algebra.ring
-        if isinstance(ring, RealField):
-            return all(s > 0 for s in self.labels)
-        if isinstance(ring, PrimeField):
-            return all(b == 0 for b in self.labels)
-        if isinstance(ring, PadicField):
-            if ring.p != 2:
-                return all(lab == (0, 0) for lab in self.labels)
-            return all(lab[0] == 0 and not any(lab[1]) and lab[2] == 0
-                       for lab in self.labels)
-        return all(w.root is not None for w in self.witnesses())
+        if self.labels is None:
+            return all(w.root is not None for w in self.witnesses())
+        return self.labels == self.algebra.one_labels()
 
     def witnesses(self):
         """Per irreducible factor over Q, the SquareWitness deciding whether
         rep is a square there; stops after the first non-square factor."""
         alg, rep = self.algebra, self.rep
-        if not isinstance(alg.ring, RationalField) or isinstance(alg.ring, RealField):
+        if not alg.ring.is_global:
             raise UsageError("square witnesses are defined over Q")
         for i in range(alg.r):
             w = _factor_witness(alg.comp_algebra(i), rep.mod(alg.factors[i]),
@@ -431,12 +415,9 @@ class SquareClass:
             return NotImplemented
         if self.algebra.f != other.algebra.f:
             return False
-        ring = self.algebra.ring
-        if isinstance(ring, (RealField, PrimeField)):
-            return self.labels == other.labels
-        if isinstance(ring, PadicField) and ring.p != 2:
-            return self.labels == other.labels
-        return (self * other).is_trivial()
+        if self.labels is None or self.algebra.ring.is_dyadic:
+            return (self * other).is_trivial()
+        return self.labels == other.labels
 
     def __hash__(self):
         if self.labels is None:
@@ -452,7 +433,7 @@ def square_class(algebra: EtaleAlgebra, a: Poly, place=None) -> SquareClass:
     if place is None or place == algebra.ring:
         return SquareClass(algebra, a)
     loc = algebra.localize(place)
-    return SquareClass(loc, algebra.convert_element(a, place))
+    return SquareClass(loc, a.map_ring(place, place.from_fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -569,39 +550,37 @@ def _generator_root(K: EtaleAlgebra, a: Poly, chi: Poly):
 # enumeration of (L^x / L^x2)_{N=1} at local places
 
 
-def _nonsquare_unit(alg: EtaleAlgebra, i: int):
-    """A unit of factor i whose class in the residue field is a nonsquare."""
-    ring = alg.ring
-    p = ring.p if isinstance(ring, (PrimeField, PadicField)) else None
-    fi = alg.factors[i]
-    d = fi.degree
-    if isinstance(ring, PrimeField):
-        Fbase = ring
-        fbar = fi
-    else:
-        Fbase = GF(p)
-        fbar = Poly(Fbase, [0 if c.is_zero() else c.u * p ** c.valuation() % p
-                            for c in fi.coeffs])
+def _residues(g: Poly, m: int, length: int, what: str):
+    """Coefficients 0..length-1 of g mod m, for GF(p) or p-integral Q_p
+    coefficients (m a power of p)."""
+    out = []
+    for k in range(length):
+        c = g.coeff(k)
+        if not isinstance(c, Padic):
+            out.append(c % m)
+        elif c.is_zero():
+            out.append(0)
+        elif c.valuation() < 0:
+            raise PreconditionError(what)
+        else:
+            out.append(c.u * c.p ** c.valuation() % m)
+    return out
+
+
+def _nonsquare_unit(ring, fi: Poly) -> Poly:
+    """A unit of O[x]/(fi), over GF(p) or Z_p with p odd, whose residue is
+    a nonsquare: the first in the order 1, 2, ..., p - 1, x, 1 + x, ...;
+    for deg fi = 1 that is the least non-residue >= 2."""
+    p, d = ring.p, fi.degree
+    F = GF(p)
+    fbar = Poly(F, _residues(fi, p, d + 1, "non-integral factor"))
     half = (p ** d - 1) // 2
-    cand = None
-    for trial in range(p ** d):
-        coeffs = []
-        t = trial + 1
-        for _ in range(d):
-            coeffs.append(t % p)
-            t //= p
-        z = Poly(Fbase, coeffs)
-        if z.is_zero():
-            continue
+    for trial in range(1, p ** d):
+        z = Poly(F, [trial // p ** k % p for k in range(d)])
         pw = powmod(z, half, fbar)
-        if pw.degree == 0 and Fbase.eq(pw.coeff(0), Fbase.from_int(-1)):
-            cand = z
-            break
-    if cand is None:
-        raise PreconditionError("no nonsquare found (is p = 2?)")
-    if isinstance(ring, PrimeField):
-        return cand
-    return cand.map_ring(ring, lambda c: ring.from_int(int(c)))
+        if pw.degree == 0 and F.eq(pw.coeff(0), F.from_int(-1)):
+            return z.map_ring(ring, ring.from_int)
+    raise PreconditionError("no nonsquare found (is p = 2?)")
 
 
 def _unit_class_reps_2adic(alg: EtaleAlgebra, i: int):
@@ -609,10 +588,7 @@ def _unit_class_reps_2adic(alg: EtaleAlgebra, i: int):
     ring = alg.ring
     fi = alg.factors[i]
     d = fi.degree
-    f8 = []
-    for k in range(d + 1):
-        c = fi.coeff(k)
-        f8.append(0 if c.is_zero() else c.u * 2 ** c.valuation() % 8)
+    f8 = _residues(fi, 8, d + 1, "non-integral factor at 2")
     fbar = Poly(GF(2), [c % 2 for c in f8])
     # labels collide between at most two classes, so bucket by label and
     # separate buckets with the exact mod-8 square test on quotients
@@ -650,55 +626,49 @@ def _unit_class_reps_2adic(alg: EtaleAlgebra, i: int):
 def norm_one_classes(alg: EtaleAlgebra):
     """All of (L^x/L^x2)_{N=1} over a local base (GF, R, Qp)."""
     ring = alg.ring
-    if isinstance(ring, PrimeField):
-        if ring.p == 2:
-            return [SquareClass(alg, alg.one())]
-        per_factor = [[alg.one(), _pad_const(alg, _nonsquare_unit(alg, i), i)]
-                      for i in range(alg.r)]
-        return _filtered_products(alg, per_factor)
-    if isinstance(ring, PadicField):
-        p = ring.p
-        out_parts = []
-        for i in range(alg.r):
-            # uniformizer in factor i only (1 in the other factors)
-            pi = _pad_const(alg, Poly.const(ring, ring.from_int(p)), i)
-            if p != 2:
-                c = _pad_const(alg, _nonsquare_unit(alg, i), i)
-                parts = [alg.one(), c, pi, alg.mul(c, pi)]
-            else:
-                units = [_pad_const(alg, u, i)
-                         for u in _unit_class_reps_2adic(alg, i)]
-                parts = units + [alg.mul(u, pi) for u in units]
-            out_parts.append(parts)
-        return _filtered_products(alg, out_parts)
-    if isinstance(ring, RealField):
-        roots = alg.real_roots
-        k = len(roots)
-        if k == 0:
-            return [SquareClass(alg, alg.one())]
-        seps = _separators(roots)
-        gens = [Poly(ring, [ring.neg(ring.from_fraction(m)), ring.one])
-                for m in seps]
-        out = []
-        for mask in range(2 ** k):
-            signs = [(-1) ** ((mask >> j) & 1) for j in range(k)]
-            if _prod(signs) != 1:
-                continue
-            v = [1 if s < 0 else 0 for s in signs]
-            rep = alg.one()
-            for idx in range(k):
-                nxt = v[idx + 1] if idx + 1 < k else 0
-                if v[idx] ^ nxt:
-                    rep = alg.mul(rep, gens[idx])
-            out.append(SquareClass(alg, rep))
-        return out
-    raise UsageError("enumeration only over local bases")
+    if ring.is_real:
+        return _real_norm_one_classes(alg)
+    if ring.is_global:
+        raise UsageError("enumeration only over local bases")
+    if ring.char == 2:
+        return [SquareClass(alg, alg.one())]
+    per_factor = []
+    for i in range(alg.r):
+        # unit classes, then (over Q_p) the same times the uniformizer;
+        # each generator is 1 in the other factors
+        if ring.is_dyadic:
+            units = [_pad_const(alg, u, i)
+                     for u in _unit_class_reps_2adic(alg, i)]
+        else:
+            units = [alg.one(), _pad_const(
+                alg, _nonsquare_unit(ring, alg.factors[i]), i)]
+        if ring.is_padic:
+            pi = _pad_const(alg, Poly.const(ring, ring.from_int(ring.p)), i)
+            units += [alg.mul(u, pi) for u in units]
+        per_factor.append(units)
+    return _filtered_products(alg, per_factor)
 
 
-def _prod(xs):
-    out = 1
-    for v in xs:
-        out *= v
+def _real_norm_one_classes(alg: EtaleAlgebra):
+    """Sign vectors with product +1, each from a product of linear
+    factors (x - m) at rational separators m of the real roots."""
+    ring, roots = alg.ring, alg.real_roots
+    k = len(roots)
+    if k == 0:
+        return [SquareClass(alg, alg.one())]
+    gens = [Poly(ring, [ring.neg(ring.from_fraction(m)), ring.one])
+            for m in _separators(roots)]
+    out = []
+    for mask in range(2 ** k):
+        v = [(mask >> j) & 1 for j in range(k)]
+        if sum(v) % 2:
+            continue
+        rep = alg.one()
+        for idx in range(k):
+            nxt = v[idx + 1] if idx + 1 < k else 0
+            if v[idx] ^ nxt:
+                rep = alg.mul(rep, gens[idx])
+        out.append(SquareClass(alg, rep))
     return out
 
 
@@ -738,8 +708,7 @@ def _filtered_products(alg: EtaleAlgebra, per_factor):
 
 def _separators(roots):
     """Rational points between consecutive real roots, plus one above all."""
-    from sympy import Rational
-    dx = Rational(1, 4)
+    dx = sympy.Rational(1, 4)
     while True:
         ivs = [_root_box(r, dx) for r in roots]
         if all(ivs[i][1] < ivs[i + 1][0] for i in range(len(ivs) - 1)):

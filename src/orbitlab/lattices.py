@@ -9,12 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, PreconditionError, UsageError
-from .etale import EtaleAlgebra
-from .linalg import Mat, det, inverse
+from .etale import EtaleAlgebra, _nonsquare_unit
+from .linalg import Mat, det, inverse, sum_prod
 from .orbits import algebra_of, trace_gram
 from .poly import Poly, discriminant
 from .quadforms import GramForm, diagonalize, is_split, isotropic_vector
-from .rings import PadicField, Qp
+from .rings import PadicField
 from .thetarep import Invariants
 
 
@@ -38,16 +38,7 @@ def ideal_pairing_gram(L: EtaleAlgebra, mult: Poly) -> Mat:
     nu is equivalent to nu*I^2 integral plus the norm condition
     N(I)^2 * N(nu) being a unit.
     """
-    ring = L.ring
-    n = L.f.degree
-    fprime = L.reduce(L.f.derivative())
-    w = L.mul(L.inv(fprime), mult)
-    traces = []
-    acc = w
-    for _ in range(2 * n - 1):
-        traces.append(L.trace(acc))
-        acc = L.mul(acc, L.gamma())
-    return Mat(ring, [[traces[i + j] for j in range(n)] for i in range(n)])
+    return L.pairing_gram(L.mul(L.inv(L.reduce(L.f.derivative())), mult))
 
 
 @dataclass
@@ -411,15 +402,7 @@ _UNIT_REPS = {2: (1, 3, 5, 7, -1, -3, -5, -7)}
 def _unit_reps(ring):
     if ring.p == 2:
         return [ring.from_int(u) for u in _UNIT_REPS[2]]
-    return [ring.one, _nonsquare_unit(ring)]
-
-
-def _nonsquare_unit(ring):
-    for u in range(2, ring.p):
-        cand = ring.from_int(u)
-        if not ring.is_square(cand):
-            return cand
-    raise PreconditionError("no quadratic non-residue found")
+    return [ring.one, _nonsquare_unit(ring, Poly.gen(ring)).coeff(0)]
 
 
 def _two_adic_candidates(vmax: int):
@@ -490,13 +473,10 @@ def _represent_value(Q: GramForm, target):
 
 
 def _gram_bil(Q: GramForm, v, w):
+    """sum of v_i w_j G_ij, in that order (p-adic precision follows it)."""
     ring = Q.ring
-    n = Q.rank
-    acc = ring.zero
-    for i in range(n):
-        for j in range(n):
-            acc = ring.add(acc, ring.mul(ring.mul(v[i], w[j]), Q.gram[i, j]))
-    return acc
+    return sum_prod(ring, [ring.mul(a, b) for a in v for b in w],
+                    [g for row in Q.gram.rows for g in row])
 
 
 def _unimodular_transform(Q: GramForm) -> Mat:

@@ -67,16 +67,7 @@ class Mat:
         if self.ncols != other.nrows:
             raise PreconditionError("matrix dimension mismatch")
         ot = other.transpose().rows
-        out = []
-        for r in self.rows:
-            row = []
-            for c in ot:
-                acc = R.zero
-                for a, b in zip(r, c):
-                    acc = R.add(acc, R.mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Mat(R, out)
+        return Mat(R, [[sum_prod(R, r, c) for c in ot] for r in self.rows])
 
     def scale(self, c) -> "Mat":
         R = self.ring
@@ -87,14 +78,7 @@ class Mat:
 
     def apply(self, v):
         """Matrix times column vector (list)."""
-        R = self.ring
-        out = []
-        for r in self.rows:
-            acc = R.zero
-            for a, b in zip(r, v):
-                acc = R.add(acc, R.mul(a, b))
-            out.append(acc)
-        return out
+        return [sum_prod(self.ring, r, v) for r in self.rows]
 
     def trace(self):
         R = self.ring
@@ -262,10 +246,7 @@ def charpoly(M: Mat) -> Poly:
         t = [a]
         w = colv
         for _ in range(k):
-            acc = R.zero
-            for rr, ww in zip(row, w):
-                acc = R.add(acc, R.mul(rr, ww))
-            t.append(acc)
+            t.append(sum_prod(R, row, w))
             w = [sum_prod(R, sub[i], w) for i in range(k)]
         # Toeplitz multiply: newC[d] = C[d-1] - sum_{i>=0} t[i]*C[d+i]... build
         newC = [R.zero] * (k + 2)

@@ -6,15 +6,16 @@ coincidence, and pencils of quadrics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, real_roots_exact, square_class
-from .linalg import Mat, block_matrix, inverse
-from .poly import Poly
+from .linalg import Mat, block_matrix, inverse, rank, solve
+from .poly import Poly, factor
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
-from .rings import QQ, RR, PadicField, PrimeField, Qp, RationalField, RealField
+from .rings import QQ, Qp
 from .thetarep import Invariants, RepElement, antidiag, invariants_of, lift, star
 
 
@@ -32,16 +33,7 @@ def algebra_of(c: Invariants) -> EtaleAlgebra:
 
 def trace_gram(L: EtaleAlgebra, mult: Poly) -> Mat:
     """Gram of (x, y) -> Tr(f'(gamma) * mult * x * y) in the power basis."""
-    ring = L.ring
-    n = L.f.degree
-    fprime = L.reduce(L.f.derivative())
-    w = L.mul(fprime, mult)
-    traces = []
-    acc = w
-    for k in range(2 * n - 1):
-        traces.append(L.trace(acc))
-        acc = L.mul(acc, L.gamma())
-    return Mat(ring, [[traces[i + j] for j in range(n)] for i in range(n)])
+    return L.pairing_gram(L.mul(L.reduce(L.f.derivative()), mult))
 
 
 def delta_map(c: Invariants, nu, place=None):
@@ -68,10 +60,10 @@ def _disc_sign(ring, n: int):
 def orbit_from_class(c: Invariants, nu) -> RepElement:
     """Representative with invariants c whose recomputed class is nu."""
     ring = c.ring
-    if isinstance(ring, PadicField) and ring.p == 2:
+    if ring.is_dyadic:
         raise UsageError("no representative construction over Q_2 "
                          "(isotropic search unavailable)")
-    if isinstance(ring, RealField):
+    if ring.is_real:
         raise UsageError("no representative construction over R")
     if not c.is_regular_semisimple():
         raise PreconditionError("invariants must be regular semisimple")
@@ -80,11 +72,10 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
     g1, g2, in_ker = delta_map(c, nu)
     if not in_ker:
         raise PreconditionError("no rational orbit: forms are not both split")
-    from .linalg import det as mat_det
     s = _disc_sign(ring, n)
-    if not ring.is_square(ring.mul(s, mat_det(g1.gram))):
+    if not ring.is_square(ring.mul(s, g1.det())):
         raise PreconditionError("form on L has wrong discriminant class")
-    if not ring.is_square(ring.neg(ring.mul(s, mat_det(g2.gram)))):
+    if not ring.is_square(ring.neg(ring.mul(s, g2.det()))):
         raise PreconditionError("form on L*beta has wrong discriminant class")
     B = standard_split_gram(ring, n).gram
     P1 = split_isometry(g1, GramForm(B))
@@ -111,7 +102,7 @@ def _with_precision_retry(c: Invariants, nu_elem):
         try:
             return orbit_from_class(c, nu_elem)
         except PrecisionError:
-            if not isinstance(ring, PadicField) or attempts >= 2:
+            if not ring.is_padic or attempts >= 2:
                 raise
             attempts += 1
             ring = Qp(ring.p, 2 * ring.prec)
@@ -131,17 +122,16 @@ def stabilizer_info(c: Invariants, base=None) -> StabilizerInfo:
     ring = c.ring if base is None else base
     f = c.fpoly()
     n = f.degree
-    if isinstance(ring, RealField):
+    if ring.is_real:
         roots = real_roots_exact(f.map_ring(QQ, Fraction))
         n_real = len(roots)
         pairs = (n - n_real) // 2
         degs = tuple([1] * n_real + [2] * pairs)
     else:
         if ring != c.ring:
-            if not isinstance(c.ring, RationalField):
+            if not c.ring.is_global:
                 raise UsageError("base change requires rational invariants")
             f = f.map_ring(ring, ring.from_fraction)
-        from .poly import factor
         degs = tuple(g.degree for g, _ in factor(f))
     r = len(degs)
     return StabilizerInfo(degs, 2 ** (r - 1), 2 ** (n - 1))
@@ -165,7 +155,6 @@ def recompute_class(rep: RepElement, place=None) -> SquareClass:
     B = antidiag(ring, n)
     GL = W.transpose() * B * W
     base = trace_gram(L, L.one())
-    from .linalg import solve
     nu_coeffs = solve(base, list(GL.rows[0]))
     nu = Poly(ring, nu_coeffs)
     if not trace_gram(L, nu) == GL:
@@ -176,7 +165,6 @@ def recompute_class(rep: RepElement, place=None) -> SquareClass:
 def _cyclic_vector(M: Mat):
     ring = M.ring
     n = M.nrows
-    from .linalg import rank
 
     def is_cyclic(w):
         cols = []
@@ -191,7 +179,6 @@ def _cyclic_vector(M: Mat):
         if is_cyclic(w):
             return w
     # sums of basis vectors (deterministic fallback)
-    import itertools
     for k in range(2, n + 1):
         for idx in itertools.combinations(range(n), k):
             w = [ring.one if j in idx else ring.zero for j in range(n)]

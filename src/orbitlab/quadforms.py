@@ -1,6 +1,12 @@
 """Quadratic form toolkit: diagonalization, local invariants, splitness,
 explicit isometries onto split models, maximal isotropic subspaces.
 
+A form is classified at its place (the base ring, or a completion of Q)
+by one diagonalization: the signature at R, the discriminant and the
+Hasse invariant at GF(p) and Q_p (Serre, A Course in Arithmetic, ch. IV).
+Splitness compares those with the split model; over Q it is glued from
+R and the relevant Q_p by Hasse-Minkowski.
+
 Isotropic vectors come from: exhaustive/diagonal search over GF(q),
 mod-p solutions plus Hensel lifting over Q_p (p odd), and Lagrange
 descent for ternary forms over Q. Over Q_2 only invariants are used.
@@ -8,18 +14,16 @@ descent for ternary forms over Q. Over Q_2 only invariants are used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd as igcd, isqrt
 
 import sympy
 
-from .errors import PrecisionError, PreconditionError, UsageError
-from .etale import EtaleAlgebra, SquareClass
-from .linalg import Mat, det as mat_det, inverse, nullspace
-from .poly import Poly
-from .rings import (GF, QQ, RR, Padic, PadicField, PrimeField, Qp,
-                    RationalField, RealField, hilbert_symbol)
+from .errors import PreconditionError, UsageError
+from .linalg import Mat, det as mat_det, inverse, nullspace, sum_prod
+from .rings import QQ, RR, Padic, Qp, hilbert_symbol
 
 
 class GramForm:
@@ -30,24 +34,22 @@ class GramForm:
             raise PreconditionError("Gram matrix must be symmetric")
         self.gram = gram
         self.ring = gram.ring
+        self._det = None
 
     @property
     def rank(self) -> int:
         return self.gram.nrows
 
     def bilinear(self, v, w):
-        R = self.ring
-        gv = self.gram.apply(w)
-        acc = R.zero
-        for a, b in zip(v, gv):
-            acc = R.add(acc, R.mul(a, b))
-        return acc
+        return sum_prod(self.ring, v, self.gram.apply(w))
 
     def quad(self, v):
         return self.bilinear(v, v)
 
     def det(self):
-        return mat_det(self.gram)
+        if self._det is None:  # is_split, form_invariants and callers share it
+            self._det = mat_det(self.gram)
+        return self._det
 
     def is_nondegenerate(self) -> bool:
         return not self.ring.is_zero(self.det())
@@ -72,7 +74,7 @@ def standard_split_gram(ring, n: int) -> GramForm:
 def diagonalize(Q: GramForm):
     """(P, diag) with P^t G P diagonal; raises on degenerate input."""
     R = Q.ring
-    if isinstance(R, PrimeField) and R.p == 2:
+    if R.char == 2:
         raise PreconditionError("characteristic 2 not supported")
     n = Q.rank
     G = [[Q.gram[i, j] for j in range(n)] for i in range(n)]
@@ -101,7 +103,7 @@ def diagonalize(Q: GramForm):
         for i in range(k, n):
             if R.is_zero(G[i][i]):
                 continue
-            key = G[i][i].valuation() if isinstance(R, PadicField) else 0
+            key = G[i][i].valuation() if R.is_padic else 0
             if pivot is None or key < best_key:
                 pivot, best_key = i, key
         if pivot is None:
@@ -136,86 +138,45 @@ def diagonalize(Q: GramForm):
 # invariants
 
 
-@lru_cache(maxsize=None)
-def _line_algebra(ring):
-    return EtaleAlgebra(Poly.gen(ring))
-
-
-def base_square_class(ring, a) -> SquareClass:
-    """Square class of a base-field element (degree-1 etale algebra)."""
-    alg = _line_algebra(ring)
-    return SquareClass(alg, Poly.const(ring, a))
-
-
 @dataclass
 class FormInvariants:
     rank: int
     disc: object             # base-field element, defined up to squares
-    disc_class: object       # SquareClass at the place (None over GF for p=2)
-    hasse: object            # +-1, or None where undefined
+    hasse: object            # +-1 at GF(p) and Q_p, else None
     signature: object        # (pos, neg) over R, else None
     place: object
 
 
-def _diag_over(Q: GramForm, place):
-    """Diagonal entries usable at the place (rational entries stay exact)."""
-    _, diag = diagonalize(Q)
-    return diag
+def _hasse(diag, place) -> int:
+    eps = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            eps *= hilbert_symbol(diag[i], diag[j], place)
+    return eps
 
 
 def form_invariants(Q: GramForm, place=None) -> FormInvariants:
+    """Rank, discriminant, and the signature (R) or the Hasse invariant
+    (GF(p), Q_p) at the place; the form's base must be the place or Q."""
     ring = Q.ring
     if place is None:
         place = ring
     if not Q.is_nondegenerate():
         raise PreconditionError("degenerate form")
-    diag = _diag_over(Q, place)
+    _, diag = diagonalize(Q)
     disc = ring.one
     for d in diag:
         disc = ring.mul(disc, d)
     n = Q.rank
-    same_base = place == ring
-    if isinstance(place, RealField):
-        if not isinstance(ring, RationalField):
-            raise UsageError("real invariants need rational coordinates")
+    if place != ring and (place.is_finite or not ring.is_global):
+        raise UsageError(
+            f"no invariants at {place!r} for a form over {ring!r}")
+    if place.is_real:
         pos = sum(1 for d in diag if d > 0)
-        return FormInvariants(n, disc, base_square_class(RR, Fraction(disc)),
-                              None, (pos, n - pos), place)
-    if isinstance(place, PrimeField):
-        if not same_base:
-            raise UsageError("finite-field invariants need a matching base")
-        dc = base_square_class(ring, disc) if place.p != 2 else None
-        return FormInvariants(n, disc, dc, None, None, place)
-    if isinstance(place, PadicField):
-        if same_base:
-            vals = diag
-            dloc = disc
-        elif isinstance(ring, RationalField):
-            vals = diag
-            dloc = disc
-        else:
-            raise UsageError("cannot evaluate p-adic invariants from this base")
-        eps = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                eps *= hilbert_symbol(vals[i], vals[j], place)
-        if same_base:
-            dc = base_square_class(place, dloc)
-        else:
-            dc = base_square_class(place, place.from_fraction(dloc))
-        return FormInvariants(n, disc, dc, eps, None, place)
-    if isinstance(place, RationalField):
-        return FormInvariants(n, disc, base_square_class(QQ, disc), None,
-                              None, place)
-    raise UsageError(f"unsupported place {place!r}")
-
-
-def _model_hasse(diag_model, place) -> int:
-    eps = 1
-    for i in range(len(diag_model)):
-        for j in range(i + 1, len(diag_model)):
-            eps *= hilbert_symbol(diag_model[i], diag_model[j], place)
-    return eps
+        return FormInvariants(n, disc, None, (pos, n - pos), place)
+    if place.is_global:
+        return FormInvariants(n, disc, None, None, place)
+    return FormInvariants(n, disc, _hasse(diag, place), None, place)
 
 
 def _relevant_primes(diag) -> list:
@@ -237,37 +198,8 @@ def is_split(Q: GramForm, place=None) -> bool:
         return False
     n = Q.rank
     m = n // 2
-    if isinstance(place, PrimeField):
-        if place.p == 2:
-            raise UsageError("characteristic 2 not supported")
-        if n % 2 == 1:
-            return True
-        inv = form_invariants(Q, place)
-        sign = place.from_int((-1) ** m)
-        return place.is_square(place.mul(inv.disc, sign))
-    if isinstance(place, RealField):
-        inv = form_invariants(Q, place)
-        pos, neg = inv.signature
-        return abs(pos - neg) <= (n % 2)
-    if isinstance(place, PadicField):
-        inv = form_invariants(Q, place)
-        disc = inv.disc
-        if isinstance(ring, RationalField):
-            disc_local = place.from_fraction(Fraction(disc))
-        else:
-            disc_local = disc
-        if n % 2 == 0:
-            target = place.from_int((-1) ** m)
-            if not place.is_square(place.mul(disc_local, target)):
-                return False
-            model = [1, -1] * m
-            return inv.hasse == _model_hasse(model, place)
-        # odd rank: compare with H^m + <c>, c = (-1)^m * disc
-        c = Fraction((-1) ** m) * _square_free_of(disc, ring)
-        model = [1, -1] * m + [c]
-        return inv.hasse == _model_hasse(model, place)
-    if isinstance(place, RationalField) and not isinstance(place, RealField):
-        if not isinstance(ring, RationalField):
+    if place.is_global:
+        if not ring.is_global:
             raise UsageError("global splitness needs rational coordinates")
         _, diag = diagonalize(Q)
         if n % 2 == 0:
@@ -279,19 +211,27 @@ def is_split(Q: GramForm, place=None) -> bool:
         if not is_split(Q, RR):
             return False
         return all(is_split(Q, Qp(p)) for p in _relevant_primes(diag))
-    raise UsageError(f"unsupported place {place!r}")
+    if place.char == 2:
+        raise UsageError("characteristic 2 not supported")
+    inv = form_invariants(Q, place)
+    if place.is_real:
+        pos, neg = inv.signature
+        return abs(pos - neg) <= (n % 2)
+    # compare with the split model H^m, plus <c> in odd rank
+    c = place.mul(place.from_int((-1) ** m), place.from_fraction(inv.disc))
+    if n % 2 == 0 and not place.is_square(c):
+        return False
+    return inv.hasse == _hasse([1, -1] * m + [c] * (n % 2), place)
 
 
 def _square_free_of(disc, ring):
-    """Rational squarefree representative of a disc (rational bases only)."""
-    if isinstance(ring, RationalField):
-        fr = Fraction(disc)
-        return _squarefree(fr.numerator * fr.denominator)
-    if isinstance(ring, PadicField):
+    """Rational squarefree representative of a disc over Q or Q_p."""
+    if isinstance(disc, Padic):
         v = disc.valuation()
-        u = disc.unit_mod(3 if ring.p == 2 else 1)  # digits fixing its class
+        u = disc.unit_mod(3 if ring.is_dyadic else 1)  # fixes its class
         return Fraction(ring.p ** (v % 2) * u)
-    raise UsageError("no squarefree representative here")
+    fr = Fraction(disc)
+    return _squarefree(fr.numerator * fr.denominator)
 
 
 def _squarefree(n: int) -> int:
@@ -323,7 +263,6 @@ def _isotropic_diag_gf(diag, ring):
                 v[j] = ring.sqrt(q)
                 return v
     # triples: z = 1, scan x, y in lex order
-    import itertools
     for i, j, k in itertools.combinations(range(n), 3):
         for x in range(p):
             for y in range(p):
@@ -377,7 +316,6 @@ def _unit_group_isotropic(group, ring):
     # ternary: solve mod p with a liftable first coordinate, then Hensel.
     # After the pair shortcut fails, any mod-p isotropic vector has all
     # coordinates nonzero, so fixing z = 1 and lifting the first slot works.
-    import itertools
     for (a, b, c) in itertools.combinations(range(len(group)), 3):
         i, ui = group[a]
         j, uj = group[b]
@@ -429,9 +367,7 @@ def _legendre_solve(a: int, b: int):
         # a = t^2
         return (t, 1, 0)
     bprime = _squarefree(r)
-    msq = r // bprime
-    from math import isqrt
-    m = isqrt(msq)
+    m = isqrt(r // bprime)
     res = _legendre_solve(a, bprime)
     if res is None:
         return None
@@ -457,13 +393,11 @@ def _isotropic_diag_qq(diag):
                 v[i] = Fraction(1)
                 v[j] = QQ.sqrt(q)
                 return v
-    import itertools
     for (i, j, k) in itertools.combinations(range(n), 3):
         d1, d2, d3 = fr[i], fr[j], fr[k]
         aa = -d1 * d2
         bb = -d1 * d3
-        a = _squarefree(aa.numerator * aa.denominator)
-        b = _squarefree(bb.numerator * bb.denominator)
+        a, b = _square_free_of(aa, QQ), _square_free_of(bb, QQ)
         if a == 0 or b == 0:
             continue
         sol = _legendre_solve(a, b)
@@ -487,8 +421,7 @@ def _isotropic_diag_qq(diag):
 def _normalize_vector(v, ring):
     """Scale for determinism: integer primitive with positive leading entry
     over Q; unit leading entry over GF; valuation-balanced over Qp."""
-    if isinstance(ring, RationalField):
-        from math import gcd as igcd
+    if ring.is_global:
         den = 1
         for c in v:
             den = den * Fraction(c).denominator // igcd(den, Fraction(c).denominator)
@@ -511,20 +444,16 @@ def isotropic_vector(Q: GramForm):
     """A nonzero v with Q(v) = 0, or None if none found/exists."""
     ring = Q.ring
     P, diag = diagonalize(Q)
-    if isinstance(ring, PrimeField):
-        if ring.p == 2:
-            raise UsageError("characteristic 2 not supported")
-        w = _isotropic_diag_gf(diag, ring)
-    elif isinstance(ring, PadicField):
-        if ring.p == 2:
-            raise UsageError("no isotropic search over Q_2 (invariants only)")
-        w = _isotropic_diag_qp(diag, ring)
-    elif isinstance(ring, RealField):
+    if ring.is_real:
         raise UsageError("no isotropic search over R")
-    elif isinstance(ring, RationalField):
+    if ring.is_dyadic:
+        raise UsageError("no isotropic search over Q_2 (invariants only)")
+    if ring.is_global:
         w = _isotropic_diag_qq(diag)
+    elif ring.is_finite:
+        w = _isotropic_diag_gf(diag, ring)
     else:
-        raise UsageError(f"unsupported base {ring!r}")
+        w = _isotropic_diag_qp(diag, ring)
     if w is None:
         return None
     v = P.apply([ring.from_fraction(c) if isinstance(c, (int, Fraction)) else c
@@ -585,17 +514,6 @@ def split_frame(Q: GramForm):
         m, c = 0, None
     P = Mat(R, list(zip(*cols)))
     return P, m + 1, c
-
-
-def _hyperbolic_model(ring, m: int, c=None) -> Mat:
-    n = 2 * m + (0 if c is None else 1)
-    rows = [[ring.zero] * n for _ in range(n)]
-    for k in range(m):
-        rows[2 * k][2 * k + 1] = ring.one
-        rows[2 * k + 1][2 * k] = ring.one
-    if c is not None:
-        rows[n - 1][n - 1] = c
-    return Mat(ring, rows)
 
 
 def split_isometry(Q: GramForm, target: GramForm) -> Mat:

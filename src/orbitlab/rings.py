@@ -4,6 +4,11 @@ Every ring object exposes the same small arithmetic API (add/sub/mul/div,
 is_zero, eq, from_fraction, is_square, sqrt, ...) so that polynomials,
 matrices and quadratic forms can be written once, generically.
 
+Each ring is also the place it stands for, and the only object that knows
+which place that is: its `tag` names it in JSON, `is_global`, `is_real`,
+`is_finite`, `is_padic` and `is_dyadic` say what kind it is, and
+`hilbert` and `local_size_factor` answer the local questions.
+
 p-adic scalars are precision-tracked triples (valuation, unit mod p^N, N);
 all cancellation is accounted for explicitly and a value that cannot be
 certified nonzero at its tracked precision raises PrecisionError when a
@@ -194,9 +199,7 @@ class Padic:
             return Padic.zero(p)
         if self.u == 0 or other.u == 0:
             # O(p^a) * (unit info) -> O(p^(a + v)), pessimistic when both fuzzy
-            a = self.v if self.u == 0 else self.v
-            b = other.v if other.u == 0 else other.v
-            return Padic.zero(p, a + b)
+            return Padic.zero(p, self.v + other.v)
         N = min(self.prec, other.prec)
         return Padic(p, self.v + other.v, self.u * other.u % p ** N, N)
 
@@ -226,9 +229,30 @@ class Padic:
         return Fraction(self.u) * Fraction(self.p) ** self.v
 
 
-class RationalField:
+class Place:
+    """Place facts shared by the rings; each ring overrides what holds."""
+
+    is_global = is_real = is_finite = is_padic = is_dyadic = False
+    tag: str
+
+    def hilbert(self, a, b) -> int:
+        raise UsageError(f"Hilbert symbol undefined over {self!r}")
+
+    def local_size_factor(self, g: int):
+        """b_v with |J(k_v)/2J(k_v)| = b_v * |J[2](k_v)| for genus g."""
+        raise UsageError("local size needs a local place")
+
+    def __eq__(self, other):
+        return isinstance(other, Place) and other.tag == self.tag
+
+    def __hash__(self):
+        return hash(self.tag)
+
+
+class RationalField(Place):
     tag = "Q"
     char = 0
+    is_global = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -286,17 +310,13 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash(self.tag)
-
 
 class RealField(RationalField):
     """The real place; elements are exact rational coordinates."""
 
     tag = "R"
+    is_global = False
+    is_real = True
 
     def is_square(self, a) -> bool:
         return _as_fraction(a) >= 0
@@ -305,25 +325,29 @@ class RealField(RationalField):
         # only exact square roots are representable
         return RationalField.sqrt(self, a)
 
+    def hilbert(self, a, b) -> int:
+        a, b = _as_fraction(a), _as_fraction(b)
+        if a == 0 or b == 0:
+            raise PreconditionError("Hilbert symbol of zero")
+        return -1 if (a < 0 and b < 0) else 1
+
+    def local_size_factor(self, g: int):
+        return Fraction(1, 2 ** g)
+
     def __repr__(self):
         return "RR"
 
-    def __eq__(self, other):
-        return isinstance(other, RealField)
 
-    def __hash__(self):
-        return hash(self.tag)
-
-
-class PrimeField:
+class PrimeField(Place):
     char: int
+    is_finite = True
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise UsageError(f"GF({p}): only prime fields are supported")
         self.p = p
         self.char = p
-        self.tag = f"F{p}"
+        self.tag = f"F:{p}"
         self.zero = 0
         self.one = 1 % p
 
@@ -379,18 +403,22 @@ class PrimeField:
     def scalar_str(self, a) -> str:
         return str(a % self.p)
 
+    def hilbert(self, a, b) -> int:
+        """Every nonzero element of GF(p) is a unit, and (u, w) = 1."""
+        if self.is_zero(a) or self.is_zero(b):
+            raise PreconditionError("Hilbert symbol of zero")
+        return 1
+
+    def local_size_factor(self, g: int):
+        return 1
+
     def __repr__(self):
         return f"GF({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
 
-    def __hash__(self):
-        return hash(self.tag)
-
-
-class PadicField:
+class PadicField(Place):
     char = 0
+    is_padic = True
 
     def __init__(self, p: int, prec: int = DEFAULT_PRECISION):
         if not is_prime(p):
@@ -399,7 +427,8 @@ class PadicField:
             raise UsageError("precision must be >= 1")
         self.p = p
         self.prec = prec
-        self.tag = f"Q{p}adic"
+        self.tag = f"Qp:{p}"
+        self.is_dyadic = p == 2
         self.zero = Padic.zero(p)
         self.one = Padic(p, 0, 1, prec)
 
@@ -472,14 +501,29 @@ class PadicField:
     def scalar_str(self, a: Padic) -> str:
         return repr(a)
 
+    def hilbert(self, a, b) -> int:
+        """(a, b)_p with a, b rational or Padic; Serre, Course in Arithmetic,
+        ch. III, Thm. 1. Exponents are reduced mod 2, so a negative
+        valuation still gives an int."""
+        p = self.p
+        alpha, u = _val_and_unit(a, p)
+        beta, w = _val_and_unit(b, p)
+        if p != 2:
+            def leg(t):
+                return 1 if pow(t % p, (p - 1) // 2, p) == 1 else -1
+            eps = (p - 1) // 2
+            sign = -1 if alpha * beta * eps % 2 else 1
+            return sign * leg(u) ** (beta % 2) * leg(w) ** (alpha % 2)
+        # p = 2, with eps(u) = (u-1)/2, omega(u) = (u^2-1)/8 mod 2
+        eu, ew = (u - 1) // 2 % 2, (w - 1) // 2 % 2
+        ou, ow = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
+        return -1 if (eu * ew + alpha * ow + beta * ou) % 2 else 1
+
+    def local_size_factor(self, g: int):
+        return 2 ** g if self.is_dyadic else 1
+
     def __repr__(self):
         return f"Qp({self.p}, prec={self.prec})"
-
-    def __eq__(self, other):
-        return isinstance(other, PadicField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.tag)
 
 
 QQ = RationalField()
@@ -519,24 +563,5 @@ def _val_and_unit(x, p: int):
 
 
 def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b)_v over R or Q_p. a, b rational or Padic."""
-    if isinstance(place, RealField):
-        a, b = _as_fraction(a), _as_fraction(b)
-        if a == 0 or b == 0:
-            raise PreconditionError("Hilbert symbol of zero")
-        return -1 if (a < 0 and b < 0) else 1
-    if not isinstance(place, PadicField):
-        raise UsageError(f"Hilbert symbol undefined over {place!r}")
-    p = place.p
-    alpha, u = _val_and_unit(a, p)
-    beta, w = _val_and_unit(b, p)
-    if p != 2:
-        def leg(t):
-            return 1 if pow(t % p, (p - 1) // 2, p) == 1 else -1
-        eps = (p - 1) // 2
-        sign = (-1) ** (alpha * beta * eps)
-        return sign * leg(u) ** beta * leg(w) ** alpha
-    # p = 2, with eps(u) = (u-1)/2, omega(u) = (u^2-1)/8 mod 2
-    eu, ew = (u - 1) // 2 % 2, (w - 1) // 2 % 2
-    ou, ow = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
-    return (-1) ** (eu * ew + alpha * ow + beta * ou)
+    """Hilbert symbol (a, b)_v at R, GF(p) or Q_p. a, b rational or Padic."""
+    return place.hilbert(a, b)

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitlab.errors import PrecisionError, UsageError
+from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.rings import (GF, QQ, RR, PadicField, Qp, hilbert_symbol,
                             sqrt_mod_p)
 
@@ -117,6 +117,20 @@ class TestHilbertSymbol:
             hilbert_symbol(2, K.from_fraction(3), K)
         assert hilbert_symbol(Qp(2, 3).from_fraction(3), 2, Qp(2, 3)) == -1
 
+    def test_negative_valuation_gives_int(self):
+        # (1/5, 2)_5 = (5, 2)_5 and (1/2, 3)_2 = (2, 3)_2; a negative
+        # valuation must not turn the sign into a float
+        for a, b, p in ((Fraction(1, 5), 2, 5), (Fraction(1, 2), 3, 2)):
+            sym = hilbert_symbol(a, b, Qp(p))
+            assert type(sym) is int and sym == -1
+            assert type(hilbert_symbol(b, a, Qp(p))) is int
+
+    def test_finite_field_units(self):
+        for a, b in ((2, 3), (4, 2), (1, 1)):
+            assert hilbert_symbol(a, b, GF(5)) == 1
+        with pytest.raises(PreconditionError):
+            hilbert_symbol(0, 2, GF(5))
+
     def test_odd_p_unit_needs_one_digit(self):
         K = Qp(5, 1)
         assert hilbert_symbol(K.from_fraction(5), K.from_fraction(2), K) == -1
@@ -148,6 +162,29 @@ class TestHilbertSymbol:
         for p in sorted(primes):
             prod *= hilbert_symbol(a, b, Qp(p, 24))
         assert prod == 1
+
+
+class TestPlaceMembers:
+    def test_tags(self):
+        assert [K.tag for K in (QQ, RR, GF(5), Qp(7), Qp(2, 30))] == [
+            "Q", "R", "F:5", "Qp:7", "Qp:2"]
+
+    def test_place_tests(self):
+        facts = [(K.is_global, K.is_real, K.is_finite, K.is_padic, K.is_dyadic)
+                 for K in (QQ, RR, GF(5), Qp(7), Qp(2))]
+        assert facts == [(True, False, False, False, False),
+                         (False, True, False, False, False),
+                         (False, False, True, False, False),
+                         (False, False, False, True, False),
+                         (False, False, False, True, True)]
+
+    def test_local_size_factor(self):
+        assert GF(5).local_size_factor(2) == 1
+        assert Qp(7).local_size_factor(2) == 1
+        assert Qp(2).local_size_factor(2) == 4
+        assert RR.local_size_factor(2) == Fraction(1, 4)
+        with pytest.raises(UsageError):
+            QQ.local_size_factor(1)
 
 
 class TestConstruction:
