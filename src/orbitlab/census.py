@@ -10,6 +10,13 @@ cubic yields its number of roots, and counting those with -r or c a
 non-residue decides -gamma. Other n are sampled, and each sample is
 classified by one distinct-degree split of f with Euler's criterion for -x
 on each part (poly.euler_split).
+
+The orbit oracle works in integers on index codes: a matrix A over F_p is
+the number sum A[i][j] p^(3i+j). The fiber table sorts all p^9 codes by
+their invariants, read off nine digit arrays with integer arithmetic. As
+G = SO(B)(F_p) is a group, the orbit of A under A -> g1 A g2^(-1) is
+G A G, so no inverse is taken: the codes of all |G|^2 images come from a
+per-p table of row actions, and binary search marks them on the fiber.
 """
 
 from __future__ import annotations
@@ -200,30 +207,31 @@ def _fp_sweep_sampled(p: int, n: int, seed: int, sample_size: int
 # brute-force orthogonal groups and orbit partitions
 
 
+def _det3(m):
+    """Exact integer determinant of a 3x3 array m[i][j] whose entries are
+    integers or integer arrays (then one determinant per array slot)."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
 def _so3_elements(p: int):
-    """All of SO(B)(F_p) for the antidiagonal split form B, n = 3."""
-    B = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int64)
+    """All of SO(B)(F_p) for the antidiagonal split form B, n = 3: columns
+    c1, c3 isotropic with B(c1, c3) = 1, c2 orthogonal to both with
+    Q(c2) = 1, and determinant 1."""
     vecs = np.array(list(itertools.product(range(p), repeat=3)),
                     dtype=np.int64)
     q = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
-    iso = vecs[(q == 0) & (vecs.any(axis=1))]
     out = []
-    for c1 in iso:
-        bc1 = B @ c1 % p
-        # c2: B(c1,c2) = 0, Q(c2) = 1
-        dot1 = vecs @ bc1 % p
-        qv = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
-        c2s = vecs[(dot1 == 0) & (qv == 1)]
-        for c2 in c2s:
-            bc2 = B @ c2 % p
-            d1 = vecs @ bc1 % p
-            d2 = vecs @ bc2 % p
-            qz = (2 * vecs[:, 0] * vecs[:, 2] + vecs[:, 1] ** 2) % p
-            c3s = vecs[(d1 == 1) & (d2 == 0) & (qz == 0)]
-            for c3 in c3s:
+    # B(v, c) = v . (B c), and B c reverses c
+    for c1 in vecs[(q == 0) & vecs.any(axis=1)]:
+        d1 = vecs @ c1[::-1] % p
+        for c2 in vecs[(d1 == 0) & (q == 1)]:
+            d2 = vecs @ c2[::-1] % p
+            for c3 in vecs[(d1 == 1) & (d2 == 0) & (q == 0)]:
                 g = np.stack([c1, c2, c3], axis=1)
-                if int(round(np.linalg.det(g))) % p == 1:
-                    out.append(g % p)
+                if _det3(g) % p == 1:
+                    out.append(g)
     return np.array(out, dtype=np.int64)
 
 
@@ -258,110 +266,119 @@ def _fiber_key(a1: int, a2: int, e: int, p: int) -> int:
     return (a1 % p) * p * p + (a2 % p) * p + (e % p)
 
 
-def _all_matrix_invariants(p: int):
-    """(keys, mats): invariant key for every A in M_3(F_p)."""
-    N = p ** 9
-    if N * 30 > BRUTEFORCE_BUDGET:
-        raise BudgetError("fiber enumeration budget exceeded")
-    ints = np.arange(N, dtype=np.int64)
-    digits = []
-    rest = ints
-    for _ in range(9):
-        digits.append(rest % p)
-        rest = rest // p
-    A = np.stack(digits, axis=1).reshape(N, 3, 3)
-    B = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.int64)
-    # A* = -B A^t B ; M = A A*
-    Astar = (-(B @ A.transpose(0, 2, 1) @ B)) % p
-    M = np.matmul(A, Astar) % p
-    tr = (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]) % p
-    # second elementary symmetric = sum of principal 2x2 minors
-    s2 = ((M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0])
-          + (M[:, 0, 0] * M[:, 2, 2] - M[:, 0, 2] * M[:, 2, 0])
-          + (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])) % p
-    detA = np.round(np.linalg.det(A)).astype(np.int64) % p
-    # charpoly(M) = x^3 + a1 x^2 + a2 x + e^2 with a1 = -tr, a2 = s2, e=detA
-    keys = _fiber_key(0, 0, 0, p) + ((-tr) % p) * p * p + s2 * p + detA
-    return keys, A
+def _decode(code: int, p: int):
+    """The matrix of an index code: entry (i, j) is base-p digit 3i + j."""
+    return np.array([code // p ** k % p for k in range(9)],
+                    dtype=np.int64).reshape(3, 3)
 
 
 _FIBER_CACHE = {}
 
 
 def _fibers(p: int):
+    """(order, bounds): the index codes of all of M_3(F_p) sorted by fiber
+    key, ascending within a fiber, and bounds[k]:bounds[k + 1] the slice of
+    order holding key k."""
     if p not in _FIBER_CACHE:
-        keys, A = _all_matrix_invariants(p)
+        N = p ** 9
+        if N * 30 > BRUTEFORCE_BUDGET:
+            raise BudgetError("fiber enumeration budget exceeded")
+        codes = np.arange(N, dtype=np.int32)
+        A = [[(codes // p ** (3 * i + j) % p).astype(np.int16)
+              for j in range(3)] for i in range(3)]
+        del codes
+        # M = A A* with A* = -B A^t B, so M[i][j] = -sum_k A[i][k] A[2-j][2-k]
+        M = [[-sum(A[i][k] * A[2 - j][2 - k] for k in range(3)) % p
+              for j in range(3)] for i in range(3)]
+        tr = M[0][0] + M[1][1] + M[2][2]
+        # second elementary symmetric = sum of principal 2x2 minors
+        s2 = (M[0][0] * M[1][1] - M[0][1] * M[1][0]
+              + M[0][0] * M[2][2] - M[0][2] * M[2][0]
+              + M[1][1] * M[2][2] - M[1][2] * M[2][1])
+        del M
+        # charpoly(M) = x^3 + a1 x^2 + a2 x + e^2 with a1 = -tr, a2 = s2, e=detA
+        keys = (-tr % p * p + s2 % p) * p + _det3(A) % p
+        del A
         order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        bounds = np.searchsorted(skeys, np.arange(p ** 3 + 1))
-        _FIBER_CACHE[p] = (order, bounds, A)
+        bounds = np.searchsorted(keys[order], np.arange(p ** 3 + 1))
+        _FIBER_CACHE[p] = (order, bounds)
     return _FIBER_CACHE[p]
 
 
-def _encode(mats, p: int):
-    flat = mats.reshape(mats.shape[0], 9)
-    out = np.zeros(mats.shape[0], dtype=np.int64)
-    for k in range(9):
-        out = out * p + flat[:, k]
-    return out
+_ROW_CACHE = {}
+
+
+def _row_action(p: int):
+    """T[v, g] = code of the row vector v g for every v in F_p^3 and g in
+    so3_group(p), a row vector coded as sum v_j p^j."""
+    if p not in _ROW_CACHE:
+        G = so3_group(p)
+        w = p ** np.arange(3, dtype=np.int64)
+        vecs = np.arange(p ** 3)[:, None] // w % p
+        _ROW_CACHE[p] = np.einsum("vk,gkj->vgj", vecs, G) % p @ w
+    return _ROW_CACHE[p]
+
+
+def _orbit_codes(p: int, G, a):
+    """Index codes of g1 a g2 for all (g1, g2) in G x G, G = so3_group(p).
+    G is a group, so this is the orbit {g1 a g2^(-1)}, with repeats.
+
+    Row i of g1 a g2 is (row i of g1 a) g2, and the index code of a matrix
+    is sum_i p^(3i) (code of row i), so the codes are three gathers from
+    the row table (_row_action)."""
+    T = _row_action(p)
+    rows = np.matmul(G, a) % p @ (p ** np.arange(3, dtype=np.int64))
+    return (T[rows[:, 0]] + p ** 3 * T[rows[:, 1]]
+            + p ** 6 * T[rows[:, 2]]).ravel()
 
 
 def bruteforce_orbits(p: int, n: int, c: Invariants):
     """(orbit count, per-orbit stabilizer orders, orbit representatives)
-    under SO_3 x SO_3 acting by A -> g1 A g2^(-1) on the fiber over c."""
+    under SO_3 x SO_3 acting by A -> g1 A g2^(-1) on the fiber over c.
+
+    The fiber is a sorted array of index codes (_fibers). As G is a group,
+    the orbit of A is G A G: the codes of all |G|^2 images come from a few
+    array gathers (_orbit_codes) and are marked on the fiber by binary
+    search. Each representative is the first unmarked matrix of the fiber,
+    and its stabilizer order is |G|^2 over its orbit's size.
+    """
     if n != 3:
         raise BudgetError("brute force is limited to n = 3")
     ring = c.ring
     if not (isinstance(ring, PrimeField) and ring.p == p):
         raise UsageError("invariants must live over F_p")
     G = so3_group(p)
-    order, bounds, A = _fibers(p)
+    gsq = len(G) ** 2
+    order, bounds = _fibers(p)
     key = _fiber_key(int(c.a[0]), int(c.a[1]), int(c.e), p)
-    idx = order[bounds[key]:bounds[key + 1]]
-    fiber = A[idx]
-    if fiber.shape[0] == 0:
-        return 0, [], []
-    Ginv = np.array([_mat_inv3(g, p) for g in G], dtype=np.int64)
-    fiber_keys = set(_encode(fiber, p).tolist())
-    seen = set()
+    fiber = order[bounds[key]:bounds[key + 1]]
+    covered = np.zeros(fiber.size, dtype=bool)
     stab_orders = []
     reps = []
-    gsq = len(G) ** 2
-    for mat, code in zip(fiber, _encode(fiber, p).tolist()):
-        if code in seen:
-            continue
-        orbit = np.matmul(np.matmul(G[:, None], mat[None, None]),
-                          Ginv[None, :]) % p
-        codes = set(_encode(orbit.reshape(-1, 3, 3), p).tolist())
-        if not codes <= fiber_keys:
+    k = 0
+    while k < fiber.size:
+        mat = _decode(int(fiber[k]), p)
+        codes = np.sort(_orbit_codes(p, G, mat))
+        pos = np.minimum(np.searchsorted(fiber, codes), fiber.size - 1)
+        if (fiber[pos] != codes).any():
             raise PreconditionError("orbit left the fiber (invariance bug)")
-        seen |= codes
+        covered[pos] = True
+        if not covered[k]:
+            raise PreconditionError("orbit misses its representative")
         reps.append(mat)
-        stab_orders.append(gsq // len(codes))
+        # the orbit's size is the number of distinct sorted codes
+        stab_orders.append(gsq // (1 + int(np.count_nonzero(np.diff(codes)))))
+        free = ~covered[k:]
+        k = k + int(free.argmax()) if free.any() else fiber.size
     return len(reps), stab_orders, reps
 
 
 def same_orbit(p: int, A1, A2) -> bool:
     """Whether two 3x3 matrices over F_p are SO_3 x SO_3 conjugate."""
-    G = so3_group(p)
-    Ginv = np.array([_mat_inv3(g, p) for g in G], dtype=np.int64)
     a1 = np.array(A1, dtype=np.int64) % p
     a2 = np.array(A2, dtype=np.int64) % p
-    orbit = np.matmul(np.matmul(G[:, None], a1[None, None]),
-                      Ginv[None, :]) % p
-    target = _encode(a2[None], p)[0]
-    return target in set(_encode(orbit.reshape(-1, 3, 3), p).tolist())
-
-
-def _mat_inv3(g, p: int):
-    d = int(round(np.linalg.det(g))) % p
-    dinv = pow(d, p - 2, p)
-    cof = np.zeros((3, 3), dtype=np.int64)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(g, i, axis=0), j, axis=1)
-            cof[j, i] = ((-1) ** (i + j)) * int(round(np.linalg.det(minor)))
-    return (cof * dinv) % p
+    target = int(a2.ravel() @ p ** np.arange(9, dtype=np.int64))
+    return bool((_orbit_codes(p, so3_group(p), a1) == target).any())
 
 
 # ---------------------------------------------------------------------------

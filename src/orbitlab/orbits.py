@@ -7,6 +7,7 @@ coincidence, and pencils of quadrics.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,30 @@ def _nu_element(L: EtaleAlgebra, nu) -> Poly:
     raise UsageError("nu must be a SquareClass or an algebra element")
 
 
+# algebras held by live Invariants, by the ring and coefficients of f; the
+# invariants recomputed from a representative (e up to sign) find the
+# algebra of the invariants it was built from
+_ALGEBRAS = weakref.WeakValueDictionary()
+
+
 def algebra_of(c: Invariants) -> EtaleAlgebra:
-    return EtaleAlgebra(c.fpoly())
+    """L = k[x]/(f) for c, built once per c and shared by every live c with
+    the same f over an exact base (p-adic coefficients are not hashable).
+    Every cache of an EtaleAlgebra depends on f alone."""
+    L = c.__dict__.get("_algebra")
+    if L is None:
+        f = c.fpoly()
+        key = (f.ring, f.coeffs)
+        try:
+            L = _ALGEBRAS.get(key)
+        except TypeError:
+            key = None
+        if L is None:
+            L = EtaleAlgebra(f)
+            if key is not None:
+                _ALGEBRAS[key] = L
+        object.__setattr__(c, "_algebra", L)
+    return L
 
 
 def trace_gram(L: EtaleAlgebra, mult: Poly) -> Mat:

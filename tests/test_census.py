@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 from fractions import Fraction
@@ -6,15 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from orbitlab import census
 from orbitlab.census import (bruteforce_orbits, diverges_family, fp_sweep,
                              group_order, height_box_count, height_enumerate,
                              height_lt, same_orbit, scale_invariants,
                              so3_group)
 from orbitlab.errors import BudgetError, UsageError
 from orbitlab.etale import EtaleAlgebra, square_class
+from orbitlab.linalg import Mat, charpoly
 from orbitlab.poly import Poly, discriminant, factor
 from orbitlab.rings import GF, Qp, is_prime
 from orbitlab.thetarep import Invariants
+
+CENSUS_SRC = Path(__file__).resolve().parent.parent / "src" / "orbitlab" \
+    / "census.py"
 
 
 def _oracle_sweep(p):
@@ -199,6 +205,183 @@ class TestBruteforceOrbits:
         c = Invariants(F, (F.from_int(0), F.from_int(1)), F.from_int(1))
         with pytest.raises(BudgetError):
             bruteforce_orbits(7, 3, c)
+
+
+SEED_ORACLE = 20250105
+
+
+def _matrix(code, p):
+    """The 3x3 matrix of an index code: entry (i, j) is base-p digit 3i + j."""
+    return tuple(tuple(code // p ** (3 * i + j) % p for j in range(3))
+                 for i in range(3))
+
+
+def _det3(m):
+    return sum(m[0][j] * (m[1][(j + 1) % 3] * m[2][(j + 2) % 3]
+                          - m[1][(j + 2) % 3] * m[2][(j + 1) % 3])
+               for j in range(3))
+
+
+def _direct_key(A, p):
+    """(a1, a2, e) of A by definition: charpoly(A A*) = x^3 + a1 x^2 + a2 x
+    + e^2 over F_p with A* = -B A^t B, and e = det A."""
+    F = GF(p)
+    # (B A^t B)[i][j] = A[2 - j][2 - i] for the antidiagonal B
+    Astar = [[-A[2 - j][2 - i] for j in range(3)] for i in range(3)]
+    M = [[sum(A[i][k] * Astar[k][j] for k in range(3)) % p
+          for j in range(3)] for i in range(3)]
+    cp = charpoly(Mat(F, M))
+    return cp.coeff(2) % p, cp.coeff(1) % p, _det3(A) % p
+
+
+def _adjugate_inverse(g, p):
+    """Inverse over F_p of an integer 3x3 matrix from its adjugate."""
+    g = [[int(x) for x in row] for row in g]
+
+    def cof(i, j):
+        r = [k for k in range(3) if k != i]
+        c = [k for k in range(3) if k != j]
+        return (-1) ** (i + j) * (g[r[0]][c[0]] * g[r[1]][c[1]]
+                                  - g[r[0]][c[1]] * g[r[1]][c[0]])
+
+    dinv = pow(sum(g[0][j] * cof(0, j) for j in range(3)) % p, -1, p)
+    return [[cof(j, i) * dinv % p for j in range(3)] for i in range(3)]
+
+
+def _oracle_orbits(p, fiber):
+    """The orbit partition of a fiber (matrices as tuples, in fiber order)
+    by the slow algorithm: images g1 A g2^(-1) with adjugate inverses,
+    collected in sets of big-endian codes, and a per-element walk over the
+    fiber."""
+    G = so3_group(p)
+    Ginv = np.array([_adjugate_inverse(g, p) for g in G], dtype=np.int64)
+    weights = p ** np.arange(8, -1, -1, dtype=np.int64)
+    codes = (np.array(fiber, dtype=np.int64).reshape(-1, 9) @ weights
+             ).tolist()
+    members = set(codes)
+    seen = set()
+    stabs, reps = [], []
+    for mat, code in zip(fiber, codes):
+        if code in seen:
+            continue
+        imgs = np.matmul(np.matmul(G[:, None], np.array(mat)[None, None]),
+                         Ginv[None, :]) % p
+        orbit = set((imgs.reshape(-1, 9) @ weights).tolist())
+        assert orbit <= members, "orbit left the fiber"
+        seen |= orbit
+        reps.append(mat)
+        stabs.append(len(G) ** 2 // len(orbit))
+    return len(reps), stabs, reps
+
+
+def _invariants(p, key):
+    F = GF(p)
+    a1, a2, e = key
+    return Invariants(F, (F.from_int(a1), F.from_int(a2)), F.from_int(e))
+
+
+def _assert_matches_oracle(p, key, fiber):
+    count, stabs, reps = bruteforce_orbits(p, 3, _invariants(p, key))
+    want = _oracle_orbits(p, fiber)
+    assert (count, stabs) == want[:2], key
+    assert all(type(s) is int for s in stabs)
+    assert [tuple(map(tuple, r.tolist())) for r in reps] == want[2], key
+    assert all(r.dtype == np.int64 and r.shape == (3, 3) for r in reps)
+
+
+@pytest.fixture(scope="module")
+def keys_at_3():
+    """The direct (a1, a2, e) of every matrix over F_3, by index code."""
+    return [_direct_key(_matrix(code, 3), 3) for code in range(3 ** 9)]
+
+
+class TestOrbitOracle:
+    """bruteforce_orbits and its fiber table against the slow algorithm
+    and the definition of the invariants."""
+
+    def test_every_fiber_at_3(self, keys_at_3):
+        p = 3
+        fibers = {}
+        for code, key in enumerate(keys_at_3):
+            fibers.setdefault(key, []).append(_matrix(code, p))
+        assert len(fibers) == p ** 3
+        for key, fiber in fibers.items():
+            _assert_matches_oracle(p, key, fiber)
+
+    def test_seeded_fibers_at_5(self):
+        p = 5
+        rng = random.Random(SEED_ORACLE)
+        keys = [(a1, a2, e) for a1 in range(p) for a2 in range(p)
+                for e in range(p)]
+        rs = [k for k in keys if _invariants(p, k).is_regular_semisimple()]
+        non_rs = [k for k in keys if k not in rs]
+        order, bounds = census._fibers(p)
+        for key in rng.sample(rs, 10) + rng.sample(non_rs, 10):
+            k = census._fiber_key(*key, p)
+            fiber = [_matrix(int(code), p)
+                     for code in order[bounds[k]:bounds[k + 1]]]
+            assert _direct_key(fiber[0], p) == key
+            _assert_matches_oracle(p, key, fiber)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_fiber_table_keys(self, p, keys_at_3):
+        """Every matrix at p = 3 and 2,000 seeded ones at p = 5 sit in the
+        fiber of their directly computed invariants."""
+        order, bounds = census._fibers(p)
+        assert sorted(order.tolist()) == list(range(p ** 9))
+        assert bounds[0] == 0 and bounds[-1] == p ** 9
+        key_of = np.empty(p ** 9, dtype=np.int64)
+        for k in range(p ** 3):
+            key_of[order[bounds[k]:bounds[k + 1]]] = k
+        if p == 3:
+            direct = enumerate(keys_at_3)
+        else:
+            codes = random.Random(SEED_ORACLE).sample(range(p ** 9), 2000)
+            direct = ((code, _direct_key(_matrix(code, p), p))
+                      for code in codes)
+        for code, key in direct:
+            assert key_of[code] == census._fiber_key(*key, p), code
+        # fiber order is ascending index-code order
+        for k in range(p ** 3):
+            part = order[bounds[k]:bounds[k + 1]]
+            assert (np.diff(part) > 0).all()
+
+
+class TestSameOrbit:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_translates_are_conjugate(self, p):
+        G = so3_group(p)
+        rng = random.Random(SEED_ORACLE + p)
+        for _ in range(10):
+            A = np.array([[rng.randrange(p) for _ in range(3)]
+                          for _ in range(3)])
+            g1, g2 = G[rng.randrange(len(G))], G[rng.randrange(len(G))]
+            assert same_orbit(p, A, g1 @ A @ g2 % p)
+            assert same_orbit(p, A, (g1 @ A @ g2 % p) - p)
+
+    @pytest.mark.parametrize("p, key", [(3, (1, 1, 1)), (5, (4, 1, 2))])
+    def test_distinct_orbits_are_not(self, p, key):
+        count, _, reps = bruteforce_orbits(p, 3, _invariants(p, key))
+        assert count >= 2
+        for i in range(count):
+            for j in range(count):
+                assert same_orbit(p, reps[i], reps[j]) == (i == j)
+
+
+def test_census_uses_no_numpy_linalg():
+    """The brute-force oracles are exact: census computes determinants and
+    inverses in integers, never with numpy.linalg floats."""
+    used = set()
+    for node in ast.walk(ast.parse(CENSUS_SRC.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            used.add(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            used |= {a.name for a in node.names
+                     if a.name.startswith("numpy.linalg")}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            used |= {f"{node.module}.{a.name}" for a in node.names
+                     if f"{node.module}.{a.name}".startswith("numpy.linalg")}
+    assert not used, sorted(used)
 
 
 class TestHeights:

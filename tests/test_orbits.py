@@ -1,11 +1,15 @@
+import io
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from conftest import SEED, is_rs, random_rs_invariants
+from orbitlab import orbits
+from orbitlab.cli import dispatch
 from orbitlab.errors import PreconditionError, UsageError
-from orbitlab.etale import norm_one_classes, square_class
+from orbitlab.etale import EtaleAlgebra, norm_one_classes, square_class
 from orbitlab.linalg import det
 from orbitlab.orbits import (algebra_of, alpha1_construct, delta_map,
                              distinguished_coincide, orbit_from_class,
@@ -176,3 +180,48 @@ class TestPencil:
             vals.append((ring.is_zero(det(M)),
                          ring.is_zero(f.eval(x))))
         assert all(a == b for a, b in vals)
+
+
+class TestAlgebraSharing:
+    """algebra_of builds k[x]/(f) once and hands out the same object."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The f of every EtaleAlgebra built, with an empty registry so
+        that algebras held by other tests' invariants are not found."""
+        out = []
+        init = EtaleAlgebra.__init__
+
+        def counting(self, f):
+            out.append(f)
+            init(self, f)
+
+        monkeypatch.setattr(EtaleAlgebra, "__init__", counting)
+        monkeypatch.setattr(orbits, "_ALGEBRAS",
+                            weakref.WeakValueDictionary())
+        return out
+
+    def test_orbit_construct_builds_one(self, built):
+        out = io.StringIO()
+        argv = ["orbit", "construct", "--f", "1,0,-1,1", "--e", "1",
+                "--base", "Q"]
+        assert dispatch(argv, out) == 0
+        # the recomputed invariants have e = -1 and share the algebra
+        assert '"e": "-1"' in out.getvalue()
+        assert len(built) == 1
+
+    def test_fiber_op_builds_one(self, built, base_c_f5):
+        c = Invariants(base_c_f5.ring, base_c_f5.a, base_c_f5.e)
+        L = algebra_of(c)
+        inker = sum(1 for cl in norm_one_classes(L)
+                    if delta_map(c, cl.rep)[2])
+        assert inker == 4
+        distinguished_coincide(c)
+        assert algebra_of(c) is L
+        assert [f for f in built if f == c.fpoly()] == [c.fpoly()]
+
+    def test_padic_invariants_keep_their_own(self, q7):
+        c = Invariants(q7, (q7.from_int(0), q7.from_int(-1)), q7.from_int(1))
+        twin = Invariants(q7, c.a, c.e)
+        assert algebra_of(c) is algebra_of(c)
+        assert algebra_of(twin) is not algebra_of(c)
