@@ -1,6 +1,13 @@
 """Marked hyperelliptic curves y^2 = f(x) and y^2 = x f(x), the explicit
 2-descent map on local points, local 2-torsion and Mordell-Weil mod-2 sizes,
 generated local images with completeness flags, and their intersections.
+
+A local image is an F_2-subspace of (L_v^x/L_v^x2)_{N=1}, with classes as
+coordinate vectors (see etale). It is the span of the descent classes of
+the marked point and of sampled local points: each class outside the span
+so far doubles it (raises its rank by one), and sampling stops once the
+span reaches the local size target or the budget is spent. sel12_local
+intersects the two curves' images by vector.
 """
 
 from __future__ import annotations
@@ -78,14 +85,16 @@ def descent_class(P, curve: MarkedCurve, place=None) -> SquareClass:
     rhs = fx0 if curve.which == 1 else ring.mul(x0, fx0)
     if not ring.eq(ring.mul(y0, y0), rhs):
         raise PreconditionError("(x0, y0) is not a point on the curve")
-    # class of (x0 - gamma), times x0 on curve 2 to land in norm-one classes
+    if curve.which == 2 and ring.is_zero(x0):
+        raise PreconditionError("x0 = 0 is a 2-torsion point on curve 2")
+    return square_class(L, _point_element(L, x0, curve.which), place)
+
+
+def _point_element(L: EtaleAlgebra, x0, which: int) -> Poly:
+    """x0 - gamma, times x0 on curve 2 to land in norm-one classes."""
+    ring = L.ring
     el = L.add(L.scalar(x0), L.mul(L.gamma(), L.scalar(ring.neg(ring.one))))
-    if curve.which == 2:
-        if ring.is_zero(x0):
-            raise PreconditionError(
-                "x0 = 0 is a 2-torsion point on curve 2")
-        el = L.mul(el, L.scalar(x0))
-    return square_class(L, el, place)
+    return L.mul(el, L.scalar(x0)) if which == 2 else el
 
 
 def local_mw_size(c: Invariants, place, which: int) -> int:
@@ -119,18 +128,6 @@ class LocalImage:
             "target": self.target,
             "complete": self.complete,
         }
-
-
-def _close_under_product(classes, trivial):
-    group = [trivial]
-    frontier = list(classes)
-    while frontier:
-        g = frontier.pop()
-        if any(g == h for h in group):
-            continue
-        group.append(g)
-        frontier.extend(g * h for h in list(group))
-    return group
 
 
 def _good_reduction(c: Invariants, ring, which: int) -> bool:
@@ -228,20 +225,27 @@ def local_image(c: Invariants, place, which: int,
         return LocalImage(ring, classes, target, True, which)
 
     curve = MarkedCurve(c, which)
-    generators = [descent_class("marked", curve, place)]
-    trivial = square_class(L, L.one(), place)
-    group = _close_under_product(generators, trivial)
+    cring = c.ring
+    Lv = L if ring == cring else L.localize(ring)
+    span = {0: SquareClass(Lv, Lv.one())}  # by vector
 
+    def adjoin(el):
+        """Add the class of el; one outside the span doubles it."""
+        cls = SquareClass(Lv, el.map_ring(ring, ring.from_fraction))
+        if cls.vector not in span:
+            span.update({v ^ cls.vector: g * cls
+                         for v, g in list(span.items())})
+
+    adjoin(L.mul(L.gamma(), L.scalar(cring.neg(cring.one))))
     if ring.is_real:
         candidates = _real_components(curve.hpoly().map_ring(QQ, Fraction))
     else:
         candidates = _qp_candidates(ring.p, budget, seed)
 
     f = curve.fpoly()
-    cring = c.ring
     used = 0
     for x0 in candidates:
-        if len(group) >= target or used >= budget:
+        if len(span) >= target or used >= budget:
             break
         used += 1
         x0b = cring.from_fraction(x0)
@@ -252,16 +256,11 @@ def local_image(c: Invariants, place, which: int,
             rhs = fx if which == 1 else cring.mul(x0b, fx)
             if not ring.is_square(ring.from_fraction(rhs)):
                 continue
-            el = L.add(L.scalar(x0b),
-                       L.mul(L.gamma(), L.scalar(cring.neg(cring.one))))
-            if which == 2:
-                el = L.mul(el, L.scalar(x0b))
-            cls = square_class(L, el, place)
+            adjoin(_point_element(L, x0b, which))
         except PreconditionError:
             continue
-        if not any(cls == g for g in group):
-            group = _close_under_product(group + [cls], trivial)
-    return LocalImage(ring, group, target, len(group) >= target, which)
+    return LocalImage(ring, list(span.values()), target, len(span) >= target,
+                      which)
 
 
 def sel12_local(c: Invariants, place, budget: int = DEFAULT_BUDGET,
@@ -269,7 +268,8 @@ def sel12_local(c: Invariants, place, budget: int = DEFAULT_BUDGET,
     """Intersection of the two curves' local images."""
     im1 = local_image(c, place, 1, budget, seed)
     im2 = local_image(c, place, 2, budget, seed)
-    inter = [g for g in im1.classes if im2.contains(g)]
+    in2 = {g.vector for g in im2.classes}
+    inter = [g for g in im1.classes if g.vector in in2]
     complete = im1.complete and im2.complete
     return LocalImage(im1.place, inter, len(inter) if complete else -1,
                       complete, 0)

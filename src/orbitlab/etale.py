@@ -2,33 +2,36 @@
 
 Elements are polynomials of degree < deg f over the base ring. The ring is
 also the place, and the code asks it (is_real, is_global, is_finite,
-is_padic, is_dyadic) instead of testing its class. Square classes carry a
-representative element plus labels; a class is trivial when its labels
-are those of 1, and two classes are equal when their labels are, except
-over Q and Q_2, where the product is tested instead:
+is_padic, is_dyadic) instead of testing its class.
 
-  * GF(p):   quadratic-residue bit per factor (square in GF(p^d) iff the
-             norm down to GF(p) is a residue);
-  * R:       sign at each real root (complex pairs contribute nothing);
-  * Q_p odd: (valuation mod 2, residue QR bit) per unramified factor;
-  * Q_2:     (valuation mod 2, 1+2O-level bits, trace bit) computed in
-             O/8O -- a unit is a square iff it is one mod 8; two classes
-             can share a label;
-  * Q:       no labels; per irreducible factor, an exact answer with a
-             certificate: "no" is a non-square norm, or an odd unramified
-             prime at which the element is a unit non-residue, or chi(t^2)
-             irreducible for the element's characteristic polynomial chi;
-             "yes" is an explicit beta with beta^2 = element, checked by
-             multiplication.
+At a local place L^x/L^x2 is an F_2-vector space, and a class is its
+coordinate vector: an int with a block of additive bits per factor,
 
-norm_one_classes enumerates (L^x/L^x2)_{N=1} at a local place from the
-generators of each factor: unit classes, times {1, p} over Q_p.
+  * GF(p):   the residue bit of the norm down to GF(p);
+  * R:       one sign bit per real root;
+  * Q_p odd: valuation mod 2 and the residue bit of the unit norm;
+  * Q_2:     valuation mod 2, then d level bits and a trace bit t of the
+             unit part mod 8O (_unit2_bits), for a factor of degree d.
+
+Classes are equal when their vectors are, trivial when it is 0, and
+multiply by adding them. A representative is a product of fixed generators
+of each factor, never of other representatives, so no class needs more
+precision than they do. Labels are read off the vector; at Q_2 t shows
+only when the level bits are 0. norm_one_classes lists the kernel of the
+F_2 norm map.
+
+Over Q there are no labels; per irreducible factor, an exact answer with a
+certificate: "no" is a non-square norm, or an odd unramified prime at which
+the element is a unit non-residue, or chi(t^2) irreducible for the
+element's characteristic polynomial chi; "yes" is an explicit beta with
+beta^2 = element, checked by multiplication.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import sympy
@@ -115,57 +118,46 @@ def _f2_trace(z: Poly, fbar: Poly) -> int:
 
 
 def _mod8_mul(a, b, f8):
-    """Multiply coefficient tuples mod 8, reduced modulo monic f8 (ints)."""
+    """Product of coefficient tuples (length deg f8) mod 8 and monic f8."""
     d = len(f8) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    out = [0] * (2 * d - 1)
     for i, xa in enumerate(a):
-        if xa == 0:
-            continue
         for j, xb in enumerate(b):
-            out[i + j] = (out[i + j] + xa * xb) % 8
-    # reduce modulo monic f8
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(d):
-                out[k - d + i] = (out[k - d + i] - c * f8[i]) % 8
-    out = out[:d] + [0] * (d - len(out[:d]))
-    return tuple(c % 8 for c in out)
+            out[i + j] += xa * xb
+    for k in range(2 * d - 2, d - 1, -1):
+        for i in range(d):
+            out[k - d + i] -= out[k] * f8[i]
+    return tuple(c % 8 for c in out[:d])
 
 
-def _unit2_data(u8, f8, fbar):
-    """(ebits, tracebit) class data of a 2-adic unit residue u mod 8O.
+def _unit2_bits(u8, f8, fbar):
+    """(level bits as an int, t) of a 2-adic unit residue u mod 8O, both
+    additive in u.
 
-    ebits is the 1+2O level (a hom to GF(2^d)); tracebit refines the
-    classes with ebits = 0 and is None otherwise. The unit is a square
-    iff ebits = 0 and tracebit = 0.
+    u^(2^d - 1) = 1 + 2e is in u's class; the level bits are e mod 2 (the
+    class in (1 + 2O)/(1 + 4O)). Times 1 + 2x^j for each set level bit j it
+    becomes 1 + 4c, a square iff the trace of c mod 2 is 0: that is t.
     """
-    F2 = GF(2)
-    d = fbar.degree
-    ubar = Poly(F2, [c % 2 for c in u8])
-    if ubar.is_zero():
+    d = len(f8) - 1
+    if not any(c % 2 for c in u8):
         raise PreconditionError("not a unit at 2")
-    w0 = powmod(ubar, 2 ** (d - 1), fbar) if d > 1 else ubar
-    # lift w0^{-1} to O/8O by Newton iteration
-    w0inv_bar = powmod(w0, 2 ** d - 2, fbar) if d > 1 else Poly(F2, [1])
-    z = tuple((w0inv_bar.coeff(i) % 8) for i in range(d))
-    w0_8 = tuple((w0.coeff(i) % 8) for i in range(d))
-    for _ in range(2):
-        two_minus = tuple((-c) % 8 for c in _mod8_mul(w0_8, z, f8))
-        two_minus = (two_minus[0] + 2,) + two_minus[1:]
-        two_minus = (two_minus[0] % 8,) + two_minus[1:]
-        z = _mod8_mul(z, two_minus, f8)
-    zz = _mod8_mul(z, z, f8)
-    un = _mod8_mul(tuple(u8), zz, f8)
-    if un[0] % 2 != 1 or any(c % 2 for c in un[1:]):
+    un, w = (1,) + (0,) * (d - 1), tuple(u8)
+    for _ in range(d):
+        un, w = _mod8_mul(un, w, f8), _mod8_mul(w, w, f8)
+    level = [(c - (k == 0)) // 2 % 2 for k, c in enumerate(un)]
+    for j in (j for j in range(d) if level[j]):
+        un = _mod8_mul(un, tuple((k == 0) + 2 * (k == j) for k in range(d)),
+                       f8)
+    if (un[0] - 1) % 4 or any(c % 4 for c in un[1:]):
         raise PreconditionError("2-adic unit normalization failed")
-    e = [( (un[0] - 1) // 2 if i == 0 else un[i] // 2) % 4 for i in range(d)]
-    ebits = tuple(c % 2 for c in e)
-    if any(ebits):
-        return ebits, None
-    cbits = Poly(F2, [c // 2 % 2 for c in e])
-    return ebits, _f2_trace(cbits, fbar)
+    c = Poly(GF(2), [(x - (k == 0)) // 4 % 2 for k, x in enumerate(un)])
+    return sum(bit << j for j, bit in enumerate(level)), _f2_trace(c, fbar)
+
+
+def _mod8_factor(fi: Poly):
+    """A factor at 2 as coefficients mod 8 and its reduction mod 2."""
+    f8 = _residues(fi, 8, fi.degree + 1, "non-integral factor at 2")
+    return f8, Poly(GF(2), [c % 2 for c in f8])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +188,6 @@ class EtaleAlgebra:
             self._factors = _UNFACTORED
         self._comp_cache = {}
         self._idem_cache = None
-        self._one_labels = None
 
     @property
     def factors(self):
@@ -316,11 +307,10 @@ class EtaleAlgebra:
             raise UsageError("localize only from a Q-algebra")
         return EtaleAlgebra(self.f.map_ring(place, place.from_fraction))
 
-    def one_labels(self):
-        """Square-class labels of 1, computed once per algebra."""
-        if self._one_labels is None:
-            self._one_labels = SquareClass(self, self.one()).labels
-        return self._one_labels
+    @cached_property
+    def coordinates(self) -> "_Coordinates":
+        """F_2 coordinates of the square classes over a local base."""
+        return _Coordinates(self)
 
 
 # ---------------------------------------------------------------------------
@@ -328,64 +318,49 @@ class EtaleAlgebra:
 
 
 class SquareClass:
-    """An element of L_v^x / (L_v^x)^2, with a representative element."""
+    """An element of L_v^x / (L_v^x)^2.
+
+    At a local place the class is its coordinate vector (see the module
+    docstring); over Q it is its representative, decided by witnesses."""
 
     def __init__(self, algebra: EtaleAlgebra, rep: Poly):
         self.algebra = algebra
-        self.rep = algebra.reduce(rep)
-        self.labels = self._compute_labels()
+        self._rep = algebra.reduce(rep)
+        if not algebra.ring.is_global:
+            self.vector = algebra.coordinates.vector(self._rep)
+        elif algebra.ring.is_zero(algebra.norm(self._rep)):
+            raise PreconditionError("square class of a non-unit")
+        else:
+            self.vector = None
 
-    # -- labels ----------------------------------------------------------
+    @classmethod
+    def _of(cls, algebra: EtaleAlgebra, vector: int) -> "SquareClass":
+        """The local class with this vector; its representative, the
+        generator product, is built on first use."""
+        self = cls.__new__(cls)
+        self.algebra, self._rep, self.vector = algebra, None, vector
+        return self
 
-    def _compute_labels(self):
+    @property
+    def rep(self) -> Poly:
+        if self._rep is None:
+            self._rep = self.algebra.coordinates.rep(self.vector)
+        return self._rep
+
+    @property
+    def labels(self):
         """Signs at the real roots over R; None over Q (decided by
         witnesses); one label per factor at GF(p), Q_p and Q_2."""
-        alg, ring, rep = self.algebra, self.algebra.ring, self.rep
-        if ring.is_real:
-            return tuple(sign_at_root(rep, r) for r in alg.real_roots)
-        if ring.is_global:
-            if ring.is_zero(alg.norm(rep)):
-                raise PreconditionError("square class of a non-unit")
+        if self.vector is None:
             return None
-        return tuple(self._factor_label(i) for i in range(alg.r))
-
-    def _factor_label(self, i: int):
-        alg, ring = self.algebra, self.algebra.ring
-        Ni = alg.norm_in_factor(self.rep, i)
-        if ring.is_finite:
-            # square in GF(p^d) iff the norm down to GF(p) is a residue
-            if ring.is_zero(Ni):
-                raise PreconditionError("square class of a non-unit")
-            return 0 if ring.is_square(Ni) else 1
-        p = ring.p
-        d = alg.factors[i].degree
-        vN = Ni.valuation()
-        if vN % d != 0:
-            raise PreconditionError(
-                "factor appears ramified; only unramified factors are supported")
-        vK = vN // d
-        if not ring.is_dyadic:
-            unit = Ni.u  # unit part of the norm, mod p^prec
-            qr = 0 if pow(unit % p, (p - 1) // 2, p) == 1 else 1
-            return (vK % 2, qr)
-        # p = 2: normalize to a unit of O_i and classify mod 8
-        fi = alg.factors[i]
-        comp = alg.component(self.rep, i)
-        scalec = Padic.from_fraction(Fraction(1, 2 ** vK) if vK >= 0
-                                     else Fraction(2 ** (-vK)), 2, ring.prec)
-        unit_el = (comp.scale(scalec)).mod(fi)
-        u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
-        f8 = _residues(fi, 8, d + 1, "non-integral factor at 2")
-        fbar = Poly(GF(2), [c % 2 for c in f8])
-        ebits, tracebit = _unit2_data(tuple(u8), f8, fbar)
-        return (vK % 2, ebits, tracebit)
+        return self.algebra.coordinates.labels(self.vector)
 
     # -- predicates -------------------------------------------------------
 
     def is_trivial(self) -> bool:
-        if self.labels is None:
+        if self.vector is None:
             return all(w.root is not None for w in self.witnesses())
-        return self.labels == self.algebra.one_labels()
+        return self.vector == 0
 
     def witnesses(self):
         """Per irreducible factor over Q, the SquareWitness deciding whether
@@ -400,29 +375,29 @@ class SquareClass:
             if w.root is None:
                 return
 
-    def norm_is_square(self) -> bool:
-        return self.algebra.ring.is_square(self.algebra.norm(self.rep))
-
     # -- group structure ---------------------------------------------------
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.algebra.f != other.algebra.f:
             raise PreconditionError("square classes from different algebras")
-        return SquareClass(self.algebra, self.algebra.mul(self.rep, other.rep))
+        if self.vector is None:
+            return SquareClass(self.algebra,
+                               self.algebra.mul(self.rep, other.rep))
+        return SquareClass._of(self.algebra, self.vector ^ other.vector)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareClass):
             return NotImplemented
         if self.algebra.f != other.algebra.f:
             return False
-        if self.labels is None or self.algebra.ring.is_dyadic:
+        if self.vector is None:
             return (self * other).is_trivial()
-        return self.labels == other.labels
+        return self.vector == other.vector
 
     def __hash__(self):
-        if self.labels is None:
+        if self.vector is None:
             raise TypeError("global square classes are not hashable")
-        return hash(self.labels)
+        return hash(self.vector)
 
     def __repr__(self):
         return f"SquareClass({self.rep!r}, labels={self.labels})"
@@ -547,7 +522,7 @@ def _generator_root(K: EtaleAlgebra, a: Poly, chi: Poly):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of (L^x / L^x2)_{N=1} at local places
+# F_2 coordinates of square classes at local places
 
 
 def _residues(g: Poly, m: int, length: int, what: str):
@@ -583,92 +558,154 @@ def _nonsquare_unit(ring, fi: Poly) -> Poly:
     raise PreconditionError("no nonsquare found (is p = 2?)")
 
 
-def _unit_class_reps_2adic(alg: EtaleAlgebra, i: int):
-    """Representatives of O_i^x / (O_i^x)^2 for a factor at p = 2."""
-    ring = alg.ring
-    fi = alg.factors[i]
+def _unit_class_reps_2adic(ring, fi: Poly):
+    """O^x/O^x2 for an unramified factor fi at 2, as {unit bits: unit}: the
+    first unit residue mod 8O of each class, in the order of its base-8
+    code."""
     d = fi.degree
-    f8 = _residues(fi, 8, d + 1, "non-integral factor at 2")
-    fbar = Poly(GF(2), [c % 2 for c in f8])
-    # labels collide between at most two classes, so bucket by label and
-    # separate buckets with the exact mod-8 square test on quotients
-    buckets = {}
-    reps = []
-    target = 2 ** (d + 1)
+    f8, fbar = _mod8_factor(fi)
+    reps = {}
     for code in range(8 ** d):
-        t = code
-        u8 = []
-        for _ in range(d):
-            u8.append(t % 8)
-            t //= 8
+        u8 = tuple(code // 8 ** k % 8 for k in range(d))
         if not any(c % 2 for c in u8):
             continue
-        u8 = tuple(u8)
-        lab = _unit2_data(u8, f8, fbar)
-        new = True
-        for v8 in buckets.get(lab, []):
-            prod = _mod8_mul(u8, v8, f8)
-            eb, tb = _unit2_data(prod, f8, fbar)
-            if not any(eb) and tb == 0:
-                new = False
-                break
-        if not new:
-            continue
-        buckets.setdefault(lab, []).append(u8)
-        reps.append(Poly(ring, [ring.from_int(c) for c in u8]))
-        if len(reps) == target:
-            break
-    if len(reps) != target:
-        raise PreconditionError("2-adic unit class enumeration incomplete")
-    return reps
+        level, t = _unit2_bits(u8, f8, fbar)
+        bits = level << 1 | t << d + 1
+        if bits not in reps:
+            reps[bits] = Poly(ring, [ring.from_int(c) for c in u8])
+            if len(reps) == 2 ** (d + 1):
+                return reps
+    raise PreconditionError("2-adic unit class enumeration incomplete")
+
+
+def _factor_bits(ring, fi: Poly, comp: Poly, norm) -> int:
+    """Coordinates of an element of k[x]/(fi) (module docstring), from its
+    component comp there and its norm; bit 0 is the valuation at Q_p."""
+    if ring.is_finite:
+        if ring.is_zero(norm):
+            raise PreconditionError("square class of a non-unit")
+        return 0 if ring.is_square(norm) else 1
+    p, d = ring.p, fi.degree
+    vN = norm.valuation()
+    if vN % d != 0:
+        raise PreconditionError(
+            "factor appears ramified; only unramified factors are supported")
+    vK = vN // d
+    if not ring.is_dyadic:
+        return vK % 2 | (0 if pow(norm.u % p, (p - 1) // 2, p) == 1 else 2)
+    # p = 2: normalize to a unit of O and classify mod 8
+    unit_el = comp.scale(ring.from_fraction(Fraction(2) ** -vK)).mod(fi)
+    u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
+    level, t = _unit2_bits(tuple(u8), *_mod8_factor(fi))
+    return vK % 2 | level << 1 | t << d + 1
+
+
+class _Coordinates:
+    """F_2 coordinates on L^x/L^x2 over a local base: factor i (real root i
+    over R) owns widths[i] bits of the vector, from bit offsets[i] up."""
+
+    def __init__(self, alg: EtaleAlgebra):
+        ring = alg.ring
+        self.alg = alg
+        self.widths = [1] * len(alg.real_roots) if ring.is_real else [
+            fi.degree + 2 if ring.is_dyadic else 2 if ring.is_padic else 1
+            for fi in alg.factors]
+        self.offsets = [sum(self.widths[:i]) for i in range(len(self.widths))]
+
+    def vector(self, rep: Poly) -> int:
+        alg, ring = self.alg, self.alg.ring
+        if ring.is_real:
+            return sum(1 << j for j, root in enumerate(alg.real_roots)
+                       if sign_at_root(rep, root) < 0)
+        return sum(_factor_bits(ring, fi, alg.component(rep, i),
+                                alg.norm_in_factor(rep, i)) << off
+                   for i, (fi, off) in enumerate(zip(alg.factors,
+                                                     self.offsets)))
+
+    def labels(self, vector: int) -> tuple:
+        """Per factor: the sign over R, the residue bit at GF(p), (v, qr)
+        at odd p, (v, level bits, t or None) at 2."""
+        ring = self.alg.ring
+        out = []
+        for w, off in zip(self.widths, self.offsets):
+            bits = vector >> off & (1 << w) - 1
+            if ring.is_real:
+                out.append(1 - 2 * bits)
+            elif not ring.is_padic:
+                out.append(bits)
+            elif not ring.is_dyadic:
+                out.append((bits & 1, bits >> 1))
+            else:
+                level = tuple(bits >> j & 1 for j in range(1, w - 1))
+                out.append((bits & 1, level,
+                            None if any(level) else bits >> w - 1))
+        return tuple(out)
+
+    @cached_property
+    def generators(self):
+        """Per factor, {bits in place: (generator, base coordinates of its
+        norm)} in listing order: 1 and a non-square unit at GF(p), and
+        their products with p at odd p; the 2-adic unit representatives
+        and their products with 2 at Q_2. The norm's coordinates are those
+        of the degree-1 factor x. Over R only the signs (rep builds)."""
+        alg, ring = self.alg, self.alg.ring
+        gens = []
+        for i, off in enumerate(self.offsets):
+            if ring.is_real:
+                gens.append({0: (None, 0), 1 << off: (None, 1)})
+                continue
+            if ring.char == 2:  # every element of GF(2^d) is a square
+                block = {0: alg.one()}
+            elif ring.is_dyadic:
+                block = {bits: _pad_const(alg, u, i) for bits, u in
+                         _unit_class_reps_2adic(ring, alg.factors[i]).items()}
+            else:
+                ns = _nonsquare_unit(ring, alg.factors[i])
+                block = {0: alg.one(),
+                         2 if ring.is_padic else 1: _pad_const(alg, ns, i)}
+            if ring.is_padic:
+                pi = _pad_const(alg, Poly.const(ring, ring.from_int(ring.p)), i)
+                block.update({bits | 1: alg.mul(u, pi)
+                              for bits, u in block.items()})
+            norms = [alg.norm_in_factor(el, i) for el in block.values()]
+            gens.append({bits << off: (el, _factor_bits(
+                ring, Poly.gen(ring), Poly.const(ring, n), n))
+                for (bits, el), n in zip(block.items(), norms)})
+        return gens
+
+    def rep(self, vector: int) -> Poly:
+        """The generator product of a vector, factor by factor; over R the
+        product of the lines x - m at separators m of the real roots whose
+        two sides differ in sign bit."""
+        alg, ring = self.alg, self.alg.ring
+        rep = alg.one()
+        if ring.is_real:
+            roots = alg.real_roots
+            for j, m in enumerate(_separators(roots) if roots else []):
+                if (vector >> j ^ vector >> j + 1) & 1:
+                    rep = alg.mul(rep, Poly(ring, [ring.neg(
+                        ring.from_fraction(m)), ring.one]))
+            return rep
+        for block, w, off in zip(self.generators, self.widths, self.offsets):
+            rep = alg.mul(rep, block[vector & (1 << w) - 1 << off][0])
+        return rep
 
 
 def norm_one_classes(alg: EtaleAlgebra):
-    """All of (L^x/L^x2)_{N=1} over a local base (GF, R, Qp)."""
-    ring = alg.ring
-    if ring.is_real:
-        return _real_norm_one_classes(alg)
-    if ring.is_global:
+    """(L^x/L^x2)_{N=1} over a local base (GF, R, Qp), the kernel of the
+    F_2 norm map, listed by running through the generators of each factor
+    (the signs of each root over R), the first factor fastest."""
+    if alg.ring.is_global:
         raise UsageError("enumeration only over local bases")
-    if ring.char == 2:
-        return [SquareClass(alg, alg.one())]
-    per_factor = []
-    for i in range(alg.r):
-        # unit classes, then (over Q_p) the same times the uniformizer;
-        # each generator is 1 in the other factors
-        if ring.is_dyadic:
-            units = [_pad_const(alg, u, i)
-                     for u in _unit_class_reps_2adic(alg, i)]
-        else:
-            units = [alg.one(), _pad_const(
-                alg, _nonsquare_unit(ring, alg.factors[i]), i)]
-        if ring.is_padic:
-            pi = _pad_const(alg, Poly.const(ring, ring.from_int(ring.p)), i)
-            units += [alg.mul(u, pi) for u in units]
-        per_factor.append(units)
-    return _filtered_products(alg, per_factor)
-
-
-def _real_norm_one_classes(alg: EtaleAlgebra):
-    """Sign vectors with product +1, each from a product of linear
-    factors (x - m) at rational separators m of the real roots."""
-    ring, roots = alg.ring, alg.real_roots
-    k = len(roots)
-    if k == 0:
-        return [SquareClass(alg, alg.one())]
-    gens = [Poly(ring, [ring.neg(ring.from_fraction(m)), ring.one])
-            for m in _separators(roots)]
     out = []
-    for mask in range(2 ** k):
-        v = [(mask >> j) & 1 for j in range(k)]
-        if sum(v) % 2:
-            continue
-        rep = alg.one()
-        for idx in range(k):
-            nxt = v[idx + 1] if idx + 1 < k else 0
-            if v[idx] ^ nxt:
-                rep = alg.mul(rep, gens[idx])
-        out.append(SquareClass(alg, rep))
+    for combo in itertools.product(*[
+            block.items() for block in reversed(alg.coordinates.generators)]):
+        vector = norm = 0
+        for bits, (_, image) in combo:
+            vector |= bits
+            norm ^= image
+        if norm == 0:
+            out.append(SquareClass._of(alg, vector))
     return out
 
 
@@ -676,34 +713,6 @@ def _pad_const(alg: EtaleAlgebra, local_el: Poly, i: int):
     """Element of L equal to local_el in factor i and 1 elsewhere."""
     parts = [alg.one() if j != i else local_el for j in range(alg.r)]
     return alg.crt(parts)
-
-
-def _filtered_products(alg: EtaleAlgebra, per_factor):
-    out = []
-    idx = [0] * len(per_factor)
-    while True:
-        rep = alg.one()
-        for i, k in enumerate(idx):
-            rep = alg.mul(rep, per_factor[i][k])
-        cls = SquareClass(alg, rep)
-        if cls.norm_is_square():
-            out.append(cls)
-        # advance odometer
-        j = 0
-        while j < len(idx):
-            idx[j] += 1
-            if idx[j] < len(per_factor[j]):
-                break
-            idx[j] = 0
-            j += 1
-        if j == len(idx):
-            break
-    # deduplicate (products may repeat classes)
-    uniq = []
-    for c in out:
-        if not any(c == u for u in uniq):
-            uniq.append(c)
-    return uniq
 
 
 def _separators(roots):

@@ -1,5 +1,5 @@
-"""Quadratic form toolkit: diagonalization, local invariants, splitness,
-explicit isometries onto split models, maximal isotropic subspaces.
+"""Quadratic form toolkit: diagonalization, local invariants, splitness and
+explicit isometries onto split models.
 
 A form is classified at its place (the base ring, or a completion of Q)
 by one diagonalization: the signature at R, the discriminant and the
@@ -545,14 +545,3 @@ def split_isometry(Q: GramForm, target: GramForm) -> Mat:
         raise PreconditionError("isometry construction failed verification")
     return P
 
-
-def max_isotropic(Q: GramForm):
-    """Basis of a maximal totally isotropic subspace of a split form."""
-    P, m, _c = split_frame(Q)
-    vecs = [P.col(2 * k) for k in range(m)]
-    R = Q.ring
-    for a in vecs:
-        for b in vecs:
-            if not R.is_zero(Q.bilinear(a, b)):
-                raise PreconditionError("isotropic basis check failed")
-    return vecs

@@ -1,14 +1,18 @@
+import io
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from conftest import SEED, random_rs_invariants
+from orbitlab import descent, orbits
+from orbitlab.cli import dispatch
 from orbitlab.descent import (LocalImage, MarkedCurve, descent_class,
                               local_image, local_mw_size, sel12_local,
                               two_torsion_size)
 from orbitlab.errors import PrecisionError, PreconditionError, UsageError
-from orbitlab.etale import square_class
+from orbitlab.etale import EtaleAlgebra, square_class
 from orbitlab.orbits import algebra_of
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import Invariants
@@ -140,12 +144,72 @@ class TestLocalImage:
             im = local_image(base_c_q, place, 2)
             assert im.contains(_neg_gamma_class(base_c_q, place))
 
+    def test_two_adic_image_keeps_its_precision(self):
+        # f = x^3 - 5x^2 - 5x + 4 at Q_2 (factors of degree 1 and 2): a
+        # class built by multiplying raw representatives reached
+        # valuation 20 and lost every digit at Qp(2, 20); the answer below
+        # is the one the product closure gives at Qp(2, 40) and Qp(2, 80)
+        c = Invariants(QQ, (Fraction(-5), Fraction(-5)), Fraction(2))
+        data = local_image(c, Qp(2, 20), 1).serialize()
+        assert data["complete"] is True and data["target"] == 4
+        assert data["classes"] == [
+            "((0, (0,), 0), (0, (0, 0), 0))",
+            "((0, (0,), 1), (0, (0, 0), 1))",
+            "((0, (1,), None), (0, (1, 1), None))",
+            "((0, (1,), None), (0, (1, 1), None))"]
+
     def test_serialize_shape(self, base_c_q):
         im = local_image(base_c_q, Qp(7, 20), 1)
         data = im.serialize()
         assert data["place"] == "Qp:7"
         assert data["complete"] is True
         assert sorted(data["classes"]) == data["classes"]
+
+
+class TestLocalizedAlgebraBuilds:
+    """local_image localizes k[x]/(f) once, however many points it tries."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The place tag of every EtaleAlgebra built and every Q_p point
+        candidate drawn, with an empty registry of global algebras."""
+        built, tried = [], []
+        init = EtaleAlgebra.__init__
+        candidates = descent._qp_candidates
+
+        def counting(self, f):
+            built.append(f.ring.tag)
+            init(self, f)
+
+        def counting_candidates(*args):
+            for x0 in candidates(*args):
+                tried.append(x0)
+                yield x0
+
+        monkeypatch.setattr(EtaleAlgebra, "__init__", counting)
+        monkeypatch.setattr(orbits, "_ALGEBRAS",
+                            weakref.WeakValueDictionary())
+        monkeypatch.setattr(descent, "_qp_candidates", counting_candidates)
+        return built, tried
+
+    @pytest.mark.parametrize("f,e,place,which,builds", [
+        # f over Q and over Q_7, where it splits into linear factors
+        ("1,1,1,49", "7", "7", "2", ["Q", "Qp:7"]),
+        # f over Q and over Q_2, plus the field of its quadratic factor
+        ("1,-5,-5,4", "2", "2", "1", ["Q", "Qp:2", "Qp:2"])])
+    def test_builds_do_not_grow_with_candidates(self, counted, f, e, place,
+                                                which, builds):
+        built, tried = counted
+        drawn = []
+        for budget in ("1", "2000"):
+            built.clear()
+            tried.clear()
+            argv = ["descent", "local", "--f", f, "--e", e, "--place", place,
+                    "--which", which, "--budget", budget]
+            assert dispatch(argv, io.StringIO()) == 0
+            assert built == builds
+            drawn.append(len(tried))
+        assert drawn[0] < drawn[1]
 
 
 class TestSel12:

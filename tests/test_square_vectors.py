@@ -1,0 +1,353 @@
+"""Square classes as F_2 vectors.
+
+The coordinates are checked three ways: against the group law (the vector
+of a product is the sum of the vectors), against brute-force square tests
+in integer arithmetic, and against the algorithms they replaced -- closing
+a set of classes under products of representatives, and listing norm-one
+classes by filtering every product of generators -- kept below as oracles.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import SEED, random_rs_invariants
+from orbitlab import descent
+from orbitlab.descent import DEFAULT_BUDGET, local_image, local_mw_size
+from orbitlab.errors import PrecisionError, PreconditionError
+from orbitlab.etale import (EtaleAlgebra, SquareClass, _mod8_factor,
+                            _mod8_mul, _nonsquare_unit, _pad_const,
+                            _residues, _separators, _unit2_bits,
+                            norm_one_classes, sign_at_root, square_class)
+from orbitlab.census import DEFAULT_SEED
+from orbitlab.orbits import algebra_of
+from orbitlab.poly import Poly
+from orbitlab.rings import GF, QQ, RR, Qp
+from orbitlab.thetarep import Invariants
+
+
+def _alg(ring, coeffs_desc):
+    return EtaleAlgebra(Poly(ring, [ring.from_int(c)
+                                    for c in reversed(coeffs_desc)]))
+
+
+# ---------------------------------------------------------------------------
+# the replaced algorithms, as oracles
+
+
+def _raw_product(a, b):
+    """The class of the product of the two representatives."""
+    return SquareClass(a.algebra, a.algebra.mul(a.rep, b.rep))
+
+
+def _same_class(a, b):
+    """Labels decide away from 2; at 2 the raw product is tested."""
+    if a.algebra.ring.is_dyadic:
+        return _raw_product(a, b).is_trivial()
+    return a.labels == b.labels
+
+
+def _close_under_product(classes, trivial):
+    group = [trivial]
+    frontier = list(classes)
+    while frontier:
+        g = frontier.pop()
+        if any(_same_class(g, h) for h in group):
+            continue
+        group.append(g)
+        frontier.extend(_raw_product(g, h) for h in list(group))
+    return group
+
+
+def _filtered_products(alg, per_factor):
+    """Every product of one generator per factor (odometer order, first
+    factor fastest) whose norm is a square, deduplicated."""
+    out = []
+    idx = [0] * len(per_factor)
+    while True:
+        rep = alg.one()
+        for i, k in enumerate(idx):
+            rep = alg.mul(rep, per_factor[i][k])
+        if alg.ring.is_square(alg.norm(rep)):
+            out.append(SquareClass(alg, rep))
+        j = 0
+        while j < len(idx):
+            idx[j] += 1
+            if idx[j] < len(per_factor[j]):
+                break
+            idx[j] = 0
+            j += 1
+        if j == len(idx):
+            break
+    uniq = []
+    for c in out:
+        if not any(_same_class(c, u) for u in uniq):
+            uniq.append(c)
+    return uniq
+
+
+def _unit_reps_by_product_test(alg, i):
+    """O_i^x/O_i^x2 at 2: a unit residue is kept unless its product with a
+    kept one of the same label -- the level bits, and t only when they are
+    0 -- is a square mod 8."""
+    ring, fi = alg.ring, alg.factors[i]
+    d = fi.degree
+    f8, fbar = _mod8_factor(fi)
+    buckets, reps = {}, []
+    for code in range(8 ** d):
+        u8 = tuple(code // 8 ** k % 8 for k in range(d))
+        if not any(c % 2 for c in u8):
+            continue
+        level, t = _unit2_bits(u8, f8, fbar)
+        lab = (level, None if level else t)
+        if any(_unit2_bits(_mod8_mul(u8, v8, f8), f8, fbar) == (0, 0)
+               for v8 in buckets.get(lab, [])):
+            continue
+        buckets.setdefault(lab, []).append(u8)
+        reps.append(Poly(ring, [ring.from_int(c) for c in u8]))
+        if len(reps) == 2 ** (d + 1):
+            return reps
+    raise AssertionError("2-adic unit class enumeration incomplete")
+
+
+def _oracle_norm_one_classes(alg):
+    ring = alg.ring
+    if ring.is_real:
+        k = len(alg.real_roots)
+        if k == 0:
+            return [SquareClass(alg, alg.one())]
+        gens = [Poly(ring, [ring.neg(ring.from_fraction(m)), ring.one])
+                for m in _separators(alg.real_roots)]
+        out = []
+        for mask in range(2 ** k):
+            v = [(mask >> j) & 1 for j in range(k)]
+            if sum(v) % 2:
+                continue
+            rep = alg.one()
+            for idx in range(k):
+                if v[idx] ^ (v[idx + 1] if idx + 1 < k else 0):
+                    rep = alg.mul(rep, gens[idx])
+            out.append(SquareClass(alg, rep))
+        return out
+    if ring.char == 2:
+        return [SquareClass(alg, alg.one())]
+    per_factor = []
+    for i in range(alg.r):
+        if ring.is_dyadic:
+            units = [_pad_const(alg, u, i)
+                     for u in _unit_reps_by_product_test(alg, i)]
+        else:
+            units = [alg.one(), _pad_const(
+                alg, _nonsquare_unit(ring, alg.factors[i]), i)]
+        if ring.is_padic:
+            pi = _pad_const(alg, Poly.const(ring, ring.from_int(ring.p)), i)
+            units += [alg.mul(u, pi) for u in units]
+        per_factor.append(units)
+    return _filtered_products(alg, per_factor)
+
+
+def _oracle_local_image(c, place, which):
+    """local_image as it was: one localization per class, groups closed
+    under products of representatives."""
+    ring = place
+    target = local_mw_size(c, place, which)
+    if ring.is_finite:
+        L = EtaleAlgebra(descent._localized(c, ring).fpoly())
+        return _oracle_norm_one_classes(L), target, True
+    if descent._good_reduction(c, ring, which):
+        L = EtaleAlgebra(descent._localized(c, ring).fpoly())
+        classes = [cl for cl in _oracle_norm_one_classes(L)
+                   if all(lab[0] == 0 for lab in cl.labels)]
+        return classes, target, True
+    L = algebra_of(c)
+    curve = descent.MarkedCurve(c, which)
+    trivial = square_class(L, L.one(), place)
+    group = _close_under_product(
+        [descent.descent_class("marked", curve, place)], trivial)
+    if ring.is_real:
+        candidates = descent._real_components(curve.hpoly())
+    else:
+        candidates = descent._qp_candidates(ring.p, DEFAULT_BUDGET,
+                                            DEFAULT_SEED)
+    f = curve.fpoly()
+    used = 0
+    for x0 in candidates:
+        if len(group) >= target or used >= DEFAULT_BUDGET:
+            break
+        used += 1
+        fx = f.eval(x0)
+        if fx == 0 or (which == 2 and x0 == 0):
+            continue
+        if not ring.is_square(ring.from_fraction(fx if which == 1
+                                                 else x0 * fx)):
+            continue
+        el = L.add(L.scalar(x0), L.mul(L.gamma(), L.scalar(-1)))
+        if which == 2:
+            el = L.mul(el, L.scalar(x0))
+        try:
+            cls = square_class(L, el, place)
+        except PreconditionError:
+            continue
+        if not any(_same_class(cls, g) for g in group):
+            group = _close_under_product(group + [cls], trivial)
+    return group, target, len(group) >= target
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+
+def _reprs(classes):
+    return [repr(c.rep) for c in classes]
+
+
+_NORM_ONE_ALGEBRAS = [
+    (GF(5), [1, 4, 1, 4]), (GF(5), [1, 0, 1, 1]), (GF(7), [1, 0, -1, 1]),
+    (RR, [1, 0, -4, 1]), (RR, [1, 0, 1, 1]), (RR, [1, -1, -9, 9, 2, -1]),
+    (Qp(3, 20), [1, 0, -1, 1]), (Qp(5, 20), [1, 4, 1, 4]),
+    (Qp(7, 20), [1, -5, -5, 4]), (Qp(7, 20), [1, 0, -7, 1]),
+    (Qp(2, 20), [1, 0, -1, 1]), (Qp(2, 20), [1, -5, -5, 4]),
+    (Qp(2, 20), [1, 1, 1]), (Qp(2, 20), [1, 0, -3, 1]),
+]
+
+
+@pytest.mark.parametrize("ring,coeffs", _NORM_ONE_ALGEBRAS)
+def test_norm_one_classes_match_filtered_products(ring, coeffs):
+    L = _alg(ring, coeffs)
+    # over R both read separators off sympy's root intervals, which sign
+    # computations refine in place: take the new ones before the oracle's
+    new = norm_one_classes(L)
+    new_reps = _reprs(new)
+    old = _oracle_norm_one_classes(L)
+    assert new_reps == _reprs(old)
+    assert [c.labels for c in new] == [c.labels for c in old]
+    assert len({c.vector for c in new}) == len(new)
+    assert all(L.ring.is_square(L.norm(c.rep)) for c in new)
+
+
+_PLACES = [GF(5), Qp(3, 20), Qp(5, 20), Qp(7, 20), Qp(2, 20), RR]
+
+
+@pytest.mark.parametrize("place", _PLACES, ids=lambda k: k.tag)
+def test_local_image_matches_product_closure(place):
+    rng = random.Random(SEED + 60)
+    # at 2 the closure multiplies representatives until their valuations
+    # pass the working precision, so it runs with 40 digits there
+    oracle_place = Qp(2, 40) if place.is_dyadic else place
+    compared = 0
+    for k in range(8):
+        c = random_rs_invariants(QQ, rng, span=7)
+        if k % 2 and place.is_padic and not place.is_dyadic:
+            # p | e: curve 2 has bad reduction, so its image is sampled
+            c = Invariants(QQ, c.a, c.e * place.p)
+        for which in (1, 2):
+            try:
+                old, target, complete = _oracle_local_image(c, oracle_place,
+                                                            which)
+            except (PreconditionError, PrecisionError) as exc:
+                with pytest.raises(type(exc)):
+                    local_image(c, place, which)
+                continue
+            new = local_image(c, place, which)
+            data = new.serialize()
+            assert data == {"place": place.tag,
+                            "classes": sorted(str(g.labels) for g in old),
+                            "target": target, "complete": complete}
+            assert sorted(g.vector for g in new.classes) == \
+                sorted(g.vector for g in old)
+            if place.is_finite or descent._good_reduction(c, place, which):
+                assert _reprs(new.classes) == _reprs(old)
+            compared += 1
+    assert compared >= 6
+
+
+@pytest.mark.parametrize("a,e,place", [
+    ((-5, -5), 2, Qp(2, 20)), ((-5, -5), 2, RR), ((1, 1), 7, Qp(7, 20))])
+def test_local_images_agree_across_calls(a, e, place):
+    c = Invariants(QQ, tuple(Fraction(x) for x in a), Fraction(e))
+    first, second = (local_image(c, place, 2) for _ in range(2))
+    assert first.classes[0].algebra is not second.classes[0].algebra
+    assert [g.vector for g in first.classes] == \
+        [g.vector for g in second.classes]
+
+
+# ---------------------------------------------------------------------------
+# linearity and faithfulness
+
+
+def _mulmod(a, b, fm, m):
+    """Product of integer coefficient lists modulo (monic fm, m)."""
+    d = len(fm) - 1
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        for i in range(d):
+            out[k - d + i] -= c * fm[i]
+        out[k] = 0
+    return tuple(x % m for x in out[:d])
+
+
+def _is_square_brute(L, a) -> bool:
+    """Whether a is a square in L, factor by factor: over GF(p) some w has
+    w^2 = a; over Q_p the valuation is even and the unit part is a square
+    mod p (odd p) or mod 8 (p = 2), found by trying every residue w."""
+    ring = L.ring
+    if ring.is_real:
+        return all(sign_at_root(a, r) > 0 for r in L.real_roots)
+    for i, fi in enumerate(L.factors):
+        d = fi.degree
+        comp = L.component(a, i)
+        if ring.is_finite:
+            m, unit = ring.p, comp
+        else:
+            v, rem = divmod(L.norm_in_factor(a, i).valuation(), d)
+            assert rem == 0
+            if v % 2:
+                return False
+            m = 8 if ring.is_dyadic else ring.p
+            unit = comp.scale(ring.from_fraction(Fraction(ring.p) ** -v))
+        u = tuple(_residues(unit, m, d, "non-integral"))
+        fm = _residues(fi, m, d + 1, "non-integral")
+        ws = (tuple(code // m ** k % m for k in range(d))
+              for code in range(m ** d))
+        if not any(_mulmod(w, w, fm, m) == u for w in ws):
+            return False
+    return True
+
+
+_LINEAR_ALGEBRAS = [
+    (GF(5), [1, 4, 1, 4]), (GF(7), [1, 0, -1, 1]), (GF(3), [1, 0, 1, 1]),
+    (RR, [1, 0, -4, 1]), (RR, [1, 0, 1, 1]),
+    (Qp(3, 20), [1, 0, -1, 1]), (Qp(5, 20), [1, 4, 1, 4]),
+    (Qp(7, 20), [1, 0, -7, 1]),
+    (Qp(2, 20), [1, 0, -1, 1]), (Qp(2, 20), [1, -5, -5, 4]),
+    (Qp(2, 20), [1, 1, 1]),
+]
+_coeffs = st.lists(st.integers(-12, 12), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(range(len(_LINEAR_ALGEBRAS))), _coeffs, _coeffs)
+def test_vector_is_linear_and_faithful(k, ca, cb):
+    ring, f = _LINEAR_ALGEBRAS[k]
+    L, twin = _alg(ring, f), _alg(ring, f)
+    a, b = (L.reduce(Poly(ring, [ring.from_int(x) for x in cs]))
+            for cs in (ca, cb))
+    try:
+        A, B = SquareClass(L, a), SquareClass(L, b)
+    except PreconditionError:  # a non-unit
+        return
+    assert SquareClass(L, L.mul(a, b)).vector == A.vector ^ B.vector
+    assert (A * B).vector == A.vector ^ B.vector
+    assert SquareClass(L, L.mul(a, a)).vector == 0
+    assert A.is_trivial() == (A.vector == 0) == _is_square_brute(L, a)
+    assert SquareClass(twin, a).vector == A.vector
+    assert SquareClass(L, A.rep).vector == A.vector
+    product = A * B
+    assert SquareClass(L, product.rep).vector == product.vector
