@@ -38,8 +38,8 @@ import sympy
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve
-from .poly import (Poly, discriminant, euler_split, ext_gcd, factor, gcd,
-                   powmod, to_sympy)
+from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
+                   factor, gcd, powmod, to_sympy)
 from .rings import GF, QQ, Padic
 
 _x = sympy.Symbol("x")
@@ -431,10 +431,6 @@ class SquareWitness(NamedTuple):
     prime: int | None = None
 
 
-# odd primes tried by the non-residue screen before the exact root search
-_SCREEN_PRIMES = tuple(sympy.primerange(3, 32))
-
-
 def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
     """Decide whether alpha is a square in the number field K (over Q)."""
     fi = K.f
@@ -463,7 +459,7 @@ def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm):
     bad = discriminant(K.f).numerator * norm.numerator
     for c in K.f.coeffs + alpha.coeffs:
         bad *= c.denominator
-    for p in _SCREEN_PRIMES:
+    for p in SMALL_ODD_PRIMES:
         if bad % p == 0:
             continue
         F = GF(p)
@@ -673,6 +669,10 @@ class _Coordinates:
                 for (bits, el), n in zip(block.items(), norms)})
         return gens
 
+    @cached_property
+    def separators(self):
+        return _separators(self.alg.f)
+
     def rep(self, vector: int) -> Poly:
         """The generator product of a vector, factor by factor; over R the
         product of the lines x - m at separators m of the real roots whose
@@ -680,8 +680,7 @@ class _Coordinates:
         alg, ring = self.alg, self.alg.ring
         rep = alg.one()
         if ring.is_real:
-            roots = alg.real_roots
-            for j, m in enumerate(_separators(roots) if roots else []):
+            for j, m in enumerate(self.separators):
                 if (vector >> j ^ vector >> j + 1) & 1:
                     rep = alg.mul(rep, Poly(ring, [ring.neg(
                         ring.from_fraction(m)), ring.one]))
@@ -715,15 +714,17 @@ def _pad_const(alg: EtaleAlgebra, local_el: Poly, i: int):
     return alg.crt(parts)
 
 
-def _separators(roots):
-    """Rational points between consecutive real roots, plus one above all."""
-    dx = sympy.Rational(1, 4)
+def _separators(f: Poly):
+    """Rational points between consecutive real roots of f, plus one above
+    all, from a fresh isolation of the roots: sympy's RootOf intervals are
+    a process-wide cache that sign computations refine in place."""
+    fs = sympy.Poly(to_sympy(f), _x)
+    eps = Fraction(1, 4)
     while True:
-        ivs = [_root_box(r, dx) for r in roots]
+        ivs = [iv for iv, _ in fs.intervals(eps=eps)]
         if all(ivs[i][1] < ivs[i + 1][0] for i in range(len(ivs) - 1)):
             break
-        dx /= 16
+        eps /= 16
     vals = [Fraction(str((ivs[i][1] + ivs[i + 1][0]) / 2))
             for i in range(len(ivs) - 1)]
-    vals.append(Fraction(str(ivs[-1][1] + 1)))
-    return vals
+    return vals + [Fraction(str(ivs[-1][1] + 1))] if ivs else []

@@ -72,12 +72,6 @@ class LatticeBasis:
         """v_p of the lattice norm N(I) = |det of the basis|."""
         return det(self.basis).valuation()
 
-    def is_gamma_stable(self) -> bool:
-        if self.algebra is None:
-            raise UsageError("no algebra attached")
-        Mg = self.algebra.mult_matrix(self.algebra.gamma())
-        return _integral_matrix(inverse(self.basis) * Mg * self.basis)
-
 
 def _integral(x) -> bool:
     return x.is_zero() or x.valuation() >= 0

@@ -1,18 +1,26 @@
 """Dense univariate polynomials over the package's exact rings.
 
 Includes resultants/discriminants via the Euclidean scheme, composition
-(for g(x) = f(x^2)), and factorization: sympy over Q and GF(p), Hensel
-lifting from a separable reduction over Q_p.
+(for g(x) = f(x^2)), and factorization on integer-list kernels:
+Cantor-Zassenhaus over GF(p) (squarefree, distinct-degree and
+equal-degree splits); over Q a prime p with the integer model squarefree
+mod p, Hensel lifting past the Mignotte bound and recombination by exact
+division (Yun's decomposition first only when no small p works); over
+Q_p Hensel lifting from a separable reduction. sympy is used only to hand
+polynomials to the real-root code (to_sympy).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import sympy
 
 from .errors import PrecisionError, PreconditionError, UsageError
-from .rings import GF, QQ, Padic, PadicField, PrimeField, RationalField
+from .rings import (QQ, Padic, PadicField, PrimeField, RationalField,
+                    is_prime)
 
 _x = sympy.Symbol("x")
 
@@ -240,19 +248,11 @@ def discriminant(f: Poly):
 
 
 # ---------------------------------------------------------------------------
-# sympy conversion (Q and GF(p) coefficients)
+# sympy conversion (rational coefficients), for the real place
 
 
 def to_sympy(f: Poly):
-    if isinstance(f.ring, PrimeField):
-        return sum(sympy.Integer(int(c)) * _x ** i for i, c in enumerate(f.coeffs))
     return sum(sympy.Rational(c) * _x ** i for i, c in enumerate(f.coeffs))
-
-
-def from_sympy(expr, ring) -> Poly:
-    sp = sympy.Poly(expr, _x)
-    coeffs = list(reversed(sp.all_coeffs()))
-    return Poly(ring, [ring.from_fraction(Fraction(str(c))) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -260,36 +260,33 @@ def from_sympy(expr, ring) -> Poly:
 
 
 def factor(f: Poly) -> list:
-    """Factor into monic irreducibles; returns [(Poly, multiplicity)].
+    """Factor into monic irreducibles; returns [(Poly, multiplicity)]
+    sorted by (degree, coefficients).
 
     The leading coefficient is dropped (callers work with monic data).
+    Over Q (and RR's rational coordinates) the factors are over QQ.
     """
     if f.is_zero():
         raise PreconditionError("factoring the zero polynomial")
     ring = f.ring
     if isinstance(ring, PadicField):
         return _factor_qp(f)
+    if f.degree == 0:
+        return []
     if isinstance(ring, PrimeField):
-        sp = sympy.Poly(to_sympy(f), _x, modulus=ring.p)
-        _, parts = sp.factor_list()
-        out = []
-        for fac, mult in parts:
-            coeffs = list(reversed(fac.all_coeffs()))
-            g = Poly(ring, [ring.from_int(int(c)) for c in coeffs]).monic()
-            out.append((g, int(mult)))
-        return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
-    if isinstance(ring, RationalField):  # covers RR's rational coordinates
-        sp = sympy.Poly(to_sympy(f), _x, domain="QQ")
-        _, parts = sp.factor_list()
-        out = []
-        for fac, mult in parts:
-            g = from_sympy(fac.as_expr(), QQ).monic()
-            out.append((g, int(mult)))
-        return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
-    raise UsageError(f"factorization unsupported over {ring!r}")
+        out = [(Poly(ring, g), m)
+               for g, m in _factor_gf(list(f.monic().coeffs), ring.p)]
+    elif isinstance(ring, RationalField):  # covers RR's rational coordinates
+        out = _factor_q(f.monic())
+    else:
+        raise UsageError(f"factorization unsupported over {ring!r}")
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
-# -- integer polynomial helpers for Hensel lifting -------------------------
+# -- integer polynomial kernels over GF(p) and Z ---------------------------
+#
+# Polynomials are ascending lists of ints without trailing zeros; over
+# GF(p) the entries are residues in [0, p).
 
 
 def _zmul(a, b, mod):
@@ -311,8 +308,8 @@ def _zsub(a, b, mod):
     return out
 
 
-def _zdivmod_monic(a, b, mod):
-    """Divide by monic b with coefficients mod `mod`."""
+def _zdivmod_monic(a, b, mod=None):
+    """Divide by monic b, with coefficients mod `mod` (over Z for None)."""
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
@@ -322,15 +319,26 @@ def _zdivmod_monic(a, b, mod):
         k = len(a) - len(b)
         c = a[-1]
         q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % mod
+        if mod:
+            for i, y in enumerate(b):
+                a[k + i] = (a[k + i] - c * y) % mod
+        else:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
         while a and a[-1] == 0:
             a.pop()
     return q, a
 
 
+def _zderiv(f, p):
+    df = [i * c % p for i, c in enumerate(f)][1:]
+    while df and df[-1] == 0:
+        df.pop()
+    return df
+
+
 def _zgcd(a, b, p):
-    """Monic gcd over GF(p) of a and a nonzero b."""
+    """Monic gcd over GF(p) of a and b; a is monic when b = 0."""
     while b:
         inv = pow(b[-1], -1, p)
         b = [c * inv % p for c in b]
@@ -350,21 +358,33 @@ def _zpowmod(a, e, m, p):
     return out
 
 
-def euler_split(f, a, p):
-    """Distinct-degree split of f over GF(p), p odd, with Euler's criterion
-    for a on each part (Cantor-Zassenhaus, Math. Comp. 36, 1981).
+def _squarefree_parts(f, p):
+    """[(g, m)] with monic f = prod g^m over GF(p), the g squarefree and
+    pairwise coprime (Yun's scheme in characteristic p).
 
-    f is monic and a a unit modulo f, both ascending lists of residues.
-    Returns [(k, f_k, square)]: f_k != 1 is the product of the irreducible
-    factors of f of degree k, and square says whether a is a square in
-    every residue field F_p[x]/(g), g | f_k, i.e. a^((p^k - 1)/2) = 1 mod
-    f_k. Returns None when f is not squarefree (gcd(f, f') != 1).
+    c = gcd(f, f') keeps g^(m-1) of each factor g^m with p not dividing m
+    and all of g^m otherwise; w = f/c is peeled once per multiplicity, and
+    what c holds then is a p-th power h(x^p) = h(x)^p, read off as h (this
+    also covers f' = 0).
     """
-    df = [i * c % p for i, c in enumerate(f)][1:]
-    while df and df[-1] == 0:
-        df.pop()
-    if not df or len(_zgcd(f, df, p)) > 1:
-        return None
+    c = _zgcd(f, _zderiv(f, p), p)
+    w = _zdivmod_monic(f, c, p)[0]
+    out, m = [], 1
+    while len(w) > 1:
+        y = _zgcd(w, c, p)
+        g = _zdivmod_monic(w, y, p)[0]
+        if len(g) > 1:
+            out.append((g, m))
+        w, c, m = y, _zdivmod_monic(c, y, p)[0], m + 1
+    if len(c) > 1:
+        out += [(g, m * p) for g, m in _squarefree_parts(c[::p], p)]
+    return out
+
+
+def _distinct_degree(f, p):
+    """[(k, f_k)] for squarefree monic f over GF(p): f_k != 1 is the product
+    of the irreducible factors of f of degree k, i.e. the part of
+    gcd(f, x^(p^k) - x) left after the smaller k."""
     x = [0, 1]
     parts, rest, h, k = [], list(f), x, 0
     while len(rest) > 2 * (k + 1):  # else rest is irreducible
@@ -377,8 +397,162 @@ def euler_split(f, a, p):
             h = _zdivmod_monic(h, rest, p)[1]
     if len(rest) > 1:  # what is left is irreducible
         parts.append((len(rest) - 1, rest))
+    return parts
+
+
+def _equal_degree(f, k, p):
+    """The irreducible factors of the squarefree monic f over GF(p), all of
+    degree k (Cantor-Zassenhaus, Math. Comp. 36, 1981).
+
+    For a = x, x + 1, ..., x^2, ... (the base-p digits of p, p + 1, ...)
+    gcd(f, b) with b = a^((p^k-1)/2) - 1, or the trace b = a + a^2 + ... +
+    a^(2^(k-1)) for p = 2, is a proper factor as soon as b is 0 modulo some
+    factors of f and not others; by CRT some a of degree < deg f does that.
+    """
+    if len(f) - 1 == k:
+        return [f]
+    for m in itertools.count(p):
+        a = []
+        while m:
+            m, r = divmod(m, p)
+            a.append(r)
+        if p == 2:
+            b = t = _zdivmod_monic(a, f, 2)[1]
+            for _ in range(k - 1):
+                t = _zdivmod_monic(_zmul(t, t, 2), f, 2)[1]
+                b = _zsub(b, t, 2)
+        else:
+            b = _zsub(_zpowmod(a, (p ** k - 1) // 2, f, p), [1], p)
+        d = _zgcd(f, b, p)
+        if 1 < len(d) < len(f):
+            return (_equal_degree(d, k, p)
+                    + _equal_degree(_zdivmod_monic(f, d, p)[0], k, p))
+
+
+def _factor_gf(f, p):
+    """[(g, m)]: the monic irreducible factors of monic f over GF(p)."""
+    return [(g, m) for sf, m in _squarefree_parts(f, p)
+            for k, fk in _distinct_degree(sf, p)
+            for g in _equal_degree(fk, k, p)]
+
+
+def euler_split(f, a, p):
+    """Distinct-degree split of f over GF(p), p odd, with Euler's criterion
+    for a on each part (Cantor-Zassenhaus, Math. Comp. 36, 1981).
+
+    f is monic and a a unit modulo f, both ascending lists of residues.
+    Returns [(k, f_k, square)]: f_k != 1 is the product of the irreducible
+    factors of f of degree k, and square says whether a is a square in
+    every residue field F_p[x]/(g), g | f_k, i.e. a^((p^k - 1)/2) = 1 mod
+    f_k. Returns None when f is not squarefree (gcd(f, f') != 1).
+    """
+    if not _separable_mod(f, p):
+        return None
     return [(k, g, _zpowmod(a, (p ** k - 1) // 2, g, p) == [1])
-            for k, g in parts]
+            for k, g in _distinct_degree(f, p)]
+
+
+def _separable_mod(f, p):
+    """gcd(f, f') = 1 over GF(p) for monic f (reduced or not)."""
+    f = [c % p for c in f]
+    df = _zderiv(f, p)
+    return bool(df) and len(_zgcd(f, df, p)) == 1
+
+
+# tried first for a squarefree reduction of an integer polynomial (and by
+# etale's non-residue screen)
+SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _factor_q(f: Poly) -> list:
+    """[(Poly over QQ, m)] for monic f over Q: D^n f(x/D) is a monic integer
+    g for D the lcm of the denominators; a factor h of g gives h(Dx)/D^deg h.
+    """
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    n = f.degree
+    g = [int(c * D ** (n - i)) for i, c in enumerate(f.coeffs)]
+    return [(Poly(QQ, [Fraction(c, D ** (len(h) - 1 - j))
+                       for j, c in enumerate(h)]), m)
+            for h, m in _factor_z(g)]
+
+
+def _factor_z(g):
+    """[(h, m)] with monic integer g = prod h^m, the h irreducible over Q.
+
+    A prime p with g squarefree mod p certifies g squarefree; only when the
+    first few primes fail is Yun's decomposition over Q run, and past it
+    every part is squarefree, so some prime works.
+    """
+    if len(g) <= 2:
+        return [(g, 1)]
+    p = next((p for p in SMALL_ODD_PRIMES if _separable_mod(g, p)), None)
+    if p is None:
+        parts = _yun_q(g)
+        if parts != [(g, 1)]:
+            return [(h, m * e) for s, m in parts for h, e in _factor_z(s)]
+        p = next(p for p in itertools.count(SMALL_ODD_PRIMES[-1] + 2, 2)
+                 if is_prime(p) and _separable_mod(g, p))
+    return [(h, 1) for h in _zassenhaus(g, p)]
+
+
+def _yun_q(g):
+    """Yun's squarefree decomposition [(s, m)] of monic integer g over Q;
+    the s are monic, hence integral (Gauss)."""
+    f = Poly.from_ints(QQ, g)
+    a = gcd(f, f.derivative())
+    b = f.divmod(a)[0]
+    d = f.derivative().divmod(a)[0] - b.derivative()
+    out, m = [], 1
+    while b.degree > 0:
+        a = gcd(b, d)
+        if a.degree > 0:
+            out.append(([int(c) for c in a.coeffs], m))
+        b = b.divmod(a)[0]
+        d = d.divmod(a)[0] - b.derivative()
+        m += 1
+    return out
+
+
+def _zassenhaus(g, p):
+    """Irreducible factors over Z of monic g, squarefree mod p (Zassenhaus,
+    J. Number Theory 1, 1969).
+
+    The factors mod p are lifted to p^N > 2B, B a bound on the coefficients
+    of any proper factor h of g: |h_j| <= C(k, j) M(h) <= C(k, j) M(g) <=
+    C(k, j) |g|_2 (Mignotte), k = deg h < deg g. A factor over Z is then the
+    symmetric residue of the product of a subset of the lifted factors, so
+    trying every subset of at most half of them, by exact division, finds
+    every factor; what is left over is irreducible.
+    """
+    fbar = [h for h, _ in _factor_gf([c % p for c in g], p)]
+    if len(fbar) == 1:
+        return [g]
+    n = len(g) - 1
+    norm2 = math.isqrt(sum(c * c for c in g)) + 1
+    bound = math.comb(n - 1, (n - 1) // 2) * norm2
+    N = 1
+    while p ** N <= 2 * bound:
+        N += 1
+    mod = p ** N
+    lifted = hensel_factorization(g, p, N, fbar)
+    out, s = [], 1
+    while 2 * s <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), s):
+            h = [1]
+            for i in subset:
+                h = _zmul(h, lifted[i], mod)
+            h = [c - mod if 2 * c > mod else c for c in h]
+            if g[0] and (not h[0] or g[0] % h[0]):
+                continue
+            q, r = _zdivmod_monic(g, h)
+            if not r:
+                out.append(h)
+                g = q
+                lifted = [L for i, L in enumerate(lifted) if i not in subset]
+                break
+        else:
+            s += 1
+    return out + [g]
 
 
 def _bezout_mod_p(g, h, p):
@@ -448,15 +622,14 @@ def _factor_qp(f: Poly) -> list:
             raise PrecisionError(
                 "p-adic factorization requires integral monic input")
         ints.append(c.u * p ** c.valuation() % p ** N)
-    Fp = GF(p)
-    fbar = Poly(Fp, [c % p for c in ints])
-    if fbar.degree != fm.degree:
+    fbar = [c % p for c in ints]
+    if fbar[-1] == 0:
         raise PrecisionError("leading coefficient degenerates mod p")
-    if Fp.is_zero(discriminant(fbar)):
+    if not _separable_mod(fbar, p):
         raise PrecisionError(
             f"reduction mod {p} not separable; Hensel factorization unavailable")
-    parts = factor(fbar)
-    fbar_factors = [[int(c) for c in g.coeffs] for g, _ in parts]
+    fbar_factors = sorted((g for g, _ in _factor_gf(fbar, p)),
+                          key=lambda g: (len(g), g))
     lifted = hensel_factorization(ints, p, N, fbar_factors)
     out = []
     for L in lifted:

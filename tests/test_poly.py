@@ -8,7 +8,10 @@ import sympy
 from orbitlab.errors import PrecisionError
 from orbitlab.poly import (Poly, discriminant, euler_split, factor, gcd,
                            parse_coeff_list, resultant)
-from orbitlab.rings import GF, QQ, Qp
+from orbitlab.rings import GF, QQ, RR, Qp
+
+
+SEED_POLY = 20261018
 
 
 def _poly(ring, desc):
@@ -168,3 +171,126 @@ class TestEulerSplit:
             low = [rng.randrange(1, 7)] + [rng.randrange(7) for _ in range(6)]
             squarefree += self._agrees_with_factor(7, low + [1])
         assert squarefree > 200
+
+
+def _sympy_factor(f):
+    """The test oracle: sympy's factor_list, as [(coeffs, multiplicity)]
+    of monic factors sorted by (degree, coeffs)."""
+    ring, x = f.ring, sympy.Symbol("x")
+    desc = [sympy.Rational(c) if ring.char == 0 else int(c)
+            for c in reversed(f.coeffs)]
+    sp = (sympy.Poly(desc, x, modulus=ring.p) if ring.char
+          else sympy.Poly(desc, x, domain="QQ"))
+    out = []
+    for g, m in sp.factor_list()[1]:
+        coeffs = [Fraction(int(c.p), int(c.q)) if ring.char == 0 else int(c)
+                  for c in reversed(g.all_coeffs())]
+        target = QQ if ring.char == 0 else ring
+        out.append((Poly(target, [target.from_fraction(c) for c in coeffs])
+                    .monic().coeffs, m))
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def _agrees(f):
+    got = [(g.coeffs, m) for g, m in factor(f)]
+    assert got == _sympy_factor(f), f
+    return got
+
+
+def _q(coeffs):
+    return Poly(QQ, [Fraction(c) for c in coeffs])
+
+
+class TestFactorAgainstSympy:
+    """poly.factor against sympy's factor_list, factor for factor."""
+
+    def test_every_cubic_in_the_x2_box(self):
+        # x^3 + a1 x^2 + a2 x + a3 within census.height_box_bounds(2, 3)
+        shapes = set()
+        for a1, a2, a3 in itertools.product(range(-3, 4), range(-15, 16),
+                                            range(-7, 8)):
+            got = _agrees(_q([a3, a2, a1, 1]))
+            shapes.add(tuple(sorted((len(g) - 1, m) for g, m in got)))
+        # (x - a)^2 (x - b) and (x - a)^3 are in the box
+        assert {((1, 1), (1, 2)), ((1, 3),), ((3, 1),)} <= shapes
+
+    def test_seeded_reducible_sextics(self):
+        rng = random.Random(SEED_POLY)
+        for _ in range(60):
+            g = _q([rng.randint(-9, 9) for _ in range(3)] + [1])
+            h = _q([rng.randint(-9, 9) for _ in range(3)] + [1])
+            assert len(_agrees(g * h)) >= 2
+
+    def test_chi_t2_sextics(self):
+        """chi(t^2) = -f(-t^2) for chi the characteristic polynomial of
+        -gamma, on tuples built so that -gamma is a square (then chi(t^2)
+        splits as +-g(t) g(-t)) and on plain height-box tuples."""
+        rng = random.Random(SEED_POLY + 1)
+        split = 0
+        for k in range(80):
+            b1, b2, b3 = (rng.randint(-3, 3) for _ in range(3))
+            if k % 2:
+                a1, a2, e = b1 * b1 - 2 * b2, b2 * b2 - 2 * b1 * b3, b3
+            else:
+                a1, a2, e = b1, 5 * b2, b3
+            chi_t2 = _q([-e * e, 0, a2, 0, -a1, 0, 1])
+            split += len(_agrees(chi_t2)) > 1
+        assert split >= 40
+
+    def test_rational_quintics_and_septics(self):
+        rng = random.Random(SEED_POLY + 2)
+        for n in [5] * 40 + [7] * 20:
+            coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                      for _ in range(n)] + [Fraction(rng.randint(1, 5), 3)]
+            _agrees(Poly(QQ, coeffs))
+            # and with a repeated rational factor
+            lin = Poly(QQ, [Fraction(rng.randint(-5, 5), 7), Fraction(1)])
+            _agrees(Poly(QQ, coeffs[:4]) * lin * lin)
+
+    def test_real_coordinates_factor_over_q(self):
+        f = Poly.from_ints(RR, [4, 0, -5, 0, 1])  # (x^2 - 1)(x^2 - 4)
+        assert [g.ring for g, _ in factor(f)] == [QQ] * 4
+        assert [g.coeffs for g, _ in factor(f)] == [
+            g.coeffs for g, _ in factor(_q([4, 0, -5, 0, 1]))]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_small_monic_over_gf(self, p):
+        F = GF(p)
+        top = 6 if p == 2 else 5
+        for d in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=d):
+                _agrees(Poly(F, list(low) + [1]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_p_th_powers_over_gf(self, p):
+        """g(x^p) = g(x)^p, whose derivative vanishes, times a cofactor."""
+        F = GF(p)
+        rng = random.Random(SEED_POLY + p)
+        for _ in range(40):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            gp = [0] * ((len(g) - 1) * p + 1)
+            for i, c in enumerate(g):
+                gp[i * p] = c
+            _agrees(Poly(F, gp))
+            _agrees(Poly(F, gp) * Poly(F, [rng.randrange(p) for _ in range(2)]
+                                      + [1]))
+
+    def test_seeded_high_degree_over_larger_fields(self):
+        rng = random.Random(SEED_POLY + 3)
+        for p in (11, 31, 61):
+            F = GF(p)
+            for _ in range(25):
+                f = Poly(F, [rng.randrange(p) for _ in range(rng.randint(4, 10))]
+                         + [1])
+                _agrees(f * Poly(F, [rng.randrange(p), 1]))
+
+    def test_yun_fallback_and_swinnerton_dyer(self):
+        # every prime below 32 divides disc: squarefreeness comes from Yun
+        f = _q([1])
+        for i in range(34):
+            f = f * _q([-i, 1])
+        assert len(_agrees(f)) == 34
+        got = dict(_agrees(f * _q([-3, 1])))
+        assert got[(Fraction(-3), Fraction(1))] == 2
+        # x^4 - 10x^2 + 1 is irreducible but splits modulo every prime
+        assert len(_agrees(_q([1, 0, -10, 0, 1]))) == 1

@@ -7,8 +7,12 @@ a set of classes under products of representatives, and listing norm-one
 classes by filtering every product of generators -- kept below as oracles.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -120,7 +124,7 @@ def _oracle_norm_one_classes(alg):
         if k == 0:
             return [SquareClass(alg, alg.one())]
         gens = [Poly(ring, [ring.neg(ring.from_fraction(m)), ring.one])
-                for m in _separators(alg.real_roots)]
+                for m in _separators(alg.f)]
         out = []
         for mask in range(2 ** k):
             v = [(mask >> j) & 1 for j in range(k)]
@@ -217,8 +221,6 @@ _NORM_ONE_ALGEBRAS = [
 @pytest.mark.parametrize("ring,coeffs", _NORM_ONE_ALGEBRAS)
 def test_norm_one_classes_match_filtered_products(ring, coeffs):
     L = _alg(ring, coeffs)
-    # over R both read separators off sympy's root intervals, which sign
-    # computations refine in place: take the new ones before the oracle's
     new = norm_one_classes(L)
     new_reps = _reprs(new)
     old = _oracle_norm_one_classes(L)
@@ -226,6 +228,30 @@ def test_norm_one_classes_match_filtered_products(ring, coeffs):
     assert [c.labels for c in new] == [c.labels for c in old]
     assert len({c.vector for c in new}) == len(new)
     assert all(L.ring.is_square(L.norm(c.rep)) for c in new)
+
+
+_FRESH_REAL_REPS = """
+from orbitlab.etale import EtaleAlgebra, norm_one_classes
+from orbitlab.poly import Poly
+from orbitlab.rings import RR
+L = EtaleAlgebra(Poly.from_ints(RR, [1, -4, 0, 1]))
+print([repr(c.rep) for c in norm_one_classes(L)])
+"""
+
+
+def test_real_representatives_ignore_earlier_sign_computations():
+    """x^3 - 4x + 1 over R: the norm-one representatives of a fresh process
+    come back after the class signs of those representatives were computed
+    (sign computations refine sympy's process-wide root intervals)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-c", _FRESH_REAL_REPS], env=env,
+                           capture_output=True, text=True, check=True).stdout
+    L = _alg(RR, [1, 0, -4, 1])
+    for c in norm_one_classes(L):
+        assert SquareClass(L, c.rep).vector == c.vector
+    again = _reprs(norm_one_classes(_alg(RR, [1, 0, -4, 1])))
+    assert str(again) == fresh.strip()
 
 
 _PLACES = [GF(5), Qp(3, 20), Qp(5, 20), Qp(7, 20), Qp(2, 20), RR]
