@@ -3,7 +3,7 @@ orbit construction, local descent images, lattice self-dualization, census
 sweeps, and height-window enumeration.
 
 Exit codes: 0 success, 2 usage, 3 precondition, 4 precision, 5 budget.
-The environment variable ORBITLAB_SEED overrides the default sampling seed.
+ORBITLAB_SEED overrides the default sampling seed of descent and census.
 """
 
 from __future__ import annotations
@@ -189,9 +189,8 @@ def _cmd_orbit(args, out) -> int:
             nu = _find_class(L, args.cls).rep
         rep = orbit_from_class(c, nu)
         label = args.cls
-    back = invariants_of(rep)
     result = {"A": _scalar_strs(rep.A), "class": label,
-              "invariants": _invariants_json(back)}
+              "invariants": _invariants_json(rep.invariants)}
     recovered = recompute_class(rep)
     if recovered.labels is not None:
         result["recovered_class"] = str(recovered.labels)
@@ -332,9 +331,8 @@ def _build_parser() -> _Parser:
                        help="monic f coefficients, descending, comma-sep")
         p.add_argument("--e", required=True, help="pfaffian e (e^2 = f(0))")
 
-    def add_seed(p):
-        p.add_argument("--seed", type=lambda s: int(s, 0),
-                       default=_seed_default())
+    def add_seed(p):  # the default, None, reads ORBITLAB_SEED (dispatch)
+        p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
 
     p = sub.add_parser("invariants", help="invariants of a matrix")
     p.add_argument("--A", required=True, help="JSON file: square matrix")
@@ -389,12 +387,18 @@ _HANDLERS = {
     "census": _cmd_census,
     "heights": _cmd_heights,
 }
+_PARSER = None  # built by the first dispatch, not at import
 
 
 def dispatch(argv, out=None) -> int:
+    global _PARSER
     out = out or sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
+        if _PARSER is None:
+            _PARSER = _build_parser()
+        args = _PARSER.parse_args(argv)
+        if hasattr(args, "seed") and args.seed is None:  # descent, census
+            args.seed = _seed_default()
         if args.verb == "census":
             if args.action == "orbits" and (args.f is None or args.e is None):
                 raise UsageError("census orbits requires --f and --e")

@@ -207,17 +207,14 @@ def local_image(c: Invariants, place, which: int,
     ring = c.ring if place is None else place
     target = local_mw_size(c, place, which)
     L = algebra_of(c)
+    Lv = L if ring == c.ring else L.localize(ring)
 
     if ring.is_finite:
         # every class is soluble over a finite field
-        classes = norm_one_classes(L if c.ring == ring else
-                                   EtaleAlgebra(_localized(c, ring).fpoly()))
-        return LocalImage(ring, classes, target, True, which)
+        return LocalImage(ring, norm_one_classes(Lv), target, True, which)
 
     if _good_reduction(c, ring, which):
-        loc = _localized(c, ring)
-        Lloc = EtaleAlgebra(loc.fpoly())
-        classes = [cl for cl in norm_one_classes(Lloc)
+        classes = [cl for cl in norm_one_classes(Lv)
                    if all(lab[0] == 0 for lab in cl.labels)]
         if len(classes) != target:
             raise PreconditionError(
@@ -226,7 +223,6 @@ def local_image(c: Invariants, place, which: int,
 
     curve = MarkedCurve(c, which)
     cring = c.ring
-    Lv = L if ring == cring else L.localize(ring)
     span = {0: SquareClass(Lv, Lv.one())}  # by vector
 
     def adjoin(el):

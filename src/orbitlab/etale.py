@@ -4,6 +4,10 @@ Elements are polynomials of degree < deg f over the base ring. The ring is
 also the place, and the code asks it (is_real, is_global, is_finite,
 is_padic, is_dyadic) instead of testing its class.
 
+The trace form (x, y) -> Tr(w x y) in the power basis is the Hankel matrix
+sum_k w_k s_(i+j+k) in the power sums s_k = Tr(gamma^k), which Newton's
+identities give once per algebra from f.
+
 At a local place L^x/L^x2 is an F_2-vector space, and a class is its
 coordinate vector: an int with a block of additive bits per factor,
 
@@ -30,6 +34,7 @@ beta^2 = element, checked by multiplication.
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -37,7 +42,7 @@ from typing import NamedTuple
 import sympy
 
 from .errors import PrecisionError, PreconditionError, UsageError
-from .linalg import Mat, charpoly, det as mat_det, solve
+from .linalg import Mat, charpoly, det as mat_det, solve, sum_prod
 from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
                    factor, gcd, powmod, to_sympy)
 from .rings import GF, QQ, Padic
@@ -187,6 +192,7 @@ class EtaleAlgebra:
             self.real_roots = None
             self._factors = _UNFACTORED
         self._comp_cache = {}
+        self._local_cache = {}
         self._idem_cache = None
 
     @property
@@ -251,17 +257,27 @@ class EtaleAlgebra:
     def norm(self, a: Poly):
         return mat_det(self.mult_matrix(a))
 
-    def trace(self, a: Poly):
-        return self.mult_matrix(a).trace()
+    @cached_property
+    def power_sums(self) -> list:
+        """s_k = Tr(gamma^k), k < 3n - 2, for f = x^n + c_1 x^(n-1) + ...:
+        s_k = -(k c_k + sum_(0 < i < k, i <= n) c_i s_(k-i)), c_k = 0 past n."""
+        R, n = self.ring, self.n
+        c = [self.f.coeff(n - i) for i in range(n + 1)]
+        s = [R.from_int(n)]
+        for k in range(1, 3 * n - 2):
+            acc = R.mul(R.from_int(k), c[k]) if k <= n else R.zero
+            for i in range(1, min(k, n + 1)):
+                acc = R.add(acc, R.mul(c[i], s[k - i]))
+            s.append(R.neg(acc))
+        return s
 
     def pairing_gram(self, w: Poly) -> Mat:
-        """Gram of (x, y) -> Tr(w * x * y) in the power basis."""
-        traces, acc = [], w
-        for _ in range(2 * self.n - 1):
-            traces.append(self.trace(acc))
-            acc = self.mul(acc, self.gamma())
-        return Mat(self.ring, [[traces[i + j] for j in range(self.n)]
-                               for i in range(self.n)])
+        """Gram of (x, y) -> Tr(w * x * y) in the power basis: the Hankel
+        matrix of h_m = Tr(w gamma^m) = sum_k w_k s_(m+k), w reduced mod f."""
+        n, s, w = self.n, self.power_sums, w.mod(self.f)
+        ws = [w.coeff(k) for k in range(n)]
+        h = [sum_prod(self.ring, ws, s[m:m + n]) for m in range(2 * n - 1)]
+        return Mat(self.ring, [h[i:i + n] for i in range(n)])
 
     def is_unit(self, a: Poly) -> bool:
         return not self.ring.is_zero(self.norm(a))
@@ -302,10 +318,15 @@ class EtaleAlgebra:
     # -- base change ----------------------------------------------------
 
     def localize(self, place) -> "EtaleAlgebra":
-        """The same algebra over a completion (base must be Q)."""
+        """The same algebra over a completion (base must be Q), built once
+        per place and precision: place equality ignores precision."""
         if not self.ring.is_global:
             raise UsageError("localize only from a Q-algebra")
-        return EtaleAlgebra(self.f.map_ring(place, place.from_fraction))
+        key = (place.tag, getattr(place, "prec", None))
+        if key not in self._local_cache:
+            self._local_cache[key] = EtaleAlgebra(
+                self.f.map_ring(place, place.from_fraction))
+        return self._local_cache[key]
 
     @cached_property
     def coordinates(self) -> "_Coordinates":
@@ -602,7 +623,7 @@ class _Coordinates:
 
     def __init__(self, alg: EtaleAlgebra):
         ring = alg.ring
-        self.alg = alg
+        self.alg = weakref.proxy(alg)  # no cycle: alg owns its coordinates
         self.widths = [1] * len(alg.real_roots) if ring.is_real else [
             fi.degree + 2 if ring.is_dyadic else 2 if ring.is_padic else 1
             for fi in alg.factors]

@@ -80,13 +80,6 @@ class Mat:
         """Matrix times column vector (list)."""
         return [sum_prod(self.ring, r, v) for r in self.rows]
 
-    def trace(self):
-        R = self.ring
-        acc = R.zero
-        for i in range(self.nrows):
-            acc = R.add(acc, self.rows[i][i])
-        return acc
-
     def col(self, j: int):
         return [r[j] for r in self.rows]
 

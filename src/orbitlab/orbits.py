@@ -17,7 +17,7 @@ from .linalg import Mat, block_matrix, inverse, rank, solve
 from .poly import Poly, factor
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
 from .rings import QQ, Qp
-from .thetarep import Invariants, RepElement, antidiag, invariants_of, lift, star
+from .thetarep import Invariants, RepElement, antidiag, lift, star
 
 
 def _nu_element(L: EtaleAlgebra, nu) -> Poly:
@@ -164,8 +164,7 @@ def recompute_class(rep: RepElement, place=None) -> SquareClass:
     """Class of a representative: pull the V1 form back to L and read the
     multiplier against the base trace pairing."""
     ring = rep.ring
-    c = invariants_of(rep)
-    L = algebra_of(c)
+    L = algebra_of(rep.invariants)
     n = rep.n
     M1 = rep.t_squared_block(1)
     w = _cyclic_vector(M1)

@@ -164,13 +164,18 @@ def form_invariants(Q: GramForm, place=None) -> FormInvariants:
     if not Q.is_nondegenerate():
         raise PreconditionError("degenerate form")
     _, diag = diagonalize(Q)
-    disc = ring.one
-    for d in diag:
-        disc = ring.mul(disc, d)
-    n = Q.rank
     if place != ring and (place.is_finite or not ring.is_global):
         raise UsageError(
             f"no invariants at {place!r} for a form over {ring!r}")
+    return _diag_invariants(diag, ring, place)
+
+
+def _diag_invariants(diag, ring, place) -> FormInvariants:
+    """form_invariants of the diagonal form with these entries over ring."""
+    disc = ring.one
+    for d in diag:
+        disc = ring.mul(disc, d)
+    n = len(diag)
     if place.is_real:
         pos = sum(1 for d in diag if d > 0)
         return FormInvariants(n, disc, None, (pos, n - pos), place)
@@ -208,12 +213,19 @@ def is_split(Q: GramForm, place=None) -> bool:
                 disc *= Fraction(d)
             if not QQ.is_square(disc * (-1) ** m):
                 return False
-        if not is_split(Q, RR):
+        # every place reads the one rational diagonal
+        if not _is_split_at(_diag_invariants(diag, ring, RR)):
             return False
-        return all(is_split(Q, Qp(p)) for p in _relevant_primes(diag))
+        return all(_is_split_at(_diag_invariants(diag, ring, Qp(p)))
+                   for p in _relevant_primes(diag))
     if place.char == 2:
         raise UsageError("characteristic 2 not supported")
-    inv = form_invariants(Q, place)
+    return _is_split_at(form_invariants(Q, place))
+
+
+def _is_split_at(inv: FormInvariants) -> bool:
+    """Maximal Witt index at a local place, from the form's invariants."""
+    place, n, m = inv.place, inv.rank, inv.rank // 2
     if place.is_real:
         pos, neg = inv.signature
         return abs(pos - neg) <= (n % 2)

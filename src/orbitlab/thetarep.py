@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, block_matrix, charpoly, nullspace, pfaffian
@@ -85,6 +86,11 @@ class RepElement:
         G = ambient_gram(self.ring, n)
         if not (self.T.transpose() * G) == (G * self.T):
             raise PreconditionError("lift is not self-adjoint")
+
+    @cached_property
+    def invariants(self) -> Invariants:
+        """invariants_of(self), computed once."""
+        return invariants_of(self)
 
     def t_squared_block(self, i: int) -> Mat:
         """T^2 restricted to V_i: AA* for i = 1, A*A for i = 2."""

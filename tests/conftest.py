@@ -32,6 +32,19 @@ def random_rs_invariants(ring, rng, n=3, span=9):
             return c
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name (a module function or a method) for the rest of the
+    test; the returned list gets the positional arguments of every call."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(SEED)

@@ -1,9 +1,14 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import count_calls
+from orbitlab import cli, thetarep
 from orbitlab.cli import dispatch
+
+A_CUBIC = str(Path(__file__).resolve().parent / "data" / "cli_A_cubic.json")
 
 F5_SPLIT = ["--f", "1,4,1,4", "--e", "2", "--base", "F:5"]
 Q_BASE = ["--f", "1,0,-1,1", "--e", "1", "--base", "Q"]
@@ -72,6 +77,17 @@ class TestOrbitVerb:
                                + F5_SPLIT)
         assert code == 2
         assert "available" in lines[0]["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "construct"] + Q_BASE,
+        ["orbit", "construct", "--class=-gamma"] + F5_SPLIT])
+    def test_construct_reads_invariants_once(self, monkeypatch, argv):
+        """The printed invariants and the recovered class share one
+        invariants_of of the representative."""
+        calls = count_calls(monkeypatch, thetarep, "invariants_of")
+        code, _ = run(argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_byte_identical(self):
         _, t1 = run(["orbit", "construct", "--class=-gamma"] + F5_SPLIT)
@@ -205,6 +221,29 @@ class TestCensusVerb:
                                 "--count", "2"])
         assert code == 2
 
+    def test_bad_seed_env_only_fails_seeded_verbs(self, monkeypatch):
+        """Only descent and census take --seed, so only they read
+        ORBITLAB_SEED, and only when --seed is not given."""
+        monkeypatch.setenv("ORBITLAB_SEED", "abc")
+        assert run(["orbit", "stabilizer", "--f", "1,0,-1,1",
+                    "--e", "1"])[0] == 0
+        assert run(["invariants", "--A", A_CUBIC])[0] == 0
+        local = ["descent", "local", "--place", "7"] + Q_BASE
+        code, lines = run_json(local)
+        assert code == 2
+        assert "ORBITLAB_SEED" in lines[0]["error"]["message"]
+        assert run(local + ["--seed", "3"])[0] == 0
+
+    def test_seed_env_read_per_dispatch(self, monkeypatch):
+        seeds = []
+        for env in ("123", "456"):
+            monkeypatch.setenv("ORBITLAB_SEED", env)
+            code, lines = run_json(["census", "family", "--p", "5",
+                                    "--count", "1"])
+            assert code == 0
+            seeds.append(lines[-1]["seed"])
+        assert seeds == [123, 456]
+
 
 class TestHeightsVerb:
     def test_stream_and_summary(self):
@@ -224,6 +263,16 @@ class TestHeightsVerb:
     def test_nonpositive_x(self):
         code, _ = run(["heights", "--X", "0"])
         assert code == 2
+
+
+class TestParser:
+    def test_built_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds = count_calls(monkeypatch, cli, "_build_parser")
+        for argv in (["orbit", "stabilizer"] + F5_SPLIT, ["frobnicate"],
+                     ["descent", "local"] + F5_SPLIT):
+            run(argv)
+        assert len(builds) == 1
 
 
 class TestBaseParsing:

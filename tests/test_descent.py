@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, random_rs_invariants
+from conftest import SEED, count_calls, random_rs_invariants
 from orbitlab import descent, orbits
 from orbitlab.cli import dispatch
 from orbitlab.descent import (LocalImage, MarkedCurve, descent_class,
@@ -14,6 +14,7 @@ from orbitlab.descent import (LocalImage, MarkedCurve, descent_class,
 from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.etale import EtaleAlgebra, square_class
 from orbitlab.orbits import algebra_of
+from orbitlab.poly import Poly
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import Invariants
 
@@ -171,22 +172,18 @@ class TestLocalizedAlgebraBuilds:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """The place tag of every EtaleAlgebra built and every Q_p point
-        candidate drawn, with an empty registry of global algebras."""
-        built, tried = [], []
-        init = EtaleAlgebra.__init__
+        """The arguments (self, f) of every EtaleAlgebra build and the Q_p
+        point candidates drawn, with an empty registry of global
+        algebras."""
+        built = count_calls(monkeypatch, EtaleAlgebra, "__init__")
+        tried = []
         candidates = descent._qp_candidates
-
-        def counting(self, f):
-            built.append(f.ring.tag)
-            init(self, f)
 
         def counting_candidates(*args):
             for x0 in candidates(*args):
                 tried.append(x0)
                 yield x0
 
-        monkeypatch.setattr(EtaleAlgebra, "__init__", counting)
         monkeypatch.setattr(orbits, "_ALGEBRAS",
                             weakref.WeakValueDictionary())
         monkeypatch.setattr(descent, "_qp_candidates", counting_candidates)
@@ -207,9 +204,27 @@ class TestLocalizedAlgebraBuilds:
             argv = ["descent", "local", "--f", f, "--e", e, "--place", place,
                     "--which", which, "--budget", budget]
             assert dispatch(argv, io.StringIO()) == 0
-            assert built == builds
+            assert [f.ring.tag for _, f in built] == builds
             drawn.append(len(tried))
         assert drawn[0] < drawn[1]
+
+    def test_sel12_localizes_once(self, counted):
+        """Both curves' images share the Q_7 algebra of f (and the field of
+        its quadratic factor there): x^3 - x + 1 has good reduction at 7
+        for both curves."""
+        built, _ = counted
+        argv = ["descent", "sel12", "--f", "1,0,-1,1", "--e", "1",
+                "--place", "7"]
+        assert dispatch(argv, io.StringIO()) == 0
+        assert [(f.ring.tag, f.degree) for _, f in built] == [
+            ("Q", 3), ("Qp:7", 3), ("Qp:7", 2)]
+
+    def test_localize_keys_by_precision(self):
+        """Qp(5, 10) == Qp(5, 40), but each gets its own algebra."""
+        L = EtaleAlgebra(Poly.from_ints(QQ, [1, -1, 0, 1]))
+        assert L.localize(Qp(5, 10)).ring.prec == 10
+        assert L.localize(Qp(5, 40)).ring.prec == 40
+        assert L.localize(Qp(5, 10)) is L.localize(Qp(5, 10))
 
 
 class TestSel12:

@@ -32,6 +32,85 @@ def _random_el(L, rng):
             return el
 
 
+def _trace(L, a):
+    """Tr(a) = Tr(a * 1 * 1), the corner of the trace form of a."""
+    return L.pairing_gram(a)[0, 0]
+
+
+def _gram_by_traces(L, w):
+    """The trace form as it was computed before the power sums: 2n - 1
+    traces of multiplication matrices of w * gamma^m."""
+    ring, traces, acc = L.ring, [], w
+    for _ in range(2 * L.n - 1):
+        M, trace = L.mult_matrix(acc), ring.zero
+        for i in range(L.n):
+            trace = ring.add(trace, M[i, i])
+        traces.append(trace)
+        acc = L.mul(acc, L.gamma())
+    return [[traces[i + j] for j in range(L.n)] for i in range(L.n)]
+
+
+def _random_algebra(ring, rng, n, p=None):
+    """k[x]/(f) for a random separable monic f of degree n; with p, a
+    third of the coefficients are multiples of p."""
+    while True:
+        coeffs = [rng.randint(-9, 9) * (p if p and rng.random() < 1 / 3
+                                        else 1) for _ in range(n)]
+        try:
+            return _alg(ring, [1] + coeffs)
+        except PreconditionError:
+            continue
+
+
+def _random_multiplier(L, rng):
+    """A random element with small rational (or GF(p)) coefficients,
+    given with more than n coefficients so that it is reduced mod f."""
+    ring = L.ring
+    return Poly(ring, [ring.from_fraction(
+        Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 49])))
+        if ring.char == 0 else ring.from_int(rng.randrange(ring.p))
+        for _ in range(L.n + 2)])
+
+
+def _abs_digits(x):
+    """The absolute precision of a p-adic value, None when exact."""
+    if x.is_exact_zero():
+        return None
+    return x.v if x.is_zero() else x.v + x.prec
+
+
+class TestPairingGram:
+    """pairing_gram (Hankel in the power sums) against the traces of
+    multiplication matrices it replaced."""
+
+    @pytest.mark.parametrize("ring", [QQ, RR, GF(5), GF(7)],
+                             ids=lambda k: k.tag)
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_exact_bases_equal(self, ring, n):
+        rng = random.Random(40 + n)
+        for _ in range(12):
+            L = _random_algebra(ring, rng, n)
+            w = _random_multiplier(L, rng)
+            assert [list(r) for r in L.pairing_gram(w).rows] == \
+                _gram_by_traces(L, w)
+
+    @pytest.mark.parametrize("p,prec", [(3, 10), (5, 20), (7, 40), (2, 20),
+                                        (7, 10)])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_padic_agrees_within_precision(self, p, prec, n):
+        ring = Qp(p, prec)
+        rng = random.Random(50 + p + prec + n)
+        for _ in range(12):
+            L = _random_algebra(ring, rng, n, p=p)
+            w = _random_multiplier(L, rng)
+            new = [x for r in L.pairing_gram(w).rows for x in r]
+            old = [x for r in _gram_by_traces(L, w) for x in r]
+            for x, y in zip(new, old):
+                assert (x - y).is_zero()
+                dx, dy = _abs_digits(x), _abs_digits(y)
+                assert dx is None or (dy is not None and dx >= dy)
+
+
 class TestAlgebraArithmetic:
     @pytest.mark.parametrize("ring", [GF(5), QQ, Qp(7, 20)])
     def test_norm_multiplicative(self, ring):
@@ -49,8 +128,8 @@ class TestAlgebraArithmetic:
         rng = random.Random(22)
         for _ in range(15):
             x, y = _random_el(L, rng), _random_el(L, rng)
-            lhs = L.trace(L.add(x, y))
-            rhs = ring.add(L.trace(x), L.trace(y))
+            lhs = _trace(L, L.add(x, y))
+            rhs = ring.add(_trace(L, x), _trace(L, y))
             assert ring.eq(lhs, rhs)
 
     def test_inverse(self):

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 import weakref
@@ -219,6 +220,23 @@ class TestAlgebraSharing:
         distinguished_coincide(c)
         assert algebra_of(c) is L
         assert [f for f in built if f == c.fpoly()] == [c.fpoly()]
+
+    def test_registry_entry_goes_with_last_invariants(self, built,
+                                                      base_c_f5):
+        """Once its last invariants are dropped, an algebra whose square
+        class coordinates were built leaves the registry at once, not when
+        the cyclic garbage collector next runs."""
+        gc.disable()
+        try:
+            c = Invariants(base_c_f5.ring, base_c_f5.a, base_c_f5.e)
+            L = algebra_of(c)
+            assert len(norm_one_classes(L)) == 4
+            assert "coordinates" in vars(L)
+            assert len(orbits._ALGEBRAS) == 1
+            del c, L
+            assert len(orbits._ALGEBRAS) == 0
+        finally:
+            gc.enable()
 
     def test_padic_invariants_keep_their_own(self, q7):
         c = Invariants(q7, (q7.from_int(0), q7.from_int(-1)), q7.from_int(1))

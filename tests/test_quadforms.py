@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
+from orbitlab import quadforms
 from orbitlab.errors import PrecisionError, UsageError
-from orbitlab.linalg import Mat
-from orbitlab.quadforms import (GramForm, _square_free_of, diagonalize,
+from orbitlab.linalg import Mat, det
+from orbitlab.quadforms import (GramForm, _relevant_primes, _square_free_of,
+                                diagonalize,
                                 form_invariants, is_split, isotropic_vector,
                                 split_isometry, standard_split_gram)
 from orbitlab.rings import GF, QQ, RR, Qp
@@ -79,6 +82,50 @@ class TestSplit:
                                   [0, 0, -5, 0], [0, 0, 0, 10]]))
         assert not is_split(Q)
         assert isotropic_vector(Q) is None
+
+
+def _split_place_by_place(Q: GramForm) -> bool:
+    """is_split over Q as it was: the discriminant test, then is_split at
+    R and at each relevant prime, each diagonalizing again."""
+    n, m = Q.rank, Q.rank // 2
+    _, diag = diagonalize(Q)
+    disc = Fraction(1)
+    for d in diag:
+        disc *= d
+    if n % 2 == 0 and not QQ.is_square(disc * (-1) ** m):
+        return False
+    return is_split(Q, RR) and all(is_split(Q, Qp(p))
+                                   for p in _relevant_primes(diag))
+
+
+def _split_in_random_basis(rng, n):
+    """lambda * H in a random integer basis: split over Q."""
+    while True:
+        M = _sym_mat(QQ, [[rng.randint(-3, 3) for _ in range(n)]
+                          for _ in range(n)])
+        if det(M) != 0:
+            break
+    lam = Fraction(rng.choice([-6, -5, -3, -2, -1, 1, 2, 3, 7, 10]))
+    return GramForm(standard_split_gram(QQ, n).congruent(M).gram.scale(lam))
+
+
+class TestSplitOverQ:
+    def test_matches_place_by_place(self):
+        rng = random.Random(3)
+        answers = []
+        for k in range(80):
+            n = 2 + k % 4
+            Q = (_split_in_random_basis(rng, n) if k % 3 == 0 else
+                 _random_nondeg_sym(QQ, rng, n))
+            answers.append(is_split(Q))
+            assert answers[-1] == _split_place_by_place(Q)
+        assert True in answers and False in answers
+
+    def test_diagonalizes_once(self, monkeypatch):
+        Q = _split_in_random_basis(random.Random(4), 5)
+        calls = count_calls(monkeypatch, quadforms, "diagonalize")
+        assert is_split(Q)
+        assert len(calls) == 1
 
 
 class TestIsotropicVector:

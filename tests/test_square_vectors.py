@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SEED, random_rs_invariants
-from orbitlab import descent
+from orbitlab import descent, orbits
 from orbitlab.descent import DEFAULT_BUDGET, local_image, local_mw_size
 from orbitlab.errors import PrecisionError, PreconditionError
 from orbitlab.etale import (EtaleAlgebra, SquareClass, _mod8_factor,
@@ -292,9 +293,17 @@ def test_local_image_matches_product_closure(place):
 
 @pytest.mark.parametrize("a,e,place", [
     ((-5, -5), 2, Qp(2, 20)), ((-5, -5), 2, RR), ((1, 1), 7, Qp(7, 20))])
-def test_local_images_agree_across_calls(a, e, place):
-    c = Invariants(QQ, tuple(Fraction(x) for x in a), Fraction(e))
-    first, second = (local_image(c, place, 2) for _ in range(2))
+def test_local_images_agree_across_calls(a, e, place, monkeypatch):
+    """Two computations from scratch: the second gets its own invariants
+    and registry, so it shares no algebra (and no localized algebra) with
+    the first."""
+    def image():
+        c = Invariants(QQ, tuple(Fraction(x) for x in a), Fraction(e))
+        return local_image(c, place, 2)
+
+    first = image()
+    monkeypatch.setattr(orbits, "_ALGEBRAS", weakref.WeakValueDictionary())
+    second = image()
     assert first.classes[0].algebra is not second.classes[0].algebra
     assert [g.vector for g in first.classes] == \
         [g.vector for g in second.classes]
