@@ -18,10 +18,9 @@ from fractions import Fraction
 
 from .census import DEFAULT_SEED
 from .errors import PreconditionError, UsageError
-from .etale import (EtaleAlgebra, SquareClass, norm_one_classes,
-                    rational_approx, real_roots_exact, square_class)
+from .etale import EtaleAlgebra, SquareClass, norm_one_classes, square_class
 from .orbits import algebra_of, stabilizer_info
-from .poly import Poly, discriminant
+from .poly import Poly, discriminant, real_roots_exact
 from .rings import QQ
 from .thetarep import Invariants
 
@@ -157,28 +156,21 @@ def _localized(c: Invariants, ring):
 
 
 def _real_components(h: Poly):
-    """Rational sample x-values, several per connected arc where h >= 0."""
-    roots = real_roots_exact(h.map_ring(QQ, Fraction))
+    """Rational sample x-values, several per connected arc where h >= 0,
+    around cuts at the bottoms of the roots' intervals, width <= 1/64."""
     cuts = []
-    for r in roots:
-        if r.is_Rational:
-            cuts.append(Fraction(str(r)))
-        else:
-            dx = Fraction(1, 64)
-            cuts.append(Fraction(str(rational_approx(r, dx) - dx)))
-    cuts = sorted(set(cuts))
-    samples = []
-    if not cuts:
-        samples = [Fraction(0), Fraction(1), Fraction(-1)]
-    else:
-        samples.append(cuts[0] - 2)
-        samples.append(cuts[-1] + 2)
-        for a, b in zip(cuts, cuts[1:]):
-            mid = (a + b) / 2
-            samples.extend([mid, (a + mid) / 2, (mid + b) / 2])
-        for cut in cuts:
-            samples.extend([cut - Fraction(1, 3), cut + Fraction(1, 3)])
-    return [x for x in samples if h.map_ring(QQ, Fraction).eval(x) > 0]
+    for root in real_roots_exact(h):
+        while root.hi - root.lo > Fraction(1, 64):
+            root = root.refine()
+        cuts.append(root.lo)
+    samples = ([cuts[0] - 2, cuts[-1] + 2] if cuts
+               else [Fraction(0), Fraction(1), Fraction(-1)])
+    for a, b in zip(cuts, cuts[1:]):
+        mid = (a + b) / 2
+        samples += [mid, (a + mid) / 2, (mid + b) / 2]
+    for cut in cuts:
+        samples += [cut - Fraction(1, 3), cut + Fraction(1, 3)]
+    return [x for x in samples if h.eval(x) > 0]
 
 
 def _qp_candidates(p, budget, seed):

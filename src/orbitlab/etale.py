@@ -12,17 +12,17 @@ At a local place L^x/L^x2 is an F_2-vector space, and a class is its
 coordinate vector: an int with a block of additive bits per factor,
 
   * GF(p):   the residue bit of the norm down to GF(p);
-  * R:       one sign bit per real root;
+  * R:       one sign bit per real root (poly.sign_at_root);
   * Q_p odd: valuation mod 2 and the residue bit of the unit norm;
   * Q_2:     valuation mod 2, then d level bits and a trace bit t of the
              unit part mod 8O (_unit2_bits), for a factor of degree d.
 
 Classes are equal when their vectors are, trivial when it is 0, and
 multiply by adding them. A representative is a product of fixed generators
-of each factor, never of other representatives, so no class needs more
-precision than they do. Labels are read off the vector; at Q_2 t shows
-only when the level bits are 0. norm_one_classes lists the kernel of the
-F_2 norm map.
+of each factor (over R, lines x - m between the roots' Sturm intervals),
+never of other representatives, so no class needs more precision than
+they do. Labels are read off the vector; at Q_2 t shows only when the
+level bits are 0. norm_one_classes lists the kernel of the F_2 norm map.
 
 Over Q there are no labels; per irreducible factor, an exact answer with a
 certificate: "no" is a non-square norm, or an odd unramified prime at which
@@ -39,71 +39,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-import sympy
-
-from .errors import PrecisionError, PreconditionError, UsageError
+from .errors import PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve, sum_prod
 from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
-                   factor, gcd, powmod, to_sympy)
+                   factor, gcd, powmod, real_roots_exact, sign_at_root)
 from .rings import GF, QQ, Padic
-
-_x = sympy.Symbol("x")
-
-
-# ---------------------------------------------------------------------------
-# exact signs at real roots
-
-
-def real_roots_exact(f: Poly):
-    """Sorted exact real roots (sympy root objects) of a separable f over Q/R."""
-    expr = to_sympy(f)
-    return sympy.real_roots(expr, _x)
-
-
-def rational_approx(root, dx):
-    """A rational within dx of a real algebraic root expression.
-
-    Roots from sympy may be RootOf objects or explicit radical
-    expressions (for factorable polynomials); both are handled.
-    """
-    if root.is_Rational:
-        return sympy.Rational(root)
-    if isinstance(root, sympy.RootOf):
-        return root.eval_rational(dx=dx)
-    digits = max(20, len(str(sympy.Integer(sympy.ceiling(1 / dx)))) + 5)
-    return sympy.Rational(str(root.evalf(digits)))
-
-
-def _root_box(root, dx):
-    """Rational interval [a, b] containing the root, of width <= 2*dx."""
-    if root.is_Rational:
-        return root, root
-    approx = rational_approx(root, dx)
-    return approx - dx, approx + dx
-
-
-def sign_at_root(g: Poly, root) -> int:
-    """Exact sign of g at an algebraic real root; g(root) must be nonzero."""
-    gs = sympy.Poly(to_sympy(g), _x)
-    if gs.degree() <= 0:
-        val = Fraction(str(gs.as_expr())) if gs.degree() == 0 else Fraction(0)
-        if val == 0:
-            raise PreconditionError("sign of zero")
-        return 1 if val > 0 else -1
-    if root.is_Rational:
-        val = Fraction(str(gs.eval(root)))
-        if val == 0:
-            raise PreconditionError("sign of zero")
-        return 1 if val > 0 else -1
-    for bits in (16, 32, 64, 128, 256, 512, 1024, 2048):
-        dx = sympy.Rational(1, 2 ** bits)
-        a, b = _root_box(root, dx)
-        if gs.count_roots(a, b) > 0:
-            continue
-        va = gs.eval(a)
-        if va != 0:
-            return 1 if va > 0 else -1
-    raise PrecisionError("could not separate sign at real root")
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +632,7 @@ class _Coordinates:
 
     @cached_property
     def separators(self):
-        return _separators(self.alg.f)
+        return _separators(self.alg.real_roots)
 
     def rep(self, vector: int) -> Poly:
         """The generator product of a vector, factor by factor; over R the
@@ -735,17 +675,7 @@ def _pad_const(alg: EtaleAlgebra, local_el: Poly, i: int):
     return alg.crt(parts)
 
 
-def _separators(f: Poly):
-    """Rational points between consecutive real roots of f, plus one above
-    all, from a fresh isolation of the roots: sympy's RootOf intervals are
-    a process-wide cache that sign computations refine in place."""
-    fs = sympy.Poly(to_sympy(f), _x)
-    eps = Fraction(1, 4)
-    while True:
-        ivs = [iv for iv, _ in fs.intervals(eps=eps)]
-        if all(ivs[i][1] < ivs[i + 1][0] for i in range(len(ivs) - 1)):
-            break
-        eps /= 16
-    vals = [Fraction(str((ivs[i][1] + ivs[i + 1][0]) / 2))
-            for i in range(len(ivs) - 1)]
-    return vals + [Fraction(str(ivs[-1][1] + 1))] if ivs else []
+def _separators(roots):
+    """Rationals between consecutive roots' intervals, and one above all."""
+    seps = [(a.hi + b.lo) / 2 for a, b in zip(roots, roots[1:])]
+    return seps + [roots[-1].hi + 1] if roots else []

@@ -9,14 +9,13 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PrecisionError, PreconditionError, UsageError
-from .etale import EtaleAlgebra, SquareClass, real_roots_exact, square_class
+from .etale import EtaleAlgebra, SquareClass, square_class
 from .linalg import Mat, block_matrix, inverse, rank, solve
-from .poly import Poly, factor
+from .poly import Poly, factor, real_roots_exact
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
-from .rings import QQ, Qp
+from .rings import Qp
 from .thetarep import Invariants, RepElement, antidiag, lift, star
 
 
@@ -146,10 +145,8 @@ def stabilizer_info(c: Invariants, base=None) -> StabilizerInfo:
     f = c.fpoly()
     n = f.degree
     if ring.is_real:
-        roots = real_roots_exact(f.map_ring(QQ, Fraction))
-        n_real = len(roots)
-        pairs = (n - n_real) // 2
-        degs = tuple([1] * n_real + [2] * pairs)
+        n_real = len(real_roots_exact(f))
+        degs = (1,) * n_real + (2,) * ((n - n_real) // 2)
     else:
         if ring != c.ring:
             if not c.ring.is_global:

@@ -6,23 +6,22 @@ Cantor-Zassenhaus over GF(p) (squarefree, distinct-degree and
 equal-degree splits); over Q a prime p with the integer model squarefree
 mod p, Hensel lifting past the Mignotte bound and recombination by exact
 division (Yun's decomposition first only when no small p works); over
-Q_p Hensel lifting from a separable reduction. sympy is used only to hand
-polynomials to the real-root code (to_sympy).
+Q_p Hensel lifting from a separable reduction. Real roots over Q are
+Sturm intervals (RealRoot), isolated and refined by bisection with sign
+counts in integer arithmetic (Collins-Akritas, SYMSAC 1976).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
-
-import sympy
+from typing import NamedTuple
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .rings import (QQ, Padic, PadicField, PrimeField, RationalField,
                     is_prime)
-
-_x = sympy.Symbol("x")
 
 
 class Poly:
@@ -248,11 +247,93 @@ def discriminant(f: Poly):
 
 
 # ---------------------------------------------------------------------------
-# sympy conversion (rational coefficients), for the real place
+# Real roots over Q: Sturm sequences and isolating intervals
 
 
-def to_sympy(f: Poly):
-    return sum(sympy.Rational(c) * _x ** i for i, c in enumerate(f.coeffs))
+def _primitive(f: Poly) -> tuple:
+    """The positive integer multiple of f over Q with coprime coefficients."""
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    g = math.gcd(*(int(c * d) for c in f.coeffs))
+    return tuple(int(c * d) // g for c in f.coeffs)
+
+
+@functools.lru_cache(maxsize=256)
+def _sturm(f: Poly) -> tuple:
+    """Sturm sequence of the squarefree part s = f / gcd(f, f'), deg f > 0:
+    s, s', then minus each remainder (Poly.mod over QQ), each term kept as
+    its primitive positive integer multiple, which has the same signs."""
+    seq = [f.divmod(gcd(f, f.derivative()))[0]]
+    seq.append(seq[0].derivative())
+    while seq[-1].degree > 0:
+        seq.append(-seq[-2].mod(seq[-1]))
+    return tuple(_primitive(p) for p in seq)
+
+
+def _count(f: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of f in (lo, hi] by Sturm's theorem: V(lo) - V(hi),
+    V(x) the sign changes along the sequence at x = a/b, zeros dropped, a
+    term c read as the integer b^deg(c) c(a/b) (homogenized Horner)."""
+    seq, changes = _sturm(f), []
+    for x in (lo, hi):
+        a, b, signs = x.numerator, x.denominator, []
+        for c in seq:
+            acc, bk = 0, 1
+            for ci in reversed(c):
+                acc, bk = acc * a + ci * bk, bk * b
+            if acc:
+                signs.append(acc > 0)
+        changes.append(sum(s != t for s, t in zip(signs, signs[1:])))
+    return changes[0] - changes[1]
+
+
+class RealRoot(NamedTuple):
+    """The one root of f (over Q) in the interval (lo, hi], lo < hi."""
+
+    f: Poly
+    lo: Fraction
+    hi: Fraction
+
+    def refine(self) -> "RealRoot":
+        """The half of the interval that holds the root."""
+        mid = (self.lo + self.hi) / 2
+        if _count(self.f, self.lo, mid):
+            return self._replace(hi=mid)
+        return self._replace(lo=mid)
+
+
+def real_roots_exact(f: Poly) -> list:
+    """The distinct real roots of f over Q (or R), ascending, as RealRoots
+    with disjoint closed intervals: (-B, B], B a power of two past the
+    Cauchy bound 1 + max |c_i / c_n|, bisected to one root per piece."""
+    if f.degree < 1:
+        return []
+    bound, B = 1 + max(abs(c) for c in f.coeffs[:-1]) / abs(f.lc), 1
+    while B <= bound:
+        B *= 2
+    roots, todo = [], [(Fraction(-B), Fraction(B))]
+    while todo:
+        lo, hi = todo.pop()
+        k = _count(f, lo, hi)
+        if k == 1:
+            roots.append(RealRoot(f, lo, hi))
+        elif k > 1:
+            todo += [((lo + hi) / 2, hi), (lo, (lo + hi) / 2)]
+    for i in range(len(roots) - 1):  # adjacent pieces may share an end
+        while roots[i].hi >= roots[i + 1].lo:
+            roots[i], roots[i + 1] = roots[i].refine(), roots[i + 1].refine()
+    return roots
+
+
+def sign_at_root(g: Poly, root: RealRoot) -> int:
+    """Exact sign of g at the root. PreconditionError when gcd(f, g) has a
+    root in the interval; else the interval is bisected until g has none,
+    and g's sign is read at its top."""
+    h = gcd(root.f, g)
+    if h.degree > 0 and _count(h, root.lo, root.hi):
+        raise PreconditionError("sign of zero")
+    while g.degree > 0 and _count(g, root.lo, root.hi):
+        root = root.refine()
+    return 1 if g.eval(root.hi) > 0 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,17 @@ from orbitlab.census import height_enumerate
 from orbitlab.etale import (EtaleAlgebra, SquareClass, real_roots_exact,
                             sign_at_root, square_class)
 from orbitlab.orbits import algebra_of, distinguished_coincide
-from orbitlab.poly import Poly, discriminant, to_sympy
+from orbitlab.poly import Poly, discriminant
 from orbitlab.rings import GF, QQ
 from orbitlab.thetarep import Invariants
 
 _t = sympy.Symbol("t")
+
+
+def to_sympy(f: Poly):
+    """f as a sympy expression in x (rational coefficients)."""
+    return sum(sympy.Rational(c) * sympy.Symbol("x") ** i
+               for i, c in enumerate(f.coeffs))
 
 
 def oracle_is_square(alg: EtaleAlgebra, rep: Poly) -> bool:

@@ -1,10 +1,15 @@
 """poly.factor runs on its own kernels over Q and GF(p); poly.py may not
-reach sympy's factoring (sympy stays the test oracle for it)."""
+reach sympy's factoring (sympy stays the test oracle for it). The real
+place runs on poly's Sturm intervals, so poly, etale, descent and orbits
+import no sympy at all."""
 
 import ast
 from pathlib import Path
 
-POLY = Path(__file__).resolve().parent.parent / "src" / "orbitlab" / "poly.py"
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orbitlab"
+POLY = SRC / "poly.py"
 
 
 def test_poly_does_not_reach_sympy_factoring():
@@ -22,4 +27,15 @@ def test_poly_does_not_reach_sympy_factoring():
             elif (node.attr == "Poly" and isinstance(node.value, ast.Name)
                   and node.value.id == "sympy"):
                 found.append("sympy.Poly")
+    assert not found, found
+
+
+@pytest.mark.parametrize("module", ["poly", "etale", "descent", "orbits"])
+def test_module_imports_no_sympy(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "sympy" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "sympy"]
     assert not found, found

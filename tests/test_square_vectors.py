@@ -125,7 +125,7 @@ def _oracle_norm_one_classes(alg):
         if k == 0:
             return [SquareClass(alg, alg.one())]
         gens = [Poly(ring, [ring.neg(ring.from_fraction(m)), ring.one])
-                for m in _separators(alg.f)]
+                for m in _separators(alg.real_roots)]
         out = []
         for mask in range(2 ** k):
             v = [(mask >> j) & 1 for j in range(k)]
@@ -243,7 +243,7 @@ print([repr(c.rep) for c in norm_one_classes(L)])
 def test_real_representatives_ignore_earlier_sign_computations():
     """x^3 - 4x + 1 over R: the norm-one representatives of a fresh process
     come back after the class signs of those representatives were computed
-    (sign computations refine sympy's process-wide root intervals)."""
+    (no sign computation may move the separators the representatives use)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     fresh = subprocess.run([sys.executable, "-c", _FRESH_REAL_REPS], env=env,
