@@ -4,12 +4,16 @@ enumeration over Z, and the strict-inclusion local test family.
 
 The sweeps classify invariant tuples (a, e), f = x^n + a_1 x^(n-1) + ...
 + e^2, by how f factors over F_p and by whether -gamma (the class of -x)
-is a square in every factor. For n = 3 all p^3 tuples are read off the
-p^3 products (x - r)(x^2 + b x + c): counting the products that give each
-cubic yields its number of roots, and counting those with -r or c a
-non-residue decides -gamma. Other n are sampled, and each sample is
-classified by one distinct-degree split of f with Euler's criterion for -x
-on each part (poly.euler_split).
+is a square in every factor, i.e. whether each irreducible factor g has
+g(0) a square. One table per (p, n) holds these facts for all p^n monics
+of degree n by index code sum c_i p^i (_factor_table); its flags mark the
+multiples of each irreducible g of degree <= n // 2. n = 3 at p <= 97 is
+exhaustive: all p^3 tuples are counted off the cubic table, each f
+weighted by the number of e with e^2 = f(0). Other tuples are sampled
+with a seeded random.Random. The samples are looked up in the table when
+it has at most TABLE_PER_SAMPLE entries per sample; otherwise each is
+classified by one distinct-degree split of f with Euler's criterion for
+-x on each part (poly.euler_split).
 
 The orbit oracle works in integers on index codes: a matrix A over F_p is
 the number sum A[i][j] p^(3i+j). The fiber table sorts all p^9 codes by
@@ -36,10 +40,16 @@ from .thetarep import Invariants
 
 DEFAULT_SEED = 0xA5EED
 BRUTEFORCE_BUDGET = 2 * 10 ** 8
+# A sampled sweep reads the factorization-type table when p^n is at most
+# this many times its sample size. A table entry costs 0.02-0.08 us and
+# about 30 bytes of peak memory to build, one euler_split 0.2-0.7 ms (2-core
+# Xeon): at the bound the table costs under 3% of the splits it replaces,
+# and a 20,000-sample sweep builds at most 1.3M entries (about 40 MB).
+TABLE_PER_SAMPLE = 64
 
 
 # ---------------------------------------------------------------------------
-# exhaustive invariant sweeps over F_p (n = 3 closed-form)
+# invariant sweeps over F_p by factorization type
 
 
 @dataclass
@@ -65,53 +75,101 @@ class SweepReport:
         }
 
 
-def _cubic_grids(p: int):
-    """(a1, a2, e) grids plus derived disc/e2 arrays for all p^3 tuples."""
-    r = np.arange(p, dtype=np.int64)
-    a1, a2, e = np.meshgrid(r, r, r, indexing="ij")
-    a1, a2, e = a1.ravel(), a2.ravel(), e.ravel()
-    a3 = (e * e) % p
-    # disc(x^3 + a x^2 + b x + c) = 18abc - 4a^3 c + a^2 b^2 - 4 b^3 - 27 c^2;
-    # every term is below 30 p^4, exact in int64 for p < 10^4
-    disc = (a1 * a2 * (18 * a3 + a1 * a2) - 4 * (a1 ** 3 * a3 + a2 ** 3)
-            - 27 * a3 * a3) % p
-    return a1, a2, e, a3, disc
+def _monics(p: int, k: int, shape):
+    """Ascending coefficient arrays, reshaped to shape, of every monic of
+    degree k over F_p in index-code order; the leading 1 last."""
+    codes = np.arange(p ** k, dtype=np.int64).reshape(shape)
+    return [codes // p ** i % p for i in range(k)] + [1]
 
 
-def _qr_table(p: int):
-    t = np.zeros(p, dtype=bool)
-    t[(np.arange(p) ** 2) % p] = True
-    return t
+def _mul(u, v, p: int):
+    """Coefficients of the products of the monics u and v (numpy
+    broadcasting pairs them), reduced mod p."""
+    a, b = len(u) - 1, len(v) - 1
+    return [sum(u[i] * v[j - i] for i in range(max(0, j - b), min(a, j) + 1))
+            % p for j in range(a + b)] + [1]
 
 
-def _root_counts(p: int):
-    """(nroots, bad) indexed by (a1 p + a2) p + a3 for every monic cubic
-    x^3 + a1 x^2 + a2 x + a3 over F_p.
+def _multiples(p: int, n: int, g):
+    """Index codes of the monic multiples of degree n of each monic g, a
+    row per g (coefficients as from _monics with shape (-1, 1)).
 
-    Builds all p^3 products (x - r)(x^2 + b x + c). A cubic with k distinct
-    roots is such a product for exactly k pairs (r, q), so nroots counts
-    them; bad counts the pairs with -r or c = q(0) a non-residue.
+    A multiple is f = x^t h + l with t = deg g, h one of the p^(n - t)
+    monics of degree n - t and l = -(x^t h mod g), so its code is
+    code(l) + p^t code(h). r runs through -(x^(t + i) mod g): it starts
+    at g - x^t and is multiplied by x mod g at each step."""
+    t = len(g) - 1
+    h = _monics(p, n - t, (1, -1))
+    r = g[:-1]
+    low = [h[0] * c for c in r]
+    for hi in h[1:]:
+        r = [(c - r[-1] * gj) % p for c, gj in zip([0] + r[:-1], g[:-1])]
+        low = [lj + hi * c for lj, c in zip(low, r)]
+    code = p ** t * np.arange(p ** (n - t), dtype=np.int64)
+    for j, lj in enumerate(low):
+        code = code + lj % p * p ** j
+    return code
+
+
+def _factor_table(p: int, n: int):
+    """(squarefree, irreducible, bad): boolean arrays over the p^n monic
+    f = x^n + sum c_i x^i of degree n over F_p, indexed by sum c_i p^i.
+
+    For each degree k = 1 .. n // 2 and each irreducible g of degree k
+    the flags mark multiples: of g, which are reducible; of g^2, which
+    are not squarefree; and of g with g(0) a non-residue, which are bad.
+    When f(0) is a nonzero square, the Legendre symbols of the constant
+    terms of f's factors multiply to 1, so a non-residue g(0) for some
+    g | f implies one for a g of degree <= n // 2. bad then says that -x
+    is not a square in some F_p[x]/(g), g | f, as its norm there is g(0).
     """
-    r, b, c = (g.ravel() for g in np.meshgrid(
-        *[np.arange(p, dtype=np.int64)] * 3, indexing="ij"))
-    # (x - r)(x^2 + b x + c) = x^3 + (b - r) x^2 + (c - r b) x - r c
-    key = ((b - r) % p * p + (c - r * b) % p) * p + (-r * c) % p
-    qr = _qr_table(p)
-    bad = ~(qr[-r % p] & qr[c])
-    return (np.bincount(key, minlength=p ** 3),
-            np.bincount(key[bad], minlength=p ** 3))
+    reducible, square_div, bad = (np.zeros(p ** n, dtype=bool)
+                                  for _ in range(3))
+    nonres = np.ones(p, dtype=bool)
+    nonres[np.arange(p) ** 2 % p] = False
+    for k in range(1, n // 2 + 1):
+        irr = _factor_table(p, k)[1]
+        g = [c[irr] for c in _monics(p, k, (-1, 1))[:-1]] + [1]
+        codes = _multiples(p, n, g)
+        reducible[codes] = True
+        bad[codes[nonres[g[0][:, 0]]]] = True
+        square_div[_multiples(p, n, _mul(g, g, p))] = True
+    return ~square_div, ~reducible, bad
+
+
+def _split_flags(f, p: int):
+    """(squarefree, irreducible, bad) of one monic f by euler_split."""
+    parts = euler_split(f, [0, p - 1], p)
+    if parts is None:
+        return False, False, False
+    return (True, sum((len(g) - 1) // k for k, g, _ in parts) == 1,
+            not all(square for _, _, square in parts))
+
+
+def _classify(p: int, n: int, polys, table: bool):
+    """_factor_table's flags for monics of degree n given as ascending
+    coefficient lists without the leading 1: table lookups, or else one
+    euler_split each."""
+    if table:
+        codes = (np.array(polys, dtype=np.int64).reshape(-1, n)
+                 @ p ** np.arange(n, dtype=np.int64))
+        return tuple(t[codes] for t in _factor_table(p, n))
+    return np.array([_split_flags(f + [1], p) for f in polys],
+                    dtype=bool).reshape(-1, 3).T
 
 
 def fp_sweep(p: int, n: int = 3, seed: int = DEFAULT_SEED,
              sample_size: int = 20000) -> SweepReport:
     """Counts of the invariant-tuple classes over F_p with exact densities.
 
-    n = 3 (p <= 97) is exhaustive over all p^3 tuples, read off the p^3
-    products (x - r)(x^2 + b x + c) by factorization type (_root_counts).
-    Other odd n, and n = 3 at larger p, fall back to seeded sampling with
-    the sample size reported; each sample is classified by one
-    distinct-degree split of f over F_p with Euler's criterion for -x
-    (poly.euler_split), without factoring it.
+    n = 3 at p <= 97 is exhaustive: each of the p^3 tuples is read off the
+    factorization-type table of the monic cubics (_factor_table), weighted
+    by the number of e != 0 with e^2 = f(0). Other odd n, and n = 3 at
+    larger p, sample seeded tuples and report the sample size. A sampled
+    f is looked up in the table when p^n <= TABLE_PER_SAMPLE *
+    sample_size, and otherwise classified by one distinct-degree split
+    with Euler's criterion for -x (poly.euler_split). smallonetwo counts
+    the e = 0 tuples at n = 3 only.
     """
     if n % 2 == 0 or n < 3:
         raise UsageError("n must be odd and at least 3")
@@ -123,84 +181,54 @@ def fp_sweep(p: int, n: int = 3, seed: int = DEFAULT_SEED,
 
 
 def _fp_sweep_cubic(p: int, seed: int) -> SweepReport:
-    a1, a2, e, a3, disc = _cubic_grids(p)
-    total = p ** 3
-    rs = (e != 0) & (disc != 0)
-    nroots, bad = _root_counts(p)
-    key = (a1 * p + a2) * p + a3
-    nroots = nroots[key]
-    qr = _qr_table(p)
-    # factor counts for separable cubics: 3 roots -> 3, 1 root -> 2, 0 -> 1
-    nfact = np.where(nroots == 3, 3, np.where(nroots == 1, 2, 1))
-    irreducible = rs & (nroots == 0)
-    # -gamma is a square in a component iff its norm is: -r at a root r,
-    # q(0) on an irreducible quadratic q, f(0) = e^2 on an irreducible cubic
-    dist_coincide = bad[key] == 0
-    # members with e = 0: f = x (x^2 + a1 x + a2), distinct nonzero roots
-    # of the quadratic with square product
-    quad_disc = (a1 * a1 - 4 * a2) % p
-    small = ((e == 0) & (a2 != 0) & (quad_disc != 0) & qr[quad_disc]
-             & qr[a2])
-    counts = {
-        "total": int(total),
-        "regular_semisimple": int(rs.sum()),
-        "irreducible": int(irreducible.sum()),
-        "reducible_rs": int((rs & (nroots > 0)).sum()),
-        "nontrivial_stabilizer": int((rs & (nfact > 1)).sum()),
-        "distinguished_coincide": int((rs & dist_coincide).sum()),
-        "e_zero": int((e == 0).sum()),
-        "smallonetwo": int(small.sum()),
-    }
-    densities = {
-        "reducible": Fraction(counts["reducible_rs"], total),
-        "nontrivial_stabilizer": Fraction(counts["nontrivial_stabilizer"],
-                                          total),
-        "distinguished_or_non_rs": Fraction(
-            int((dist_coincide | ~rs).sum()), total),
-        "smallonetwo": Fraction(counts["smallonetwo"], total),
-        "irreducible": Fraction(counts["irreducible"], total),
-    }
-    return SweepReport(p, 3, total, counts, densities, True, total, seed)
+    # w[c] = #{e != 0 : e^2 = c}, and c = f(0) is a code's lowest digit
+    w = np.bincount(np.arange(1, p) ** 2 % p, minlength=p)
+    # e = 0: f = x (x^2 + a_1 x + a_2), the quadratic split with a_2 a
+    # nonzero square
+    sf, irr, _ = _factor_table(p, 2)
+    small = int((sf & ~irr & np.tile(w > 0, p)).sum())
+    return _report(p, 3, seed, True, p ** 3, p * p, small,
+                   np.tile(w, p * p), _factor_table(p, 3))
 
 
 def _fp_sweep_sampled(p: int, n: int, seed: int, sample_size: int
                       ) -> SweepReport:
     rng = random.Random(seed)
-    counts = {"total": sample_size, "regular_semisimple": 0,
-              "irreducible": 0, "reducible_rs": 0,
-              "nontrivial_stabilizer": 0, "distinguished_coincide": 0,
-              "e_zero": 0, "smallonetwo": 0}
-    dist_or_non_rs = 0
-    neg_x = [0, p - 1]
-    for _ in range(sample_size):
-        a = [rng.randrange(p) for _ in range(n - 1)]
-        e = rng.randrange(p)
-        if e == 0:
-            counts["e_zero"] += 1
-            dist_or_non_rs += 1
-            continue
-        parts = euler_split([e * e % p] + a[::-1] + [1], neg_x, p)
-        if parts is None:  # f is not squarefree
-            dist_or_non_rs += 1
-            continue
-        counts["regular_semisimple"] += 1
-        if sum((len(g) - 1) // k for k, g, _ in parts) == 1:
-            counts["irreducible"] += 1
-        else:
-            counts["reducible_rs"] += 1
-            counts["nontrivial_stabilizer"] += 1
-        # -gamma = -x is a square in every residue field
-        if all(square for _, _, square in parts):
-            counts["distinguished_coincide"] += 1
-            dist_or_non_rs += 1
-    densities = {k: Fraction(counts[k], sample_size)
-                 for k in ("reducible_rs", "nontrivial_stabilizer",
-                           "irreducible", "smallonetwo")}
-    densities["distinguished_or_non_rs"] = Fraction(dist_or_non_rs,
-                                                    sample_size)
-    densities["reducible"] = densities.pop("reducible_rs")
-    return SweepReport(p, n, p ** n, counts, densities, False,
-                       sample_size, seed)
+    draws = [[rng.randrange(p) for _ in range(n)] for _ in range(sample_size)]
+    table = p ** n <= TABLE_PER_SAMPLE * sample_size
+    # a draw is (a_1, .., a_(n-1), e): f = x^n + a_1 x^(n-1) + .. + e^2
+    polys = [[r[-1] ** 2 % p] + r[-2::-1] for r in draws if r[-1]]
+    small = 0
+    if n == 3:
+        # e = 0: f = x (x^2 + a_1 x + a_2), the quadratic split with a_2 a
+        # nonzero square
+        quads = [r[1::-1] for r in draws
+                 if not r[-1] and pow(r[1], (p - 1) // 2, p) == 1]
+        sf, irr, _ = _classify(p, 2, quads, table)
+        small = int((sf & ~irr).sum())
+    return _report(p, n, seed, False, sample_size, sample_size - len(polys),
+                   small, np.ones(len(polys), dtype=np.int64),
+                   _classify(p, n, polys, table))
+
+
+def _report(p, n, seed, exhaustive, total, e_zero, small, weight, flags):
+    """The report of tuples with e != 0 whose f carry flags (as
+    _factor_table) and weights, plus e_zero tuples with e = 0."""
+    sf, irr, bad = flags
+    rs, irreducible, dist = (int(weight @ m) for m in (sf, irr, sf & ~bad))
+    # a reducible separable f has r > 1 factors: stabilizer order 2^(r - 1)
+    counts = {"total": total, "regular_semisimple": rs,
+              "irreducible": irreducible, "reducible_rs": rs - irreducible,
+              "nontrivial_stabilizer": rs - irreducible,
+              "distinguished_coincide": dist, "e_zero": e_zero,
+              "smallonetwo": small}
+    densities = {"reducible": Fraction(rs - irreducible, total),
+                 "distinguished_or_non_rs": Fraction(dist + total - rs,
+                                                     total)}
+    for k in ("nontrivial_stabilizer", "irreducible", "smallonetwo"):
+        densities[k] = Fraction(counts[k], total)
+    return SweepReport(p, n, p ** n, counts, densities, exhaustive, total,
+                       seed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import PrecisionError, PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, square_class
 from .linalg import Mat, block_matrix, inverse, rank, solve
-from .poly import Poly, factor, real_roots_exact
+from .poly import Poly, discriminant, factor, real_roots_exact
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
 from .rings import Qp
 from .thetarep import Invariants, RepElement, antidiag, lift, star
@@ -141,18 +141,31 @@ class StabilizerInfo:
 
 
 def stabilizer_info(c: Invariants, base=None) -> StabilizerInfo:
+    """Factor degrees of f over the base (c's ring by default) and the
+    stabilizer orders 2^(r - 1) and 2^(n - 1); f must be separable there."""
     ring = c.ring if base is None else base
-    f = c.fpoly()
+    f = g = c.fpoly()
     n = f.degree
+    if ring != c.ring and not ring.is_real:
+        if not c.ring.is_global:
+            raise UsageError("base change requires rational invariants")
+        g = f.map_ring(ring, ring.from_fraction)
+    # R and Q_p contain Q, so there f is separable iff it is over c's ring,
+    # which building c's algebra (once per c) checks
+    if ring.is_finite and ring != c.ring:
+        separable = not ring.is_zero(discriminant(g))
+    else:
+        try:
+            separable = algebra_of(c) is not None
+        except PreconditionError:
+            separable = False
+    if not separable:
+        raise PreconditionError("curve requires separable f")
     if ring.is_real:
         n_real = len(real_roots_exact(f))
         degs = (1,) * n_real + (2,) * ((n - n_real) // 2)
     else:
-        if ring != c.ring:
-            if not c.ring.is_global:
-                raise UsageError("base change requires rational invariants")
-            f = f.map_ring(ring, ring.from_fraction)
-        degs = tuple(g.degree for g, _ in factor(f))
+        degs = tuple(h.degree for h, _ in factor(g))
     r = len(degs)
     return StabilizerInfo(degs, 2 ** (r - 1), 2 ** (n - 1))
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from orbitlab import census
 from orbitlab.census import (bruteforce_orbits, diverges_family, fp_sweep,
                              group_order, height_box_count, height_enumerate,
@@ -65,8 +66,9 @@ def _oracle_sweep(p):
 
 
 def _oracle_sampled(p, n, seed, sample_size):
-    """Recount of a sampled sweep with sympy factoring of every sample,
-    drawing the same (a, e) as fp_sweep."""
+    """Recount of a sampled sweep with poly.factor on every sample,
+    drawing the same (a, e) as fp_sweep; smallonetwo is counted at n = 3
+    as in _oracle_sweep."""
     F = GF(p)
     rng = random.Random(seed)
     counts = dict.fromkeys(("regular_semisimple", "irreducible",
@@ -78,6 +80,11 @@ def _oracle_sampled(p, n, seed, sample_size):
         a = [rng.randrange(p) for _ in range(n - 1)]
         e = rng.randrange(p)
         counts["e_zero"] += e == 0
+        if e == 0 and n == 3:
+            d = (a[0] * a[0] - 4 * a[1]) % p
+            counts["smallonetwo"] += (
+                a[1] != 0 and d != 0 and pow(d, (p - 1) // 2, p) == 1
+                and pow(a[1], (p - 1) // 2, p) == 1)
         f = Poly(F, [e * e % p] + a[::-1] + [1])
         if e == 0 or F.is_zero(discriminant(f)):
             continue
@@ -150,6 +157,60 @@ class TestSweep:
         assert rep.densities["distinguished_or_non_rs"] == Fraction(
             counts["distinguished_coincide"] + 500
             - counts["regular_semisimple"], 500)
+
+    @pytest.mark.parametrize("p, n, size, table", [
+        (5, 5, 500, True), (7, 5, 200, False), (101, 3, 2000, False)])
+    def test_sampled_sides_match_factor_oracle(self, monkeypatch, p, n,
+                                               size, table):
+        """Both sides of the size rule p^n <= TABLE_PER_SAMPLE * size:
+        table lookups and one euler_split per sample."""
+        assert (p ** n <= census.TABLE_PER_SAMPLE * size) == table
+        calls = count_calls(monkeypatch, census, "euler_split")
+        for seed in (1, 2):
+            rep = fp_sweep(p, n, seed, size)
+            assert rep.counts == _oracle_sampled(p, n, seed, size)
+            assert bool(calls) != table
+
+    def test_sampled_cubic_table_counts_smallonetwo(self, monkeypatch):
+        """The table side at n = 3 and p > 97 counts the e = 0 samples too
+        (its natural sample size, 20,000, makes the oracle slow)."""
+        monkeypatch.setattr(census, "TABLE_PER_SAMPLE", 10 ** 3)
+        calls = count_calls(monkeypatch, census, "euler_split")
+        rep = fp_sweep(101, 3, 1, 2000)
+        assert not calls
+        assert rep.counts == _oracle_sampled(101, 3, 1, 2000)
+        assert rep.counts["smallonetwo"] > 0
+
+
+def _factor_flags(F, n, code):
+    """(squarefree, irreducible, a factor of degree <= n // 2 with a
+    non-residue constant term, any such factor) of the monic of degree
+    n with the given index code, by poly.factor."""
+    p = F.p
+    f = Poly(F, [F.from_int(code // p ** i % p) for i in range(n)]
+             + [F.one])
+    parts = factor(f)
+    nonres = [g.degree for g, _ in parts
+              if pow(int(g.coeff(0)), (p - 1) // 2, p) == p - 1]
+    return (all(m == 1 for _, m in parts),
+            len(parts) == 1 and parts[0][1] == 1,
+            any(d <= n // 2 for d in nonres), bool(nonres))
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (5, 5), (3, 7)]
+                         + [(p, 3) for p in (3, 5, 7, 11, 13)])
+def test_factor_table_matches_factor_oracle(p, n):
+    """Every flag of every monic of degree n; when f(0) is a nonzero
+    square, the small factors decide whether -x is a square in every
+    component."""
+    F = GF(p)
+    sf, irr, bad = census._factor_table(p, n)
+    for code in range(p ** n):
+        want_sf, want_irr, want_bad, any_bad = _factor_flags(F, n, code)
+        assert (sf[code], irr[code], bad[code]) == (want_sf, want_irr,
+                                                    want_bad), code
+        if pow(code % p, (p - 1) // 2, p) == 1:
+            assert bad[code] == any_bad, code
 
 
 class TestGroupOrder:

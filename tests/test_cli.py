@@ -56,6 +56,16 @@ class TestOrbitVerb:
         assert sorted(rec["factor_degrees"]) == [1, 1, 1]
         assert rec["order"] == 4 and rec["order_closure"] == 4
 
+    def test_stabilizer_refuses_repeated_root(self):
+        """f = (x - 1)^2 (x + 1) is refused as descent refuses it."""
+        argv = ["--f", "1,-1,-1,1", "--e", "1", "--base", "Q"]
+        for verb in (["orbit", "stabilizer"],
+                     ["descent", "local", "--place", "7"]):
+            code, lines = run_json(verb + argv)
+            assert code == 3
+            assert lines[0]["error"]["message"] == \
+                "curve requires separable f"
+
     def test_construct_default_class(self):
         code, lines = run_json(["orbit", "construct"] + Q_BASE)
         assert code == 0

@@ -162,16 +162,17 @@ def test_sign_of_zero_is_a_precondition():
 
 
 def test_repeated_roots_count_once():
-    """(x - 1)^2 (x + 1) has two distinct real roots, and its stabilizer
-    over R has the factor degrees it has over Q."""
+    """(x - 1)^2 (x + 1) has two distinct real roots; as f is not
+    separable, its stabilizer is refused over R as over Q."""
     f = _from_roots(1, 1, -1)
     roots = real_roots_exact(f)
     assert len(roots) == 2
     assert all(iv.lo < r <= iv.hi for iv, r in zip(roots, (-1, 1)))
     c = Invariants(QQ, (Fraction(-1), Fraction(-1)), Fraction(1))
     assert c.fpoly() == f
-    assert (stabilizer_info(c, RR).factor_degrees
-            == stabilizer_info(c).factor_degrees == (1, 1))
+    for base in (RR, None):
+        with pytest.raises(PreconditionError, match="separable"):
+            stabilizer_info(c, base)
 
 
 _FRESH_SAMPLES = """
