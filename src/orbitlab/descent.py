@@ -40,8 +40,10 @@ class MarkedCurve:
         R = self.c.ring
         if R.is_zero(self.c.e):
             raise PreconditionError("curve requires f(0) = e^2 nonzero")
-        if R.is_zero(discriminant(self.c.fpoly())):
-            raise PreconditionError("curve requires separable f")
+        try:  # c's algebra, shared with local_image, checks disc(f)
+            algebra_of(self.c)
+        except PreconditionError:
+            raise PreconditionError("curve requires separable f") from None
 
     @property
     def genus(self) -> int:

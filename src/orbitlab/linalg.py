@@ -259,32 +259,3 @@ def sum_prod(R, xs, ys):
     for a, b in zip(xs, ys):
         acc = R.add(acc, R.mul(a, b))
     return acc
-
-
-def pfaffian(M: Mat):
-    """Pfaffian of an antisymmetric matrix by recursive expansion."""
-    R = M.ring
-    n = M.nrows
-    if n % 2 != 0:
-        raise PreconditionError("Pfaffian needs even size")
-    if n == 0:
-        return R.one
-
-    def rec(idx):
-        if not idx:
-            return R.one
-        i0 = idx[0]
-        acc = R.zero
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            a = M.rows[i0][j]
-            if R.is_zero(a):
-                continue
-            rest = [k for k in idx[1:] if k != j]
-            term = R.mul(a, rec(rest))
-            if pos % 2 == 0:
-                term = R.neg(term)
-            acc = R.add(acc, term)
-        return acc
-
-    return rec(list(range(n)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, square_class
@@ -75,8 +76,12 @@ def delta_map(c: Invariants, nu, place=None):
     return g1, g2, in_ker
 
 
-def _disc_sign(ring, n: int):
-    return ring.from_int((-1) ** (n * (n - 1) // 2))
+@lru_cache(maxsize=32)
+def _split_models(ring, prec, n: int):
+    """B and -B, the forms on V1 and V2, which keep their split frames: one
+    per (ring, n). Q_p rings compare by p alone, hence the precision."""
+    B = standard_split_gram(ring, n).gram
+    return GramForm(B), GramForm(-B)
 
 
 def orbit_from_class(c: Invariants, nu) -> RepElement:
@@ -94,14 +99,14 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
     g1, g2, in_ker = delta_map(c, nu)
     if not in_ker:
         raise PreconditionError("no rational orbit: forms are not both split")
-    s = _disc_sign(ring, n)
+    s = ring.from_int((-1) ** (n * (n - 1) // 2))
     if not ring.is_square(ring.mul(s, g1.det())):
         raise PreconditionError("form on L has wrong discriminant class")
     if not ring.is_square(ring.neg(ring.mul(s, g2.det()))):
         raise PreconditionError("form on L*beta has wrong discriminant class")
-    B = standard_split_gram(ring, n).gram
-    P1 = split_isometry(g1, GramForm(B))
-    P2 = split_isometry(g2, GramForm(-B))
+    model1, model2 = _split_models(ring, getattr(ring, "prec", None), n)
+    P1 = split_isometry(g1, model1)
+    P2 = split_isometry(g2, model2)
     Mg = L.mult_matrix(L.gamma())
     A = inverse(P1) * Mg * P2
     lower = inverse(P2) * P1
@@ -112,9 +117,7 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
 
 def alpha1_construct(c: Invariants) -> RepElement:
     """The base-point representative (trivial class)."""
-    L = algebra_of(c)
-    rep = _with_precision_retry(c, L.one())
-    return rep
+    return _with_precision_retry(c, algebra_of(c).one())
 
 
 def _with_precision_retry(c: Invariants, nu_elem):

@@ -34,7 +34,7 @@ class GramForm:
             raise PreconditionError("Gram matrix must be symmetric")
         self.gram = gram
         self.ring = gram.ring
-        self._det = None
+        self._det = self._frame = None
 
     @property
     def rank(self) -> int:
@@ -529,16 +529,18 @@ def split_frame(Q: GramForm):
 
 
 def split_isometry(Q: GramForm, target: GramForm) -> Mat:
-    """P with P^t * Q * P = target; both forms split with equal disc class."""
+    """P with P^t * Q * P = target; both forms split with equal disc class.
+    The target keeps its split frame, so a fixed target is framed once."""
     R = Q.ring
     if Q.rank != target.rank:
         raise PreconditionError("rank mismatch")
-    dq, dt = Q.det(), target.det()
-    ratio = R.div(dq, dt)
-    if not R.is_square(ratio):
+    if not R.is_square(R.div(Q.det(), target.det())):
         raise PreconditionError("discriminant mismatch")
     P1, m1, c1 = split_frame(Q)
-    P2, m2, c2 = split_frame(target)
+    if target._frame is None:
+        P2, m2, c2 = split_frame(target)
+        target._frame = inverse(P2), m2, c2
+    P2_inv, m2, c2 = target._frame
     if m1 != m2:
         raise PreconditionError("forms are not both split (Witt index differs)")
     if c1 is not None:
@@ -552,8 +554,7 @@ def split_isometry(Q: GramForm, target: GramForm) -> Mat:
                              else (R.inv(s) if i == j else R.zero)
                              for j in range(n)] for i in range(n)])
         P1 = P1 * scale_col
-    P = P1 * inverse(P2)
+    P = P1 * P2_inv
     if not (P.transpose() * Q.gram * P) == target.gram:
         raise PreconditionError("isometry construction failed verification")
     return P
-

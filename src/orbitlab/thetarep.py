@@ -2,19 +2,24 @@
 operators T on V1 + V2, their invariants (a_1..a_{n-1}, e), regular
 nilpotents with sl2 data and slice bases, distinguished-orbit witnesses,
 cusp block-pattern classification, and the coordinate weight system.
+
+The invariants are read at n x n, never from the 2n x 2n operator:
+T^2 = diag(AA*, A*A) and T is conjugate to -T, so det(x - T) =
+det(x^2 - A*A) and a_1..a_n come from charpoly(A*A); and
+Pf(G T') = Pf([[0, BA], [-(BA)^t, 0]]) = (-1)^(n(n-1)/2) det(BA) gives e.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import PreconditionError, UsageError
-from .linalg import Mat, block_matrix, charpoly, nullspace, pfaffian
+from .linalg import Mat, block_matrix, charpoly, nullspace, sum_prod
 from .poly import Poly, discriminant
 from .quadforms import standard_split_gram
-from .rings import QQ, PrimeField
+from .rings import QQ
 
 
 def antidiag(ring, n: int) -> Mat:
@@ -29,9 +34,11 @@ def ambient_gram(ring, n: int) -> Mat:
 
 
 def star(A: Mat) -> Mat:
-    """A* = (-B A B^{-1})^t = -B A^t B (B is the antidiagonal involution)."""
-    B = antidiag(A.ring, A.nrows)
-    return -(B * A.transpose() * B)
+    """A* = (-B A B^{-1})^t = -B A^t B (B is the antidiagonal involution):
+    A*[i][j] = -A[n-1-j][n-1-i]."""
+    R, rows, n = A.ring, A.rows, A.nrows
+    return Mat(R, [[R.neg(rows[n - 1 - j][n - 1 - i]) for j in range(n)]
+                   for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -50,12 +57,10 @@ class Invariants:
         return Poly(R, coeffs)
 
     def gpoly(self) -> Poly:
-        f = self.fpoly()
-        R = self.ring
-        out = [R.zero] * (2 * f.degree + 1)
-        for k in range(f.degree + 1):
-            out[2 * k] = f.coeff(k)
-        return Poly(R, out)
+        """g(x) = f(x^2)."""
+        out = [self.ring.zero] * (2 * self.n + 1)
+        out[::2] = self.fpoly().coeffs
+        return Poly(self.ring, out)
 
     def is_regular_semisimple(self) -> bool:
         R = self.ring
@@ -70,7 +75,8 @@ class Invariants:
 
 
 class RepElement:
-    """Self-adjoint block operator T = [[0, A], [A*, 0]]."""
+    """Self-adjoint block operator T = [[0, A], [A*, 0]]: A* = -B A^t B and
+    B^2 = 1 give T^t G = G T for every A, so T is built only when read."""
 
     def __init__(self, A: Mat):
         n = A.nrows
@@ -78,14 +84,18 @@ class RepElement:
             raise PreconditionError("A must be square of odd size")
         self.ring = A.ring
         self.n = n
-        self.m = n // 2
         self.A = A
         self.Astar = star(A)
-        Z = Mat.zero(self.ring, n, n)
-        self.T = block_matrix(self.ring, [[Z, A], [self.Astar, Z]])
-        G = ambient_gram(self.ring, n)
-        if not (self.T.transpose() * G) == (G * self.T):
-            raise PreconditionError("lift is not self-adjoint")
+
+    @cached_property
+    def T(self) -> Mat:
+        Z = Mat.zero(self.ring, self.n, self.n)
+        return block_matrix(self.ring, [[Z, self.A], [self.Astar, Z]])
+
+    @cached_property
+    def AstarA(self) -> Mat:
+        """A*A, the block of T^2 on V2; invariants_of reads it."""
+        return self.Astar * self.A
 
     @cached_property
     def invariants(self) -> Invariants:
@@ -97,7 +107,7 @@ class RepElement:
         if i == 1:
             return self.A * self.Astar
         if i == 2:
-            return self.Astar * self.A
+            return self.AstarA
         raise UsageError("i must be 1 or 2")
 
     def __repr__(self):
@@ -109,23 +119,42 @@ def lift(A: Mat) -> RepElement:
 
 
 def invariants_of(rep: RepElement) -> Invariants:
+    """a_1..a_{n-1} and e of T, from n x n matrices: g(x) = det(x - T) =
+    det(x^2 - A*A) = x^{2n} + a_1 x^{2n-2} + ... + a_n, and e = Pf(G T')
+    = (-1)^(n(n-1)/2) det(BA) for T' = [[0, A], [-A*, 0]]. Over Q_p,
+    charpoly(A*A) keeps the digits of the 2n x 2n charpoly; charpoly(AA*)
+    can lose some."""
     R = rep.ring
     n = rep.n
-    cp = charpoly(rep.T)
-    for k in range(1, 2 * n, 2):
-        if not R.is_zero(cp.coeff(k)):
-            raise PreconditionError("characteristic polynomial is not even")
-    # g(x) = x^{2n} + a_1 x^{2n-2} + ... + a_n; read a_i from even slots
-    a = [cp.coeff(2 * (n - i)) for i in range(1, n + 1)]
-    # e = Pf(G T') for the skew block operator T' = [[0, A], [-A*, 0]]
-    Z = Mat.zero(R, n, n)
-    Tprime = block_matrix(R, [[Z, rep.A], [-rep.Astar, Z]])
-    G = ambient_gram(R, n)
-    e = pfaffian(G * Tprime)
+    cp = charpoly(rep.AstarA)
+    a = [cp.coeff(n - i) for i in range(1, n + 1)]
+    e = _det_by_minors(Mat(R, rep.A.rows[::-1]))  # BA: A's rows reversed
+    if n * (n - 1) // 2 % 2:
+        e = R.neg(e)
     if not R.eq(R.mul(e, e), a[n - 1]):
         raise PreconditionError("pfaffian square does not match the constant "
                                 "invariant")
     return Invariants(R, tuple(a[: n - 1]), e)
+
+
+def _det_by_minors(M: Mat):
+    """Cofactor expansion along the top row, skipping zero entries: the
+    products of the Pfaffian recursion on [[0, M], [-M^t, 0]], so a p-adic
+    e keeps its digits (Berkowitz, as in linalg.det, can lose one)."""
+    R, rows, n = M.ring, M.rows, M.nrows
+
+    @cache
+    def minor(cols):  # rows n - len(cols).. against the columns cols
+        if not cols:
+            return R.one
+        row, acc = rows[n - len(cols)], R.zero
+        for k, j in enumerate(cols):
+            if not R.is_zero(row[j]):
+                term = R.mul(row[j], minor(cols[:k] + cols[k + 1:]))
+                acc = R.add(acc, R.neg(term) if k % 2 else term)
+        return acc
+
+    return minor(tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +287,7 @@ def _slice_basis(ring, n, F):
 def regular_nilpotents(n: int, ring=QQ) -> Sl2Data:
     if n % 2 == 0 or n < 3:
         raise PreconditionError("n must be odd and at least 3")
-    if isinstance(ring, PrimeField) and ring.p <= n:
+    if ring.is_finite and ring.p <= n:
         raise PreconditionError("characteristic must exceed n")
     G = ambient_gram(ring, n)
     chain, skipped = _chain_indices(n)
@@ -301,11 +330,7 @@ def _gram_vi(ring, n, i) -> Mat:
 def _check_witness(ring, Bi: Mat, M: Mat, vecs) -> bool:
     """vecs isotropic & pairwise orthogonal for Bi, and M vecs inside perp."""
     def pair(x, y):
-        gx = Bi.apply(y)
-        acc = ring.zero
-        for a, b in zip(x, gx):
-            acc = ring.add(acc, ring.mul(a, b))
-        return acc
+        return sum_prod(ring, x, Bi.apply(y))
 
     for x in vecs:
         for y in vecs:
@@ -330,16 +355,13 @@ def distinguished_witness(T: RepElement, i: int, candidates=None) -> WitnessResu
         for basis in candidates:
             if len(basis) == n // 2 and _check_witness(ring, Bi, M, basis):
                 return WitnessResult("found", basis)
-        return WitnessResult("none" if isinstance(ring, PrimeField)
-                             else "undecidable", None)
-    if isinstance(ring, PrimeField) and ring.p <= 13 and n == 3:
+        return WitnessResult("none" if ring.is_finite else "undecidable",
+                             None)
+    if ring.is_finite and ring.p <= 13 and n == 3:
         p = ring.p
         # projective isotropic lines, lexicographic representatives
         for v in itertools.product(range(p), repeat=3):
-            if v == (0, 0, 0):
-                continue
-            first = next(c for c in v if c != 0)
-            if first != 1:
+            if next((c for c in v if c != 0), 0) != 1:
                 continue
             vv = [ring.from_int(c) for c in v]
             if _check_witness(ring, Bi, M, [vv]):

@@ -32,6 +32,13 @@ def random_rs_invariants(ring, rng, n=3, span=9):
             return c
 
 
+def abs_digits(x):
+    """The absolute precision of a p-adic value, None when exact."""
+    if x.is_exact_zero():
+        return None
+    return x.v if x.is_zero() else x.v + x.prec
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name (a module function or a method) for the rest of the
     test; the returned list gets the positional arguments of every call."""

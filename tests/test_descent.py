@@ -35,6 +35,17 @@ class TestMarkedCurve:
             MarkedCurve(Invariants(QQ, (Fraction(0), Fraction(-1)),
                                    Fraction(1)), 3)
 
+    @pytest.mark.parametrize("ring", [QQ, GF(7), Qp(5, 20)],
+                             ids=lambda k: k.tag)
+    def test_inseparable_f_refused(self, ring):
+        # f = (x - 1)^2 (x + 1) = x^3 - x^2 - x + 1, e = 1
+        c = Invariants(ring, (ring.from_int(-1), ring.from_int(-1)),
+                       ring.one)
+        for which in (1, 2):
+            with pytest.raises(PreconditionError,
+                               match="^curve requires separable f$"):
+                MarkedCurve(c, which)
+
     def test_genus(self):
         c = Invariants(QQ, (Fraction(0), Fraction(-1)), Fraction(1))
         assert MarkedCurve(c, 1).genus == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import abs_digits
 from orbitlab.errors import PreconditionError
 from orbitlab.etale import (EtaleAlgebra, norm_one_classes, real_roots_exact,
                             square_class)
@@ -72,13 +73,6 @@ def _random_multiplier(L, rng):
         for _ in range(L.n + 2)])
 
 
-def _abs_digits(x):
-    """The absolute precision of a p-adic value, None when exact."""
-    if x.is_exact_zero():
-        return None
-    return x.v if x.is_zero() else x.v + x.prec
-
-
 class TestPairingGram:
     """pairing_gram (Hankel in the power sums) against the traces of
     multiplication matrices it replaced."""
@@ -107,7 +101,7 @@ class TestPairingGram:
             old = [x for r in _gram_by_traces(L, w) for x in r]
             for x, y in zip(new, old):
                 assert (x - y).is_zero()
-                dx, dy = _abs_digits(x), _abs_digits(y)
+                dx, dy = abs_digits(x), abs_digits(y)
                 assert dx is None or (dy is not None and dx >= dy)
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, is_rs, random_rs_invariants
-from orbitlab import orbits
+from conftest import SEED, count_calls, is_rs, random_rs_invariants
+from orbitlab import orbits, quadforms
 from orbitlab.cli import dispatch
 from orbitlab.errors import PreconditionError, UsageError
 from orbitlab.etale import EtaleAlgebra, norm_one_classes, square_class
@@ -15,7 +15,7 @@ from orbitlab.linalg import det
 from orbitlab.orbits import (algebra_of, alpha1_construct, delta_map,
                              distinguished_coincide, orbit_from_class,
                              pencil_of, recompute_class, stabilizer_info)
-from orbitlab.quadforms import GramForm, is_split
+from orbitlab.quadforms import GramForm, is_split, standard_split_gram
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import (Invariants, distinguished_witness,
                                invariants_of, star)
@@ -94,6 +94,52 @@ class TestRoundTrip:
         c = Invariants(f5, (f5.zero, f5.zero), f5.zero)
         with pytest.raises(PreconditionError):
             alpha1_construct(c)
+
+
+class TestSplitModel:
+    """orbit_from_class frames the split models B and -B of V1 and V2 once
+    per (ring, n); the trace forms are framed on every call."""
+
+    @staticmethod
+    def _model_frames(monkeypatch, n):
+        """Rings of the split_frame calls on B or -B of rank n."""
+        calls = count_calls(monkeypatch, quadforms, "split_frame")
+        out = []
+
+        def seen():
+            del out[:]
+            for (Q,) in calls:
+                B = standard_split_gram(Q.ring, n).gram
+                if Q.rank == n and Q.gram in (B, -B):
+                    out.append((Q.ring, getattr(Q.ring, "prec", None)))
+            return out
+        return seen
+
+    def test_repeated_construct_frames_once(self, monkeypatch):
+        orbits._split_models.cache_clear()
+        seen = self._model_frames(monkeypatch, 3)
+        for base in ("Qp:7:20", "Qp:7:20", "F:5", "Qp:7:20", "F:5"):
+            argv = ["orbit", "construct", "--f", "1,0,-1,1", "--e", "1",
+                    "--base", base]
+            assert dispatch(argv, io.StringIO()) == 0
+        assert sorted(seen(), key=repr) == [(GF(5), None)] * 2 + \
+            [(Qp(7, 20), 20)] * 2
+
+    def test_escalated_precision_frames_afresh(self, monkeypatch, q7):
+        """Q_p rings of one p compare equal whatever their precision; the
+        Qp(p, 2 * prec) of a precision escalation still gets its own
+        models, at its own precision."""
+        orbits._split_models.cache_clear()
+        seen = self._model_frames(monkeypatch, 3)
+        c = Invariants(q7, (q7.from_int(0), q7.from_int(-1)), q7.one)
+        alpha1_construct(c)
+        assert [prec for _, prec in seen()] == [20, 20]
+        wide = Qp(7, 40)
+        c2 = Invariants(wide, tuple(wide.from_fraction(a.to_fraction())
+                                    for a in c.a), wide.one)
+        alpha1_construct(c2)
+        alpha1_construct(c2)
+        assert [prec for _, prec in seen()] == [20, 20, 40, 40]
 
 
 class TestDistinguished:

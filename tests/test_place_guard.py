@@ -11,7 +11,7 @@ FIELD_CLASSES = {"PadicField", "PrimeField", "RealField", "RationalField"}
 
 
 @pytest.mark.parametrize("module", ["etale", "quadforms", "descent",
-                                    "orbits", "cli"])
+                                    "orbits", "thetarep", "cli"])
 def test_no_field_class_imports(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     imported = set()

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import abs_digits
 from orbitlab.errors import PreconditionError, UsageError
-from orbitlab.linalg import Mat, det
+from orbitlab.linalg import Mat, block_matrix, charpoly, det
 from orbitlab.poly import discriminant
-from orbitlab.rings import GF, QQ
+from orbitlab.rings import GF, QQ, Qp
 from orbitlab.thetarep import (Invariants, WeightSystem, ambient_gram,
                                cusp_classify, invariants_of, lift,
                                regular_nilpotents, star)
@@ -37,20 +38,23 @@ class TestLift:
             lift(Mat.zero(QQ, 4, 4))
 
     def test_self_adjoint_for_ambient_gram(self):
+        """T^t G = G T for every A: the identity that lets lift skip the
+        check (A* = -B A^t B, B^2 = 1)."""
         rng = random.Random(11)
-        for ring in (QQ, GF(5)):
-            G = ambient_gram(ring, 3)
-            for _ in range(20):
-                T = lift(_random_mat(ring, rng, 3)).T
-                # (Tv, w) = (v, Tw): G T symmetric
-                GT = G.rows
-                M = Mat(ring, [[sum_ring(ring,
-                                         [ring.mul(G[i, k], T[k, j])
-                                          for k in range(6)])
-                                for j in range(6)] for i in range(6)])
-                for i in range(6):
-                    for j in range(6):
-                        assert ring.eq(M[i, j], M[j, i])
+        for ring in (QQ, GF(5), Qp(5, 20)):
+            for n in (3, 5):
+                G = ambient_gram(ring, n)
+                for _ in range(20):
+                    T = lift(_random_mat(ring, rng, n)).T
+                    # (Tv, w) = (v, Tw): G T symmetric
+                    M = Mat(ring, [[sum_ring(ring,
+                                             [ring.mul(G[i, k], T[k, j])
+                                              for k in range(2 * n)])
+                                    for j in range(2 * n)]
+                                   for i in range(2 * n)])
+                    for i in range(2 * n):
+                        for j in range(2 * n):
+                            assert ring.eq(M[i, j], M[j, i])
 
     def test_block_structure(self):
         T = lift(_mat(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 0]])).T
@@ -117,6 +121,75 @@ class TestInvariants:
             c2 = invariants_of(lift(star(A)))
             assert c1.a == c2.a
             assert c1.e == -c2.e or c1.e == c2.e
+
+
+def _pfaffian(M: Mat):
+    """Pfaffian of an antisymmetric matrix by recursive expansion."""
+    R = M.ring
+
+    def rec(idx):
+        if not idx:
+            return R.one
+        i0 = idx[0]
+        acc = R.zero
+        for pos in range(1, len(idx)):
+            j = idx[pos]
+            a = M.rows[i0][j]
+            if R.is_zero(a):
+                continue
+            term = R.mul(a, rec([k for k in idx[1:] if k != j]))
+            if pos % 2 == 0:
+                term = R.neg(term)
+            acc = R.add(acc, term)
+        return acc
+
+    return rec(list(range(M.nrows)))
+
+
+def _invariants_2n(A: Mat):
+    """The 2n x 2n oracle: a_i from the even coefficients of charpoly(T),
+    e = Pf(G T') for T' = [[0, A], [-A*, 0]]."""
+    R = A.ring
+    n = A.nrows
+    cp = charpoly(lift(A).T)
+    assert all(R.is_zero(cp.coeff(k)) for k in range(1, 2 * n, 2))
+    a = [cp.coeff(2 * (n - i)) for i in range(1, n + 1)]
+    Z = Mat.zero(R, n, n)
+    Tprime = block_matrix(R, [[Z, A], [-star(A), Z]])
+    e = _pfaffian(ambient_gram(R, n) * Tprime)
+    return a[: n - 1], e
+
+
+def _padic_mat(ring, rng, n):
+    """Entries u * 5^k with k in [-1, 2], exact zeros now and then."""
+    return _mat(ring, [[0 if rng.random() < 0.1 else
+                        Fraction(rng.randint(-60, 60) or 1)
+                        * Fraction(5) ** rng.randint(-1, 2)
+                        for _ in range(n)] for _ in range(n)])
+
+
+class TestInvariantsAgainst2n:
+    """invariants_of (charpoly(A*A) and a cofactor det(BA)) against the
+    2n x 2n charpoly and Pfaffian it replaced: equal a_i and e, sign
+    included; over Q_p each new value has at least the oracle's digits."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("ring", [QQ, GF(7), Qp(5, 20)],
+                             ids=lambda k: k.tag)
+    def test_matches_oracle(self, ring, n):
+        rng = random.Random(60 + n)
+        for _ in range(20):
+            A = (_padic_mat(ring, rng, n) if ring.is_padic
+                 else _random_mat(ring, rng, n))
+            c = invariants_of(lift(A))
+            a, e = _invariants_2n(A)
+            for new, old in zip(list(c.a) + [c.e], a + [e]):
+                assert ring.eq(new, old)
+                if ring.is_padic:
+                    dn, do = abs_digits(new), abs_digits(old)
+                    assert dn is None or (do is not None and dn >= do)
+                else:
+                    assert new == old
 
 
 class TestRegularNilpotents:
