@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError, UsageError
 from .orbits import distinguished_coincide
-from .poly import discriminant, euler_split
+from .poly import euler_split
 from .rings import QQ, PrimeField, is_prime
 from .thetarep import Invariants
 
@@ -434,7 +434,7 @@ def height_enumerate(X: int, n: int = 3, flags: bool = False):
         rec = {"a": list(a), "e": e}
         if flags:
             c = Invariants(QQ, tuple(Fraction(x) for x in a), Fraction(e))
-            rs = e != 0 and not QQ.is_zero(discriminant(c.fpoly()))
+            rs = c.is_regular_semisimple()
             rec["regular_semisimple"] = rs
             rec["minimal"] = _is_minimal(a, e, n)
             if rs:
@@ -509,7 +509,7 @@ def diverges_family(p: int, n: int = 3, count: int = 30,
         a1 = -(r1 + r2)
         a2 = r1 * r2
         c = Invariants(QQ, (Fraction(a1), Fraction(a2)), Fraction(e))
-        if QQ.is_zero(discriminant(c.fpoly())):
+        if QQ.is_zero(c.disc):
             continue
         out.append(c)
     if len(out) < count:

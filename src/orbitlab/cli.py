@@ -23,7 +23,6 @@ from .lattices import LatticeBasis, cassels_diagonalize, self_dualize
 from .linalg import Mat
 from .orbits import (algebra_of, alpha1_construct, orbit_from_class,
                      recompute_class, stabilizer_info)
-from .poly import discriminant
 from .quadforms import GramForm
 from .rings import GF, QQ, RR, DEFAULT_PRECISION, Qp, is_prime
 from .thetarep import Invariants, invariants_of, lift
@@ -133,11 +132,9 @@ def _scalar_strs(mat: Mat):
 
 def _invariants_json(c: Invariants) -> dict:
     ring = c.ring
-    rs = (not ring.is_zero(c.e)
-          and not ring.is_zero(discriminant(c.fpoly())))
     return {"a": [ring.scalar_str(a) for a in c.a],
             "e": ring.scalar_str(c.e), "n": c.n,
-            "regular_semisimple": rs}
+            "regular_semisimple": c.is_regular_semisimple()}
 
 
 def _emit(obj, out) -> None:
@@ -189,9 +186,9 @@ def _cmd_orbit(args, out) -> int:
             nu = _find_class(L, args.cls).rep
         rep = orbit_from_class(c, nu)
         label = args.cls
+    recovered = recompute_class(rep)  # shares c's algebra and disc(f)
     result = {"A": _scalar_strs(rep.A), "class": label,
               "invariants": _invariants_json(rep.invariants)}
-    recovered = recompute_class(rep)
     if recovered.labels is not None:
         result["recovered_class"] = str(recovered.labels)
     _emit(result, out)

@@ -20,7 +20,7 @@ from .census import DEFAULT_SEED
 from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, norm_one_classes, square_class
 from .orbits import algebra_of, stabilizer_info
-from .poly import Poly, discriminant, real_roots_exact
+from .poly import Poly, real_roots_exact
 from .rings import QQ
 from .thetarep import Invariants
 
@@ -144,8 +144,7 @@ def _good_reduction(c: Invariants, ring, which: int) -> bool:
         return False
     if which == 2 and conv.e.valuation() != 0:
         return False
-    d = discriminant(conv.fpoly())
-    return (not d.is_zero()) and d.valuation() == 0
+    return not conv.disc.is_zero() and conv.disc.valuation() == 0
 
 
 def _localized(c: Invariants, ring):

@@ -42,7 +42,8 @@ from typing import NamedTuple
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve, sum_prod
 from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
-                   factor, gcd, powmod, real_roots_exact, sign_at_root)
+                   factor, gcd, powmod, real_roots_exact, resultant,
+                   sign_at_root)
 from .rings import GF, QQ, Padic
 
 
@@ -113,13 +114,15 @@ _UNFACTORED = object()
 
 
 class EtaleAlgebra:
-    """k[x]/(f) for monic separable f over QQ, RR, GF(p) or Qp."""
+    """k[x]/(f) for monic separable f over QQ, RR, GF(p) or Qp; disc is
+    disc(f), passed in when the caller has it."""
 
-    def __init__(self, f: Poly):
+    def __init__(self, f: Poly, *, disc=None):
         ring = f.ring
         if f.degree < 1 or not f.is_monic():
             raise PreconditionError("defining polynomial must be monic, degree >= 1")
-        if ring.is_zero(discriminant(f)):
+        self.disc = discriminant(f) if disc is None else disc
+        if ring.is_zero(self.disc):
             raise PreconditionError("defining polynomial is inseparable")
         self.ring = ring
         self.f = f
@@ -195,7 +198,11 @@ class EtaleAlgebra:
         return Mat(self.ring, list(zip(*cols)))
 
     def norm(self, a: Poly):
-        return mat_det(self.mult_matrix(a))
+        """det(mult_matrix(a)), which is Res(f, a mod f) for monic f; Q_p
+        keeps the determinant, whose digits differ from the resultant's."""
+        if self.ring.is_padic:
+            return mat_det(self.mult_matrix(a))
+        return resultant(self.f, a.mod(self.f))
 
     @cached_property
     def power_sums(self) -> list:
@@ -228,6 +235,10 @@ class EtaleAlgebra:
         return a.mod(self.factors[i])
 
     def comp_algebra(self, i: int) -> "EtaleAlgebra":
+        """k[x]/(f_i), built once per i; the algebra itself when f is
+        irreducible over an exact base (a Q_p factor has its own digits)."""
+        if self.r == 1 and not self.ring.is_padic:
+            return self
         if i not in self._comp_cache:
             self._comp_cache[i] = EtaleAlgebra(self.factors[i])
         return self._comp_cache[i]
@@ -289,10 +300,10 @@ class SquareClass:
         self._rep = algebra.reduce(rep)
         if not algebra.ring.is_global:
             self.vector = algebra.coordinates.vector(self._rep)
-        elif algebra.ring.is_zero(algebra.norm(self._rep)):
+            return
+        self.vector, self._norm = None, algebra.norm(self._rep)
+        if algebra.ring.is_zero(self._norm):
             raise PreconditionError("square class of a non-unit")
-        else:
-            self.vector = None
 
     @classmethod
     def _of(cls, algebra: EtaleAlgebra, vector: int) -> "SquareClass":
@@ -330,8 +341,9 @@ class SquareClass:
         if not alg.ring.is_global:
             raise UsageError("square witnesses are defined over Q")
         for i in range(alg.r):
+            norm = self._norm if alg.r == 1 else alg.norm_in_factor(rep, i)
             w = _factor_witness(alg.comp_algebra(i), rep.mod(alg.factors[i]),
-                                alg.norm_in_factor(rep, i))
+                                norm)
             yield w
             if w.root is None:
                 return
@@ -417,7 +429,7 @@ def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm):
     numerator of N(alpha): then Z_p[x]/(f) is etale over Z_p and alpha is a
     unit in it, so a square alpha would be a square in every residue field.
     """
-    bad = discriminant(K.f).numerator * norm.numerator
+    bad = K.disc.numerator * norm.numerator
     for c in K.f.coeffs + alpha.coeffs:
         bad *= c.denominator
     for p in SMALL_ODD_PRIMES:

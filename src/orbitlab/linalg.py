@@ -1,15 +1,17 @@
 """Generic exact matrix algebra over the package rings.
 
 Characteristic polynomials use the division-free Berkowitz algorithm so
-p-adic precision is never lost to pivoting; Gaussian routines pick
-minimal-valuation pivots over Q_p.
+p-adic precision is never lost to pivoting, and over Q and GF(p) it runs
+on integers; Gaussian routines pick minimal-valuation pivots over Q_p.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
+
 from .errors import PreconditionError
-from .poly import Poly
-from .rings import PadicField
+from .poly import Poly, clear_denominators
 
 
 class Mat:
@@ -121,7 +123,7 @@ def block_matrix(ring, blocks) -> Mat:
 
 def _pivot_key(ring, a):
     """Smaller is better; p-adic pivots prefer minimal valuation."""
-    if isinstance(ring, PadicField):
+    if ring.is_padic:
         return a.valuation()
     return 0
 
@@ -135,7 +137,7 @@ def _best_pivot(ring, col_entries):
         key = _pivot_key(ring, a)
         if best is None or key < best_key:
             best, best_key = idx, key
-        if key == 0 and not isinstance(ring, PadicField):
+        if key == 0 and not ring.is_padic:
             break
     return best
 
@@ -222,36 +224,41 @@ def det(M: Mat):
 
 
 def charpoly(M: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - M), Berkowitz algorithm."""
-    R = M.ring
-    n = M.nrows
-    if n == 0:
-        return Poly(R, [R.one])
-    # vectors of ascending charpoly coefficients, degree grows by 1 per step
-    C = [R.neg(M.rows[0][0]), R.one]
-    for k in range(1, n):
-        # principal (k+1)x(k+1) top-left block; Berkowitz Toeplitz step
-        a = M.rows[k][k]
-        row = [M.rows[k][j] for j in range(k)]   # R vector
-        colv = [M.rows[i][k] for i in range(k)]  # S vector
-        sub = [[M.rows[i][j] for j in range(k)] for i in range(k)]
-        # powers: t_0 = a, t_i = row * sub^{i-1} * colv
-        t = [a]
-        w = colv
-        for _ in range(k):
-            t.append(sum_prod(R, row, w))
-            w = [sum_prod(R, sub[i], w) for i in range(k)]
-        # Toeplitz multiply: newC[d] = C[d-1] - sum_{i>=0} t[i]*C[d+i]... build
-        newC = [R.zero] * (k + 2)
+    """Monic det(xI - M) by Berkowitz, division-free: over Q (and RR) on
+    the integer dM, d a common denominator, as chi_M(x) = d^-n chi_dM(dx);
+    over GF(p) on integer lifts; over Q_p on the p-adic entries."""
+    R, n = M.ring, M.nrows
+    if R.is_padic:
+        return Poly(R, _berkowitz(M.rows, R.zero, R.one))
+    if R.is_finite:
+        return Poly(R, [R.from_int(c) for c in _berkowitz(M.rows, 0, 1)])
+    d, ints = clear_denominators([a for r in M.rows for a in r])
+    C = _berkowitz([ints[i * n:i * n + n] for i in range(n)], 0, 1)
+    return Poly(R, [Fraction(c, d ** (n - k)) for k, c in enumerate(C)])
+
+
+def _berkowitz(rows, zero, one):
+    """Ascending coefficients of det(xI - M) in the entries' own +, -, *:
+    step k multiplies them by the Toeplitz matrix of t_0 = M[k][k],
+    t_i = row sub^(i-1) col, sub the top-left k x k block."""
+    if not rows:
+        return [one]
+    C = [-rows[0][0], one]
+    for k in range(1, len(rows)):
+        row, w = rows[k][:k], [rows[i][k] for i in range(k)]
+        t = [rows[k][k]]
+        for i in range(k):
+            t.append(sum(map(mul, row, w), zero))
+            if i < k - 1:
+                w = [sum(map(mul, rows[j][:k], w), zero) for j in range(k)]
+        newC = [zero] * (k + 2)
         for d in range(k + 1):
-            # contribution of previous charpoly shifted by x
-            newC[d + 1] = R.add(newC[d + 1], C[d])
+            newC[d + 1] = newC[d + 1] + C[d]
         for i, ti in enumerate(t):
-            for d in range(k + 1):
-                if d + i <= k:
-                    newC[d] = R.sub(newC[d], R.mul(ti, C[d + i]))
+            for d in range(k + 1 - i):
+                newC[d] = newC[d] - ti * C[d + i]
         C = newC
-    return Poly(R, C)
+    return C
 
 
 def sum_prod(R, xs, ys):

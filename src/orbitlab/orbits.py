@@ -47,10 +47,11 @@ def algebra_of(c: Invariants) -> EtaleAlgebra:
         except TypeError:
             key = None
         if L is None:
-            L = EtaleAlgebra(f)
+            L = EtaleAlgebra(f, disc=c.disc)
             if key is not None:
                 _ALGEBRAS[key] = L
         object.__setattr__(c, "_algebra", L)
+        c.__dict__.setdefault("disc", L.disc)
     return L
 
 

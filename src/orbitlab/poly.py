@@ -1,7 +1,8 @@
 """Dense univariate polynomials over the package's exact rings.
 
-Includes resultants/discriminants via the Euclidean scheme, composition
-(for g(x) = f(x^2)), and factorization on integer-list kernels:
+Includes resultants/discriminants (over Q and GF(p) the integer
+subresultant PRS, over Q_p the Euclidean scheme), composition (for
+g(x) = f(x^2)), and factorization on integer-list kernels:
 Cantor-Zassenhaus over GF(p) (squarefree, distinct-degree and
 equal-degree splits); over Q a prime p with the integer model squarefree
 mod p, Hensel lifting past the Mignotte bound and recombination by exact
@@ -20,8 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PrecisionError, PreconditionError, UsageError
-from .rings import (QQ, Padic, PadicField, PrimeField, RationalField,
-                    is_prime)
+from .rings import QQ, Padic, is_prime
 
 
 class Poly:
@@ -211,34 +211,75 @@ def powmod(a: Poly, e: int, m: Poly) -> Poly:
 
 
 def resultant(f: Poly, g: Poly):
+    """Res(f, g): over Q (and RR) and GF(p) by the integer subresultant PRS,
+    Res(f, g) = Res(cf, dg) / (c^deg g d^deg f) for cf, dg integral; over
+    Q_p by the Euclidean scheme, whose digits the callers rely on."""
     R = f.ring
     if f.is_zero() or g.is_zero():
         return R.zero
-    res = R.one
-    a, b = f, g
+    if R.is_finite:
+        return R.from_int(_zresultant(list(f.coeffs), list(g.coeffs)))
+    if not R.is_padic:
+        (c, A), (d, B) = map(clear_denominators, (f.coeffs, g.coeffs))
+        return Fraction(_zresultant(A, B), c ** g.degree * d ** f.degree)
+    res, a, b = R.one, f, g
     while b.degree > 0:
         r = a.mod(b)
         if r.is_zero():
             return R.zero
-        da, db, dr = a.degree, b.degree, r.degree
-        sign = R.from_int((-1) ** (da * db))
-        lead = R.one
-        for _ in range(da - dr):
+        sign, lead = R.from_int((-1) ** (a.degree * b.degree)), R.one
+        for _ in range(a.degree - r.degree):
             lead = R.mul(lead, b.lc)
         res = R.mul(res, R.mul(sign, lead))
         a, b = b, r
-    # b is a nonzero constant
-    out = res
-    for _ in range(a.degree):
-        out = R.mul(out, b.lc)
-    return out
+    for _ in range(a.degree):  # b is a nonzero constant
+        res = R.mul(res, b.lc)
+    return res
+
+
+def clear_denominators(coeffs):
+    """(d, [d c]) for the lcm d of the denominators of the rationals c."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _zresultant(A, B):
+    """Res(A, B) for nonzero integer polynomials: the subresultant PRS with
+    the contents taken out first (Cohen, GTM 138, Alg. 3.3.7), and
+    Res(A, b) = b^deg A for a constant b."""
+    s = 1
+    if len(A) < len(B):
+        A, B, s = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
+    if len(B) == 1:
+        return s * B[0] ** (len(A) - 1)
+    a, b = math.gcd(*A), math.gcd(*B)
+    t = a ** (len(B) - 1) * b ** (len(A) - 1)
+    A, B = [x // a for x in A], [x // b for x in B]
+    g = h = 1
+    while len(B) > 1:
+        delta, lb = len(A) - len(B), B[-1]
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            s = -s
+        r = list(A)  # the pseudo-remainder lc(B)^(delta + 1) A mod B
+        for k in range(delta, -1, -1):
+            c, r = r[-1], [x * lb for x in r[:-1]]
+            for i, y in enumerate(B[:-1]):
+                r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        q = g * h ** delta
+        A, B, g = B, [x // q for x in r], lb
+        h = g ** delta // h ** (delta - 1) if delta else h
+    da = len(A) - 1
+    return s * t * B[0] ** da // h ** (da - 1)
 
 
 def discriminant(f: Poly):
     if f.is_zero():
         raise PreconditionError("discriminant of the zero polynomial")
-    R = f.ring
-    d = f.degree
+    R, d = f.ring, f.degree
     if d == 0:
         return R.one
     res = resultant(f, f.derivative())
@@ -252,9 +293,9 @@ def discriminant(f: Poly):
 
 def _primitive(f: Poly) -> tuple:
     """The positive integer multiple of f over Q with coprime coefficients."""
-    d = math.lcm(*(c.denominator for c in f.coeffs))
-    g = math.gcd(*(int(c * d) for c in f.coeffs))
-    return tuple(int(c * d) // g for c in f.coeffs)
+    ints = clear_denominators(f.coeffs)[1]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 @functools.lru_cache(maxsize=256)
@@ -350,17 +391,15 @@ def factor(f: Poly) -> list:
     if f.is_zero():
         raise PreconditionError("factoring the zero polynomial")
     ring = f.ring
-    if isinstance(ring, PadicField):
+    if ring.is_padic:
         return _factor_qp(f)
     if f.degree == 0:
         return []
-    if isinstance(ring, PrimeField):
+    if ring.is_finite:
         out = [(Poly(ring, g), m)
                for g, m in _factor_gf(list(f.monic().coeffs), ring.p)]
-    elif isinstance(ring, RationalField):  # covers RR's rational coordinates
+    else:  # QQ, and RR's rational coordinates
         out = _factor_q(f.monic())
-    else:
-        raise UsageError(f"factorization unsupported over {ring!r}")
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
@@ -690,7 +729,7 @@ def hensel_factorization(f_ints, p, N, fbar_factors):
 
 
 def _factor_qp(f: Poly) -> list:
-    ring: PadicField = f.ring
+    ring = f.ring
     p, N = ring.p, ring.prec
     fm = f.monic()
     # integral coefficients are required for the reduction path

@@ -62,11 +62,14 @@ class Invariants:
         out[::2] = self.fpoly().coeffs
         return Poly(self.ring, out)
 
+    @cached_property
+    def disc(self):
+        """disc(f), computed once per c (or taken from c's algebra)."""
+        return discriminant(self.fpoly())
+
     def is_regular_semisimple(self) -> bool:
         R = self.ring
-        if R.is_zero(self.e):
-            return False
-        return not R.is_zero(discriminant(self.fpoly()))
+        return not R.is_zero(self.e) and not R.is_zero(self.disc)
 
     def serialize(self) -> str:
         R = self.ring

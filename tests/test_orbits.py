@@ -239,9 +239,9 @@ class TestAlgebraSharing:
         out = []
         init = EtaleAlgebra.__init__
 
-        def counting(self, f):
+        def counting(self, f, **kwargs):
             out.append(f)
-            init(self, f)
+            init(self, f, **kwargs)
 
         monkeypatch.setattr(EtaleAlgebra, "__init__", counting)
         monkeypatch.setattr(orbits, "_ALGEBRAS",
