@@ -32,13 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .errors import BudgetError, PreconditionError, UsageError
 from .orbits import distinguished_coincide
 from .poly import euler_split
 from .rings import QQ, PrimeField, is_prime
 from .thetarep import Invariants
 
-DEFAULT_SEED = 0xA5EED
 BRUTEFORCE_BUDGET = 2 * 10 ** 8
 # A sampled sweep reads the factorization-type table when p^n is at most
 # this many times its sample size. A table entry costs 0.02-0.08 us and

@@ -14,8 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import census as census_mod
-from .census import DEFAULT_SEED
+from . import DEFAULT_SEED, census as census_mod
 from .descent import local_image, sel12_local
 from .errors import OrbitlabError, UsageError
 from .etale import norm_one_classes

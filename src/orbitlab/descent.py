@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import DEFAULT_SEED
+from . import DEFAULT_SEED
 from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, norm_one_classes, square_class
 from .orbits import algebra_of, stabilizer_info

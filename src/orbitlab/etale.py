@@ -25,10 +25,11 @@ they do. Labels are read off the vector; at Q_2 t shows only when the
 level bits are 0. norm_one_classes lists the kernel of the F_2 norm map.
 
 Over Q there are no labels; per irreducible factor, an exact answer with a
-certificate: "no" is a non-square norm, or an odd unramified prime at which
-the element is a unit non-residue, or chi(t^2) irreducible for the
+certificate: "no" is a non-square norm, or an odd unramified prime < 200 at
+which the element is a unit non-residue, or chi(t^2) irreducible for the
 element's characteristic polynomial chi; "yes" is an explicit beta with
-beta^2 = element, checked by multiplication.
+beta^2 = element, checked by multiplication: a root lifted p-adically at an
+inert prime, or read off chi(t^2) when there is none.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from typing import NamedTuple
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve, sum_prod
 from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
-                   factor, gcd, powmod, real_roots_exact, resultant,
+                   factor, fq_sqrt, gcd, lift_sqrt, powmod,
+                   rational_reconstruction, real_roots_exact, resultant,
                    sign_at_root)
-from .rings import GF, QQ, Padic
+from .rings import GF, QQ, Padic, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +394,9 @@ class SquareWitness(NamedTuple):
     """How an element alpha of K = Q[x]/(factor) was decided.
 
     root:  beta with beta^2 = alpha in K, so alpha is a square;
-    prime: an odd prime dividing neither disc(factor) nor a denominator, at
-           which alpha is a unit and a non-residue in some residue field,
-           so alpha is not a square.
+    prime: an odd prime below 200 dividing neither disc(factor) nor a
+           denominator, at which alpha is a unit and a non-residue in some
+           residue field, so alpha is not a square.
     With neither, alpha is not a square because its norm is not a rational
     square or chi(t^2) has no factor of degree deg K (chi = charpoly).
     """
@@ -404,6 +406,16 @@ class SquareWitness(NamedTuple):
     prime: int | None = None
 
 
+# Screened after the lift fails. N(alpha) square puts Gal(f(-t^2)) in S4,
+# so a non-square is a residue in every residue field at a good prime with
+# probability 15/24: about 2% of them pass SMALL_ODD_PRIMES.
+_WIDE_SCREEN_PRIMES = tuple(p for p in range(37, 200, 2) if is_prime(p))
+# The lift tries p^N >= 2^64, 2^128, 2^256: roots r/s with |r|, s < 2^127.
+# A non-square that passes the screen runs every try, each costing about
+# all before it, so the cap bounds that waste; larger roots go to chi(t^2).
+_LIFT_BITS, _LIFT_DOUBLINGS = 64, 2
+
+
 def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
     """Decide whether alpha is a square in the number field K (over Q)."""
     fi = K.f
@@ -411,7 +423,13 @@ def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
         return SquareWitness(fi)
     if fi.degree == 1:  # alpha is the rational number norm
         return SquareWitness(fi, root=Poly.const(QQ, QQ.sqrt(norm)))
-    p = _nonresidue_prime(K, alpha, norm)
+    p, inert = _nonresidue_prime(K, alpha, norm, SMALL_ODD_PRIMES)
+    if p is None and inert is not None:
+        beta = _lifted_root(K, alpha, inert)
+        if beta is not None:
+            return SquareWitness(fi, root=beta)
+    if p is None:
+        p, _ = _nonresidue_prime(K, alpha, norm, _WIDE_SCREEN_PRIMES)
     if p is not None:
         return SquareWitness(fi, prime=p)
     beta = _square_root(K, alpha)
@@ -422,24 +440,53 @@ def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
     return SquareWitness(fi, root=beta)
 
 
-def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm):
-    """A screen prime at which alpha is a unit non-residue, or None.
+def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm, primes):
+    """(p, inert): the first of primes at which alpha is a unit
+    non-residue, or None, and the first good prime before it at which f is
+    irreducible (inert), or None.
 
-    p must not divide disc(f), a denominator of f or alpha, or the
+    A good p divides neither disc(f), a denominator of f or alpha, nor the
     numerator of N(alpha): then Z_p[x]/(f) is etale over Z_p and alpha is a
     unit in it, so a square alpha would be a square in every residue field.
     """
     bad = K.disc.numerator * norm.numerator
     for c in K.f.coeffs + alpha.coeffs:
         bad *= c.denominator
-    for p in SMALL_ODD_PRIMES:
+    inert = None
+    for p in primes:
         if bad % p == 0:
             continue
         F = GF(p)
         fbar, abar = (list(g.map_ring(F, F.from_fraction).coeffs)
                       for g in (K.f, alpha))
-        if not all(square for _, _, square in euler_split(fbar, abar, p)):
-            return p
+        split = euler_split(fbar, abar, p)
+        if not all(square for _, _, square in split):
+            return p, inert
+        if inert is None and split[0][0] == K.n:
+            inert = p
+    return None, inert
+
+
+def _lifted_root(K: EtaleAlgebra, alpha: Poly, p: int):
+    """beta with beta^2 = alpha over Q, or None: the root of alpha mod
+    (f, p), f inert at the good prime p, lifted mod p^N (poly.lift_sqrt)
+    and read back by rational reconstruction, at each N up to the cap."""
+    N = next(N for N in itertools.count(1) if p ** N >= 2 ** _LIFT_BITS)
+    precisions = [N << k for k in range(_LIFT_DOUBLINGS + 1)]
+    M = p ** precisions[-1]
+    f, a = ([c.numerator * pow(c.denominator, -1, M) % M for c in g.coeffs]
+            for g in (K.f, alpha))
+    F = GF(p)
+    fbar, abar = (list(g.map_ring(F, F.from_fraction).coeffs)
+                  for g in (K.f, alpha))
+    z = (list(_nonsquare_unit(F, Poly(F, fbar)).coeffs)
+         if p ** K.n % 4 == 1 else None)  # read by fq_sqrt only then
+    for m, b in lift_sqrt(f, a, fq_sqrt(fbar, abar, z, p), p, precisions):
+        coeffs = rational_reconstruction(b, m)
+        if coeffs is not None:
+            beta = Poly(QQ, coeffs)
+            if K.mul(beta, beta) == alpha:
+                return beta
     return None
 
 
@@ -452,7 +499,9 @@ def _square_root(K: EtaleAlgebra, alpha: Poly):
     alpha lies in a proper subfield, Q included), a = alpha * s^2 for
     s = x + k, k = 0, 1, ..., has the same square class. Each proper
     subfield F takes at most two k: (x + k)^2 in alpha^-1 F for three k
-    would put 1, x and x^2 there, hence x in F. So the search ends.
+    would put 1, x and x^2 there, hence x in F. So the search ends. It is
+    the last resort: for fields with no inert screen prime (Q(zeta_8)),
+    roots past the lift's cap and non-squares no prime < 200 decides.
     """
     one, x = K.one(), K.gamma()
     for s in itertools.chain([one], (x + K.scalar(k) for k in itertools.count())):

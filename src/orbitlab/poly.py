@@ -7,7 +7,8 @@ Cantor-Zassenhaus over GF(p) (squarefree, distinct-degree and
 equal-degree splits); over Q a prime p with the integer model squarefree
 mod p, Hensel lifting past the Mignotte bound and recombination by exact
 division (Yun's decomposition first only when no small p works); over
-Q_p Hensel lifting from a separable reduction. Real roots over Q are
+Q_p Hensel lifting from a separable reduction; square roots mod (f, p),
+Newton-lifted mod p^N. Real roots over Q are
 Sturm intervals (RealRoot), isolated and refined by bisection with sign
 counts in integer arithmetic (Collins-Akritas, SYMSAC 1976).
 """
@@ -570,6 +571,62 @@ def euler_split(f, a, p):
         return None
     return [(k, g, _zpowmod(a, (p ** k - 1) // 2, g, p) == [1])
             for k, g in _distinct_degree(f, p)]
+
+
+def fq_sqrt(f, a, z, p):
+    """A square root of the nonzero square a in F_q = GF(p)[x]/(f), f monic
+    irreducible, q = p^deg f odd, by Tonelli-Shanks (Cohen, GTM 138, Alg.
+    1.5.1); z is a non-square, read only when q = 1 mod 4."""
+    def mul(x, y):
+        return _zdivmod_monic(_zmul(x, y, p), f, p)[1]
+
+    t = p ** (len(f) - 1) - 1
+    s = (t & -t).bit_length() - 1  # q - 1 = 2^s t, t odd
+    t >>= s
+    r, u = _zpowmod(a, (t + 1) // 2, f, p), _zpowmod(a, t, f, p)
+    c = _zpowmod(z, t, f, p) if s > 1 else None
+    while u != [1]:  # r^2 = a u, u of order 2^i < 2^s
+        i, w = 0, u
+        while w != [1]:
+            i, w = i + 1, mul(w, w)
+            if i == s:
+                raise PreconditionError("not a square, or z is a square")
+        for _ in range(s - i - 1):
+            c = mul(c, c)
+        r, c = mul(r, c), mul(c, c)
+        u, s = mul(u, c), i
+    return r
+
+
+def lift_sqrt(f, a, r, p, precisions):
+    """Yield (p^N, b), b^2 = a mod (f, p^N), for each N in precisions
+    (ascending), from a root r of a mod (f, p); p odd, f monic. Newton's
+    step y <- y (3 - a y^2) / 2 mod m, with 1/2 = (m + 1)/2, doubles the
+    digits of y = 1/r; b = a y."""
+    y, k = _bezout_mod_p(r, [c % p for c in f], p)[0], 1
+    for N in precisions:
+        while k < N:
+            k = min(2 * k, N)
+            m = p ** k
+            ay2 = _zdivmod_monic(_zmul(a, _zmul(y, y, m), m), f, m)[1]
+            step = [c * (m + 1) // 2 for c in _zsub([3], ay2, m)]
+            y = _zdivmod_monic(_zmul(y, step, m), f, m)[1]
+        yield p ** N, _zdivmod_monic(_zmul(a, y, p ** N), f, p ** N)[1]
+
+
+def rational_reconstruction(cs, m):
+    """[r/s = c mod m with |r|, s <= sqrt(m/2) for c in cs] (unique when it
+    exists; Wang's half-extended Euclid), or None if some c has none."""
+    bound, out = math.isqrt(m // 2), []
+    for c in cs:
+        r0, r1, s0, s1 = m, c % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound or math.gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
+    return out
 
 
 def _separable_mod(f, p):

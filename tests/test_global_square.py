@@ -7,17 +7,22 @@ reference.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from conftest import count_calls
+from orbitlab import etale
 from orbitlab.census import height_enumerate
+from orbitlab.errors import PreconditionError
 from orbitlab.etale import (EtaleAlgebra, SquareClass, real_roots_exact,
                             sign_at_root, square_class)
 from orbitlab.orbits import algebra_of, distinguished_coincide
-from orbitlab.poly import Poly, discriminant
+from orbitlab.poly import (SMALL_ODD_PRIMES, Poly, discriminant, factor,
+                           fq_sqrt, resultant)
 from orbitlab.rings import GF, QQ
 from orbitlab.thetarep import Invariants
 
@@ -226,3 +231,165 @@ class TestNonGenerating:
         assert oracle_is_square(L, a) is expected
         assert check_witnesses(cls) is expected
 
+
+def _fq_elements(p, n):
+    """Every nonzero element of GF(p)[x]/(f), deg f = n, as an ascending
+    residue list without trailing zeros."""
+    for code in range(1, p ** n):
+        a = [code // p ** k % p for k in range(n)]
+        while a[-1] == 0:
+            a.pop()
+        yield a
+
+
+def _fq_mul(a, b, f, p):
+    F = GF(p)
+    return list((Poly(F, a) * Poly(F, b)).mod(Poly(F, f)).coeffs)
+
+
+def _good_screen_primes(K, alpha):
+    """(p, factors of f mod p, alpha mod p) for the primes of
+    SMALL_ODD_PRIMES dividing neither disc(f), N(alpha) nor a denominator."""
+    bad = discriminant(K.f).numerator * K.norm(alpha).numerator
+    for c in K.f.coeffs + alpha.coeffs:
+        bad *= c.denominator
+    for p in SMALL_ODD_PRIMES:
+        F = GF(p)
+        if bad % p:
+            yield (p, [g for g, _ in factor(K.f.map_ring(F, F.from_fraction))],
+                   alpha.map_ring(F, F.from_fraction))
+
+
+def _inert_primes(K, alpha):
+    """The good screen primes at which K's polynomial stays irreducible."""
+    return [p for p, gs, _ in _good_screen_primes(K, alpha) if len(gs) == 1]
+
+
+class TestFqSqrt:
+    """The square root in F_q against brute-force squaring, for q = 3 mod 4
+    (p = 3, 7 at n = 3; p = 3 at n = 5) and q = 1 mod 4 (p = 5, 13, 17 at
+    n = 3; q - 1 = 4 * odd, 4 * odd and 16 * odd)."""
+
+    @pytest.mark.parametrize("p, n", [(3, 3), (5, 3), (7, 3), (13, 3),
+                                      (17, 3), (3, 5)])
+    def test_against_brute_force(self, p, n):
+        F = GF(p)
+        f = next(list(g.coeffs) for g in (
+            Poly(F, list(c) + [1]) for c in itertools.product(range(p),
+                                                              repeat=n))
+            if [h.degree for h, _ in factor(g)] == [n])
+        z = (list(etale._nonsquare_unit(F, Poly(F, f)).coeffs)
+             if p ** n % 4 == 1 else None)
+        squares = {tuple(_fq_mul(b, b, f, p)) for b in _fq_elements(p, n)}
+        assert len(squares) == (p ** n - 1) // 2
+        for a in _fq_elements(p, n):
+            if tuple(a) in squares:
+                r = fq_sqrt(f, a, z, p)
+                assert _fq_mul(r, r, f, p) == a, (a, r)
+            else:
+                with pytest.raises(PreconditionError):
+                    fq_sqrt(f, a, z, p)
+
+
+class TestLiftedRoot:
+    """Seeded squares beta^2 over irreducible f of degree 3, 5 and 7, with
+    integer or rational coefficients and beta with denominators."""
+
+    @staticmethod
+    def _field(rng, n, dens):
+        while True:
+            f = Poly(QQ, [Fraction(rng.randint(-5, 5), rng.choice(dens))
+                          for _ in range(n)] + [Fraction(1)])
+            if f.coeff(0) and [m for _, m in factor(f)] == [1]:
+                return EtaleAlgebra(f)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("dens", [(1,), (1, 2, 3)], ids=["Z", "Q"])
+    def test_squares_certified_by_lift(self, monkeypatch, n, dens):
+        rng = random.Random(1000 * n + len(dens))
+        fallback = count_calls(monkeypatch, etale, "_square_root")
+        lifts = count_calls(monkeypatch, etale, "_lifted_root")
+        inert_seen = 0
+        for _ in range(10):
+            K = self._field(rng, n, dens)
+            beta = Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(n)])
+            if QQ.is_zero(K.norm(beta)):
+                continue
+            alpha = K.mul(beta, beta)
+            del fallback[:], lifts[:]
+            cls = SquareClass(K, alpha)
+            [w] = cls.witnesses()
+            assert w.root in (beta, -beta)
+            if _inert_primes(K, alpha):
+                inert_seen += 1
+                assert [c[2] for c in lifts] == _inert_primes(K, alpha)[:1]
+                assert not fallback
+            assert check_witnesses(cls)
+        assert inert_seen >= 5
+
+    @pytest.mark.parametrize("desc", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]],
+                             ids=["zeta8", "sqrt2_sqrt3"])
+    def test_no_inert_prime_falls_back(self, monkeypatch, desc):
+        # Q(zeta_8) and Q(sqrt 2, sqrt 3): Galois group C2 x C2, so f is
+        # reducible mod every good prime and only chi(t^2) finds roots
+        L = EtaleAlgebra(_q_poly(desc))
+        fallback = count_calls(monkeypatch, etale, "_square_root")
+        lifts = count_calls(monkeypatch, etale, "_lifted_root")
+        rng = random.Random(9)
+        for _ in range(4):
+            b = Poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for _ in range(L.n)])
+            if QQ.is_zero(L.norm(b)):
+                continue
+            a = L.mul(b, b)
+            assert not _inert_primes(L, a)
+            del fallback[:]
+            cls = SquareClass(L, a)
+            assert check_witnesses(cls) is True
+            assert fallback
+        assert not lifts
+
+
+def _parent_screen_prime(K, alpha):
+    """The first prime of SMALL_ODD_PRIMES at which alpha is a unit
+    non-residue in some residue field F_p[x]/(g) of a good reduction, or
+    None: there alpha is a square iff its norm Res(g, alpha) is one in F_p."""
+    return next((p for p, gs, a in _good_screen_primes(K, alpha)
+                 if not all(GF(p).is_square(resultant(g, a.mod(g)))
+                            for g in gs)), None)
+
+
+class TestNoPath:
+    def test_screen_witnesses_unchanged_over_x2_box(self, monkeypatch):
+        """A non-square that a prime of SMALL_ODD_PRIMES decides keeps that
+        witness and runs no lift; every other answer carries certificates
+        that check."""
+        lifts = count_calls(monkeypatch, etale, "_lifted_root")
+        screened = rest = 0
+        for (a1, a2), e in _rs_box_tuples(2):
+            L, ng = _neg_gamma(_inv(a1, a2, e))
+            cls = square_class(L, ng)
+            del lifts[:]
+            for i, w in enumerate(cls.witnesses()):
+                K, alpha = L.comp_algebra(i), ng.mod(w.factor)
+                if w.factor.degree == 1 or not QQ.is_square(K.norm(alpha)):
+                    continue
+                expected = _parent_screen_prime(K, alpha)
+                if expected is None:
+                    check_witnesses(cls)
+                    rest += 1
+                else:
+                    assert w.prime == expected, (a1, a2, e)
+                    assert all(c[0].f != w.factor for c in lifts)
+                    screened += 1
+        assert screened > 1000 and rest > 100
+
+    def test_survivor_gets_wide_prime(self):
+        # -gamma is a residue in every residue field at all ten screen primes
+        L, ng = _neg_gamma(_inv(4, 14, 12))
+        assert _parent_screen_prime(L, ng) is None
+        cls = square_class(L, ng)
+        [w] = cls.witnesses()
+        assert w.prime is not None and w.prime >= 37
+        assert check_witnesses(cls) is False

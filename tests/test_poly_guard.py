@@ -1,9 +1,12 @@
 """poly.factor runs on its own kernels over Q and GF(p); poly.py may not
-reach sympy's factoring (sympy stays the test oracle for it). The real
-place runs on poly's Sturm intervals, so poly, etale, descent and orbits
-import no sympy at all."""
+reach sympy's factoring (sympy stays the test oracle for it). Every module
+but quadforms and rings imports no sympy at all, and descent loads no
+numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,9 @@ def test_poly_does_not_reach_sympy_factoring():
     assert not found, found
 
 
-@pytest.mark.parametrize("module", ["poly", "etale", "descent", "orbits"])
+@pytest.mark.parametrize("module", [
+    "census", "cli", "descent", "errors", "etale", "lattices", "linalg",
+    "orbits", "poly", "thetarep"])
 def test_module_imports_no_sympy(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     found = [ast.unparse(node) for node in ast.walk(tree)
@@ -39,3 +44,12 @@ def test_module_imports_no_sympy(module):
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").split(".")[0] == "sympy"]
     assert not found, found
+
+
+def test_descent_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orbitlab.descent; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
