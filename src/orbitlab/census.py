@@ -36,7 +36,7 @@ from . import DEFAULT_SEED
 from .errors import BudgetError, PreconditionError, UsageError
 from .orbits import distinguished_coincide
 from .poly import euler_split
-from .rings import QQ, PrimeField, is_prime
+from .rings import QQ, is_prime
 from .thetarep import Invariants
 
 BRUTEFORCE_BUDGET = 2 * 10 ** 8
@@ -373,7 +373,7 @@ def bruteforce_orbits(p: int, n: int, c: Invariants):
     if n != 3:
         raise BudgetError("brute force is limited to n = 3")
     ring = c.ring
-    if not (isinstance(ring, PrimeField) and ring.p == p):
+    if not (ring.is_finite and ring.p == p):
         raise UsageError("invariants must live over F_p")
     G = so3_group(p)
     gsq = len(G) ** 2

@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PreconditionError, UsageError
-from .linalg import Mat, charpoly, det as mat_det, solve, sum_prod
+from .linalg import Mat, charpoly, det as mat_det, solve
 from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
                    factor, fq_sqrt, gcd, lift_sqrt, powmod,
                    rational_reconstruction, real_roots_exact, resultant,
@@ -225,7 +225,7 @@ class EtaleAlgebra:
         matrix of h_m = Tr(w gamma^m) = sum_k w_k s_(m+k), w reduced mod f."""
         n, s, w = self.n, self.power_sums, w.mod(self.f)
         ws = [w.coeff(k) for k in range(n)]
-        h = [sum_prod(self.ring, ws, s[m:m + n]) for m in range(2 * n - 1)]
+        h = [self.ring.dot(ws, s[m:m + n]) for m in range(2 * n - 1)]
         return Mat(self.ring, [h[i:i + n] for i in range(n)])
 
     def is_unit(self, a: Poly) -> bool:

@@ -10,11 +10,10 @@ from fractions import Fraction
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .etale import EtaleAlgebra, _nonsquare_unit
-from .linalg import Mat, det, inverse, sum_prod
+from .linalg import Mat, det, inverse
 from .orbits import algebra_of, trace_gram
 from .poly import Poly, discriminant
 from .quadforms import GramForm, diagonalize, is_split, isotropic_vector
-from .rings import PadicField
 from .thetarep import Invariants
 
 
@@ -22,7 +21,7 @@ def working_precision(c: Invariants) -> int:
     """Default p-adic digit count: 20 plus the valuation of disc of the
     full (even) characteristic polynomial."""
     ring = c.ring
-    if not isinstance(ring, PadicField):
+    if not ring.is_padic:
         raise UsageError("working precision is defined for p-adic invariants")
     d = discriminant(c.gpoly())
     if d.is_zero():
@@ -123,33 +122,22 @@ class _Reduction:
     def set_pair(self, pos: int, e, f):
         """Replace (b_pos, b_pos+1) by the combinations e, f of themselves."""
         R, n = self.ring, self.n
-        newC = []
-        for r in range(n):
-            c0 = R.add(R.mul(e[0], self.C[r][pos]),
-                       R.mul(e[1], self.C[r][pos + 1]))
-            c1 = R.add(R.mul(f[0], self.C[r][pos]),
-                       R.mul(f[1], self.C[r][pos + 1]))
-            newC.append((c0, c1))
-        for r in range(n):
-            self.C[r][pos], self.C[r][pos + 1] = newC[r]
+        for row in self.C:
+            c = row[pos:pos + 2]
+            row[pos], row[pos + 1] = R.dot(e, c), R.dot(f, c)
         # refresh the Gram rows/cols for the pair
         old = [[self.G[pos + a][pos + b] for b in range(2)] for a in range(2)]
         vecs = [e, f]
         for a in range(2):
             for b in range(2):
-                acc = R.zero
-                for s in range(2):
-                    for t in range(2):
-                        acc = R.add(acc, R.mul(R.mul(vecs[a][s], vecs[b][t]),
-                                               old[s][t]))
-                self.G[pos + a][pos + b] = acc
+                self.G[pos + a][pos + b] = R.dot(
+                    [R.mul(x, y) for x in vecs[a] for y in vecs[b]],
+                    old[0] + old[1])
         for j in range(n):
             if j in (pos, pos + 1):
                 continue
-            g0 = R.add(R.mul(e[0], self.G[pos][j]),
-                       R.mul(e[1], self.G[pos + 1][j]))
-            g1 = R.add(R.mul(f[0], self.G[pos][j]),
-                       R.mul(f[1], self.G[pos + 1][j]))
+            g = [self.G[pos][j], self.G[pos + 1][j]]
+            g0, g1 = R.dot(e, g), R.dot(f, g)
             self.G[pos][j], self.G[pos + 1][j] = g0, g1
             self.G[j][pos], self.G[j][pos + 1] = g0, g1
 
@@ -177,7 +165,7 @@ def cassels_diagonalize(Q: GramForm, p: int = None):
     Each block is {"type": "unit"|"H"|"H0", "val": b, "unit": u or None}.
     """
     ring = Q.ring
-    if not isinstance(ring, PadicField):
+    if not ring.is_padic:
         raise UsageError("block diagonalization works over Z_p")
     if p is not None and p != ring.p:
         raise UsageError("prime mismatch with the coefficient ring")
@@ -317,9 +305,7 @@ def _blk_q(ring, a, b, c, v):
 
 
 def _blk_bil(ring, a, b, c, v, w):
-    t0 = ring.add(ring.mul(a, v[0]), ring.mul(b, v[1]))
-    t1 = ring.add(ring.mul(b, v[0]), ring.mul(c, v[1]))
-    return ring.add(ring.mul(t0, w[0]), ring.mul(t1, w[1]))
+    return ring.dot([ring.dot([a, b], v), ring.dot([b, c], v)], w)
 
 
 def _represent_two(ring, a, b, c):
@@ -467,9 +453,9 @@ def _represent_value(Q: GramForm, target):
 
 
 def _gram_bil(Q: GramForm, v, w):
-    """sum of v_i w_j G_ij, in that order (p-adic precision follows it)."""
+    """sum of v_i w_j G_ij."""
     ring = Q.ring
-    return sum_prod(ring, [ring.mul(a, b) for a in v for b in w],
+    return ring.dot([ring.mul(a, b) for a in v for b in w],
                     [g for row in Q.gram.rows for g in row])
 
 
@@ -503,15 +489,8 @@ def _unimodular_transform(Q: GramForm) -> Mat:
         return Mat(ring, [[e[0]]])
     sub = Mat(ring, [[_gram_bil(Q, comp[i], comp[j])
                       for j in range(len(comp))] for i in range(len(comp))])
-    Xs = _unimodular_transform(GramForm(sub))
-    cols = [list(e)]
-    for j in range(Xs.ncols):
-        col = [ring.zero] * n
-        for i in range(len(comp)):
-            for r in range(n):
-                col[r] = ring.add(col[r], ring.mul(Xs[i, j], comp[i][r]))
-        cols.append(col)
-    return Mat(ring, list(zip(*cols)))
+    rest = Mat(ring, comp).transpose() * _unimodular_transform(GramForm(sub))
+    return Mat(ring, [(a,) + r for a, r in zip(e, rest.rows)])
 
 
 def self_dualize(I1: LatticeBasis, B2: GramForm, p: int = None
@@ -601,7 +580,7 @@ def integral_representative(c: Invariants, nu, p: int,
     """Assemble and verify an ideal triple from a caller-supplied self-dual
     lattice for the first trace form."""
     ring = c.ring
-    if not (isinstance(ring, PadicField) and ring.p == p):
+    if not (ring.is_padic and ring.p == p):
         raise UsageError("invariants must live over Q_p for the given p")
     if p == 2:
         n = c.n

@@ -1,8 +1,11 @@
-"""Generic exact matrix algebra over the package rings.
+"""Exact matrix algebra over the package rings.
 
-Characteristic polynomials use the division-free Berkowitz algorithm so
-p-adic precision is never lost to pivoting, and over Q and GF(p) it runs
-on integers; Gaussian routines pick minimal-valuation pivots over Q_p.
+Products and matrix-vector products run on the ring's dot kernel; over Q
+and R a product clears each row's and column's denominators once and
+builds one Fraction per entry. Characteristic polynomials use the
+division-free Berkowitz algorithm so p-adic precision is never lost to
+pivoting, and over Q and GF(p) it runs on integers; Gaussian routines pick
+minimal-valuation pivots over Q_p.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ class Mat:
         if self.ncols != other.nrows:
             raise PreconditionError("matrix dimension mismatch")
         ot = other.transpose().rows
-        return Mat(R, [[sum_prod(R, r, c) for c in ot] for r in self.rows])
+        if R.is_finite or R.is_padic:
+            return Mat(R, [[R.dot(r, c) for c in ot] for r in self.rows])
+        rows = [clear_denominators(r) for r in self.rows]
+        cols = [clear_denominators(c) for c in ot]
+        return Mat(R, [[Fraction(sum(map(mul, a, b)), d * e) for e, b in cols]
+                       for d, a in rows])
 
     def scale(self, c) -> "Mat":
         R = self.ring
@@ -80,7 +88,7 @@ class Mat:
 
     def apply(self, v):
         """Matrix times column vector (list)."""
-        return [sum_prod(self.ring, r, v) for r in self.rows]
+        return [self.ring.dot(r, v) for r in self.rows]
 
     def col(self, j: int):
         return [r[j] for r in self.rows]
@@ -259,10 +267,3 @@ def _berkowitz(rows, zero, one):
                 newC[d] = newC[d] - ti * C[d + i]
         C = newC
     return C
-
-
-def sum_prod(R, xs, ys):
-    acc = R.zero
-    for a, b in zip(xs, ys):
-        acc = R.add(acc, R.mul(a, b))
-    return acc

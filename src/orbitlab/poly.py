@@ -84,6 +84,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         R = self.ring
+        if R.is_finite:
+            return Poly(R, _zmul(self.coeffs, other.coeffs, R.p))
         if self.is_zero() or other.is_zero():
             return Poly(R, [])
         out = [R.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -106,6 +108,11 @@ class Poly:
         R = self.ring
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if R.is_finite:  # over the monic divisor other / lc
+            p, inv_lc = R.p, pow(other.lc, -1, R.p)
+            q, r = _zdivmod_monic(self.coeffs,
+                                  [c * inv_lc % p for c in other.coeffs], p)
+            return Poly(R, [c * inv_lc % p for c in q]), Poly(R, r)
         q = [R.zero] * max(self.degree - other.degree + 1, 0)
         r = list(self.coeffs)
         inv_lc = R.inv(other.lc)

@@ -22,7 +22,7 @@ from math import gcd as igcd, isqrt
 import sympy
 
 from .errors import PreconditionError, UsageError
-from .linalg import Mat, det as mat_det, inverse, nullspace, sum_prod
+from .linalg import Mat, det as mat_det, inverse, nullspace
 from .rings import QQ, RR, Padic, Qp, hilbert_symbol
 
 
@@ -41,7 +41,7 @@ class GramForm:
         return self.gram.nrows
 
     def bilinear(self, v, w):
-        return sum_prod(self.ring, v, self.gram.apply(w))
+        return self.ring.dot(v, self.gram.apply(w))
 
     def quad(self, v):
         return self.bilinear(v, v)

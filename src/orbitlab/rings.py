@@ -1,8 +1,12 @@
 """Exact base rings: Q, R (exact rational coordinates), GF(p), and truncated Qp.
 
 Every ring object exposes the same small arithmetic API (add/sub/mul/div,
-is_zero, eq, from_fraction, is_square, sqrt, ...) so that polynomials,
-matrices and quadratic forms can be written once, generically.
+dot, is_zero, eq, from_fraction, is_square, sqrt, ...) so that polynomials,
+matrices and quadratic forms can be written once. `dot(xs, ys)` is the one
+inner-product kernel each place brings: over GF(p) one integer sum reduced
+mod p once, over Q and R one common denominator and one Fraction at the
+end, over Q_p one integer sum of the terms' units mod p^A, A the least
+absolute precision of the products (the digits of the term-by-term sum).
 
 Each ring is also the place it stands for, and the only object that knows
 which place that is: its `tag` names it in JSON, `is_global`, `is_real`,
@@ -18,6 +22,7 @@ valuation is demanded.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,6 +56,11 @@ def _padic_val(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _same_length(xs, ys):
+    if len(xs) != len(ys):
+        raise PreconditionError("dimension mismatch")
 
 
 def sqrt_mod_p(a: int, p: int) -> int:
@@ -104,6 +114,14 @@ class Padic:
         self.prec = prec if u != 0 else 0
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _unit(cls, p: int, v: int, u: int, prec: int) -> "Padic":
+        """Trusted constructor: u is already a unit reduced mod p^prec,
+        prec >= 1, so __init__'s reduction and unit check are skipped."""
+        x = object.__new__(cls)
+        x.p, x.v, x.u, x.prec = p, v, u, prec
+        return x
 
     @staticmethod
     def zero(p: int, abs_prec=None) -> "Padic":
@@ -174,21 +192,21 @@ class Padic:
         if s == 0:
             return Padic.zero(p, A)
         w = _padic_val(s, p)
-        if m + w >= A:
-            return Padic.zero(p, A)
-        return Padic(p, m + w, s // p ** w, A - m - w)
+        return Padic._unit(p, m + w, s // p ** w, A - m - w)
 
     def _truncate_abs(self, abs_prec) -> "Padic":
         if abs_prec is None or self.u == 0:
             return self
         if self.v >= abs_prec:
             return Padic.zero(self.p, abs_prec)
-        return Padic(self.p, self.v, self.u, min(self.prec, abs_prec - self.v))
+        prec = min(self.prec, abs_prec - self.v)
+        return Padic._unit(self.p, self.v, self.u % self.p ** prec, prec)
 
     def __neg__(self) -> "Padic":
         if self.u == 0:
             return self
-        return Padic(self.p, self.v, -self.u % self.p ** self.prec, self.prec)
+        return Padic._unit(self.p, self.v, -self.u % self.p ** self.prec,
+                           self.prec)
 
     def __sub__(self, other: "Padic") -> "Padic":
         return self + (-other)
@@ -201,7 +219,7 @@ class Padic:
             # O(p^a) * (unit info) -> O(p^(a + v)), pessimistic when both fuzzy
             return Padic.zero(p, self.v + other.v)
         N = min(self.prec, other.prec)
-        return Padic(p, self.v + other.v, self.u * other.u % p ** N, N)
+        return Padic._unit(p, self.v + other.v, self.u * other.u % p ** N, N)
 
     def inverse(self) -> "Padic":
         if self.u == 0:
@@ -271,6 +289,16 @@ class RationalField(Place):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        _same_length(xs, ys)
+        num, den = 0, 1
+        for a, b in zip(xs, ys):
+            d = a.denominator * b.denominator
+            if den % d:
+                num, den = num * d, den * d
+            num += a.numerator * b.numerator * (den // d)
+        return Fraction(num, den)
 
     def neg(self, a):
         return -a
@@ -369,6 +397,10 @@ class PrimeField(Place):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def dot(self, xs, ys):
+        _same_length(xs, ys)
+        return sum(map(operator.mul, xs, ys)) % self.p
+
     def neg(self, a):
         return -a % self.p
 
@@ -450,6 +482,33 @@ class PadicField(Place):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        """Digit for digit the term-by-term sum: it is known mod p^A, A the
+        least absolute precision of the products."""
+        _same_length(xs, ys)
+        p, A, terms = self.p, None, []
+        for a, b in zip(xs, ys):
+            if a.u and b.u:
+                v = a.v + b.v
+                terms.append((v, a.u * b.u))
+                top = v + min(a.prec, b.prec)
+            elif a.v is None or b.v is None:
+                continue  # an exact zero factor
+            else:
+                top = a.v + b.v
+            if A is None or top < A:
+                A = top
+        if A is None:
+            return Padic.zero(p)
+        m = min((v for v, _ in terms), default=A)
+        if m >= A:
+            return Padic.zero(p, A)
+        s = sum(u * p ** (v - m) for v, u in terms) % p ** (A - m)
+        if s == 0:
+            return Padic.zero(p, A)
+        w = _padic_val(s, p)
+        return Padic._unit(p, m + w, s // p ** w, A - m - w)
 
     def neg(self, a):
         return -a

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import PreconditionError, UsageError
-from .linalg import Mat, block_matrix, charpoly, nullspace, sum_prod
+from .linalg import Mat, block_matrix, charpoly, nullspace
 from .poly import Poly, discriminant
 from .quadforms import standard_split_gram
 from .rings import QQ
@@ -333,7 +333,7 @@ def _gram_vi(ring, n, i) -> Mat:
 def _check_witness(ring, Bi: Mat, M: Mat, vecs) -> bool:
     """vecs isotropic & pairwise orthogonal for Bi, and M vecs inside perp."""
     def pair(x, y):
-        return sum_prod(ring, x, Bi.apply(y))
+        return ring.dot(x, Bi.apply(y))
 
     for x in vecs:
         for y in vecs:

@@ -1,7 +1,10 @@
 """The integer kernels of the exact rings against the generic algorithms
-they replaced: the subresultant PRS resultant against the Euclidean
-scheme, the integer Berkowitz charpoly against Berkowitz in the ring's
-own arithmetic, and the norm as a resultant against det(mult_matrix)."""
+they replaced: each ring's dot against the add-and-multiply loop, Mat
+products over Q and GF(p) polynomial products and division against the
+loops in ring arithmetic, the subresultant PRS resultant against the
+Euclidean scheme, the integer Berkowitz charpoly against Berkowitz in the
+ring's own arithmetic, and the norm as a resultant against
+det(mult_matrix)."""
 
 import io
 import random
@@ -9,14 +12,17 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls
 from orbitlab import etale, orbits, thetarep
 from orbitlab.cli import dispatch
+from orbitlab.errors import PreconditionError
 from orbitlab.etale import EtaleAlgebra
-from orbitlab.linalg import Mat, charpoly, det, sum_prod
+from orbitlab.linalg import Mat, charpoly, det
 from orbitlab.poly import Poly, discriminant, resultant
-from orbitlab.rings import GF, QQ, RR, Qp
+from orbitlab.rings import GF, QQ, RR, Padic, Qp
 from orbitlab.thetarep import Invariants
 
 SEED_KERNELS = 0x12E5
@@ -44,6 +50,44 @@ def euclid_resultant(f: Poly, g: Poly):
     for _ in range(a.degree):
         out = R.mul(out, b.lc)
     return out
+
+
+def sum_prod(R, xs, ys):
+    """sum x_i y_i, one ring add and mul per term (the loop every ring's
+    dot kernel replaced)."""
+    acc = R.zero
+    for a, b in zip(xs, ys):
+        acc = R.add(acc, R.mul(a, b))
+    return acc
+
+
+def ring_poly_mul(f: Poly, g: Poly) -> Poly:
+    """f * g by the schoolbook loop in ring arithmetic."""
+    R = f.ring
+    out = [R.zero] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = R.add(out[i + j], R.mul(a, b))
+    return Poly(R, out)
+
+
+def ring_divmod(f: Poly, g: Poly):
+    """(q, r) by long division in ring arithmetic."""
+    R = f.ring
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [R.zero] * max(f.degree - g.degree + 1, 0)
+    r = list(f.coeffs)
+    inv_lc = R.inv(g.lc)
+    while r and len(r) - 1 >= g.degree:
+        if R.is_zero(r[-1]):
+            r.pop()
+            continue
+        k = len(r) - 1 - g.degree
+        c = q[k] = R.mul(r[-1], inv_lc)
+        for i, b in enumerate(g.coeffs):
+            r[k + i] = R.sub(r[k + i], R.mul(c, b))
+    return Poly(R, q), Poly(R, r)
 
 
 def ring_berkowitz(M: Mat) -> Poly:
@@ -95,6 +139,185 @@ def _matrix(ring, rng, n):
 
 def _padic_digits(x):
     return (x.v, x.u, x.prec)
+
+
+def _outcome(f, *args):
+    """f(*args) as p-adic digits, a rational or a residue, or the type of
+    the exception it raised."""
+    try:
+        x = f(*args)
+    except Exception as exc:  # the type is what gets compared
+        return type(exc)
+    if isinstance(x, Padic):
+        return (x.p,) + _padic_digits(x)
+    return type(x), x
+
+
+def _random_padic(rng, p):
+    """An exact zero, an O(p^k), or p^v * u + O(p^(v+N)) with v of either
+    sign and N from 1 to 6."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Padic.zero(p)
+    if kind < 0.25:
+        return Padic.zero(p, rng.randint(-3, 5))
+    prec = rng.randint(1, 6)
+    u = rng.randrange(1, p ** prec)
+    while u % p == 0:
+        u = rng.randrange(1, p ** prec)
+    return Padic(p, rng.randint(-3, 4), u, prec)
+
+
+class TestDot:
+    """Every ring's dot against the add-and-multiply loop."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_padic_digits_and_exceptions(self, p):
+        K, rng = Qp(p, 6), random.Random(SEED_KERNELS + 10 + p)
+        for _ in range(17_000):
+            xs = [_random_padic(rng, p) for _ in range(rng.randint(0, 5))]
+            ys = [_random_padic(rng, p) for _ in xs]
+            if xs and rng.random() < 0.2:  # the sum cancels, or nearly
+                ys += [-y for y in ys]
+                xs += [x if rng.random() < 0.7 else _random_padic(rng, p)
+                       for x in xs]
+            want = _outcome(sum_prod, K, xs, ys)
+            assert _outcome(K.dot, xs, ys) == want, (xs, ys)
+
+    def test_padic_full_cancellation(self):
+        K = Qp(5, 6)
+        x, y = Padic(5, -2, 7, 3), Padic(5, 1, 11, 6)
+        for xs, ys in (([x, x], [y, -y]), ([x, -x, x, x], [y, y, -y, y])):
+            got = K.dot(xs, ys)
+            assert got.is_zero() and not got.is_exact_zero()
+            assert _padic_digits(got) == _padic_digits(sum_prod(K, xs, ys))
+        assert K.dot([x, K.zero], [K.zero, y]).is_exact_zero()
+        assert K.dot([], []).is_exact_zero()
+
+    @pytest.mark.parametrize("ring", [QQ, RR, GF(2), GF(5), GF(7)],
+                             ids=["QQ", "RR", "GF2", "GF5", "GF7"])
+    def test_exact_rings(self, ring):
+        rng = random.Random(SEED_KERNELS + 9)
+        for _ in range(2_000):
+            k = rng.randint(0, 6)
+            xs, ys = ([ring.from_fraction(_rational(rng)) if ring.char == 0
+                       else ring.from_int(rng.randint(-9, 9))
+                       for _ in range(k)] for _ in range(2))
+            if ring.char == 0 and xs:  # ints are rationals too
+                xs[0] = rng.randint(-9, 9)
+            if xs and rng.random() < 0.2:
+                ys = ys + [ring.neg(y) for y in ys]
+                xs = xs + xs
+            assert _outcome(ring.dot, xs, ys) == _outcome(sum_prod, ring,
+                                                          xs, ys)
+
+    @pytest.mark.parametrize("ring", [QQ, RR, GF(5), Qp(5, 6)],
+                             ids=["QQ", "RR", "GF5", "Qp5"])
+    def test_dimension_mismatch(self, ring):
+        one = ring.one
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            ring.dot([one, one, one], [one, one])
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            ring.dot([], [one])
+        M = Mat.from_ints(ring, [[1, 2], [3, 4]])
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            M.apply([one])
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            M.apply([one, one, one])
+
+
+class TestMatProduct:
+    @pytest.mark.parametrize("ring", [QQ, RR], ids=["QQ", "RR"])
+    def test_against_entry_loop(self, ring):
+        rng = random.Random(SEED_KERNELS + 11)
+        for _ in range(300):
+            m, k, n = (rng.randint(1, 5) for _ in range(3))
+            A = Mat(ring, [[_rational(rng) for _ in range(k)]
+                           for _ in range(m)])
+            B = Mat(ring, [[_rational(rng) for _ in range(n)]
+                           for _ in range(k)])
+            want = [[sum_prod(ring, r, B.col(j)) for j in range(n)]
+                    for r in A.rows]
+            got = A * B
+            assert got.ring is ring
+            assert [list(r) for r in got.rows] == want
+            assert all(type(x) is Fraction for r in got.rows for x in r)
+
+    def test_integer_entries_and_mismatch(self):
+        A = Mat(QQ, [[1, Fraction(1, 2)], [Fraction(-2, 3), 0]])
+        assert (A * A).rows == ((Fraction(2, 3), Fraction(1, 2)),
+                                (Fraction(-2, 3), Fraction(-1, 3)))
+        with pytest.raises(PreconditionError):
+            A * Mat(QQ, [[1, 2]])
+
+
+class TestGFPoly:
+    """GF(p) products and division on the integer kernels."""
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_against_ring_loops(self, p):
+        ring, rng = GF(p), random.Random(SEED_KERNELS + 12 + p)
+        for _ in range(400):
+            f, g = (Poly(ring, [rng.randrange(p)
+                                for _ in range(rng.randint(0, top))])
+                    for top in (8, 5))
+            assert f * g == ring_poly_mul(f, g)
+            assert g * f == ring_poly_mul(g, f)
+            if g.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    f.divmod(g)
+                continue
+            q, r = f.divmod(g)
+            wq, wr = ring_divmod(f, g)
+            assert (q.coeffs, r.coeffs) == (wq.coeffs, wr.coeffs), (f, g)
+            assert q * g + r == f and r.degree < g.degree
+
+    def test_edge_cases(self):
+        F = GF(7)
+        g = Poly(F, [3, 0, 5])  # not monic
+        f = Poly(F, [1, 2, 3, 4, 5])
+        q, r = f.divmod(g)
+        assert (q, r) == ring_divmod(f, g) and q * g + r == f
+        small = Poly(F, [6, 1])  # divisor of higher degree than dividend
+        assert small.divmod(g) == (Poly(F, []), small)
+        zero = Poly(F, [])
+        assert zero.divmod(g) == (zero, zero)
+        assert (zero * g).is_zero() and (g * zero).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            f.divmod(zero)
+
+
+def _unit_invariant(x: Padic) -> bool:
+    """u == 0, or u a unit reduced mod p^prec with prec >= 1."""
+    return x.u == 0 or (x.prec >= 1 and 0 < x.u < x.p ** x.prec
+                        and x.u % x.p != 0)
+
+
+@st.composite
+def _padics(draw, p):
+    kind = draw(st.sampled_from(["exact", "fuzzy", "unit"]))
+    if kind == "exact":
+        return Padic.zero(p)
+    if kind == "fuzzy":
+        return Padic.zero(p, draw(st.integers(-4, 6)))
+    prec = draw(st.integers(1, 6))
+    u = draw(st.integers(1, p ** prec - 1).filter(lambda u: u % p))
+    return Padic(p, draw(st.integers(-4, 6)), u, prec)
+
+
+class TestPadicUnitInvariant:
+    """Padic._unit trusts its caller; every arithmetic result must still
+    be a zero or a reduced unit with at least one digit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.lists(_padics(p), min_size=2, max_size=8)))
+    def test_results_keep_the_invariant(self, xs):
+        K, half = Qp(xs[0].p, 6), len(xs) // 2
+        a, b = xs[0], xs[1]
+        dot = K.dot(xs[:half], xs[half:2 * half])
+        for x in (a + b, a - b, a * b, -a, dot):
+            assert _unit_invariant(x), x
 
 
 class TestResultant:

@@ -12,7 +12,7 @@ FIELD_CLASSES = {"PadicField", "PrimeField", "RealField", "RationalField"}
 
 @pytest.mark.parametrize("module", ["etale", "quadforms", "descent",
                                     "orbits", "thetarep", "cli", "linalg",
-                                    "poly"])
+                                    "poly", "lattices", "census"])
 def test_no_field_class_imports(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     imported = set()
