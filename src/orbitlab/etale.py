@@ -46,7 +46,7 @@ from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
                    factor, fq_sqrt, gcd, lift_sqrt, powmod,
                    rational_reconstruction, real_roots_exact, resultant,
                    sign_at_root)
-from .rings import GF, QQ, Padic, is_prime
+from .rings import GF, QQ, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,7 @@ def _residues(g: Poly, m: int, length: int, what: str):
     out = []
     for k in range(length):
         c = g.coeff(k)
-        if not isinstance(c, Padic):
+        if not g.ring.is_padic:
             out.append(c % m)
         elif c.is_zero():
             out.append(0)

@@ -1,6 +1,10 @@
 """Z_p-lattice algorithms: symmetric block diagonalization over Z_p,
 self-dualization of a lattice against a second bilinear form, verification
 of ideal triples, and integral representative assembly.
+
+The block reduction drives the symmetric congruence that quadforms owns
+(quadforms.Congruence): the pivot rule of linalg, its clear step for the
+1x1 blocks, and its pair update for the 2-adic 2x2 blocks.
 """
 
 from __future__ import annotations
@@ -10,10 +14,11 @@ from fractions import Fraction
 
 from .errors import PrecisionError, PreconditionError, UsageError
 from .etale import EtaleAlgebra, _nonsquare_unit
-from .linalg import Mat, det, inverse
+from .linalg import Mat, best_pivot, det, inverse
 from .orbits import algebra_of, trace_gram
 from .poly import Poly, discriminant
-from .quadforms import GramForm, diagonalize, is_split, isotropic_vector
+from .quadforms import (Congruence, GramForm, diagonalize, is_split,
+                         isotropic_vector)
 from .thetarep import Invariants
 
 
@@ -89,74 +94,6 @@ def _unit(x) -> bool:
 # Cassels-style block diagonalization over Z_p
 
 
-class _Reduction:
-    """Mutable symmetric-congruence state: G tracks C^t G0 C."""
-
-    def __init__(self, Q: GramForm):
-        self.ring = Q.ring
-        n = Q.rank
-        self.n = n
-        self.G = [[Q.gram[i, j] for j in range(n)] for i in range(n)]
-        self.C = [[self.ring.one if i == j else self.ring.zero
-                   for j in range(n)] for i in range(n)]
-
-    def addmul(self, dst: int, src: int, lam):
-        """Basis op b_dst += lam * b_src."""
-        R, G, n = self.ring, self.G, self.n
-        for i in range(n):
-            self.C[i][dst] = R.add(self.C[i][dst], R.mul(lam, self.C[i][src]))
-        for i in range(n):
-            G[i][dst] = R.add(G[i][dst], R.mul(lam, G[i][src]))
-        for j in range(n):
-            G[dst][j] = R.add(G[dst][j], R.mul(lam, G[src][j]))
-
-    def swap(self, i: int, j: int):
-        if i == j:
-            return
-        for r in range(self.n):
-            self.C[r][i], self.C[r][j] = self.C[r][j], self.C[r][i]
-        for r in range(self.n):
-            self.G[r][i], self.G[r][j] = self.G[r][j], self.G[r][i]
-        self.G[i], self.G[j] = self.G[j], self.G[i]
-
-    def set_pair(self, pos: int, e, f):
-        """Replace (b_pos, b_pos+1) by the combinations e, f of themselves."""
-        R, n = self.ring, self.n
-        for row in self.C:
-            c = row[pos:pos + 2]
-            row[pos], row[pos + 1] = R.dot(e, c), R.dot(f, c)
-        # refresh the Gram rows/cols for the pair
-        old = [[self.G[pos + a][pos + b] for b in range(2)] for a in range(2)]
-        vecs = [e, f]
-        for a in range(2):
-            for b in range(2):
-                self.G[pos + a][pos + b] = R.dot(
-                    [R.mul(x, y) for x in vecs[a] for y in vecs[b]],
-                    old[0] + old[1])
-        for j in range(n):
-            if j in (pos, pos + 1):
-                continue
-            g = [self.G[pos][j], self.G[pos + 1][j]]
-            g0, g1 = R.dot(e, g), R.dot(f, g)
-            self.G[pos][j], self.G[pos + 1][j] = g0, g1
-            self.G[j][pos], self.G[j][pos + 1] = g0, g1
-
-
-def _min_valuation_entry(st: _Reduction, pos: int):
-    best, bv = None, None
-    for i in range(pos, st.n):
-        for j in range(i, st.n):
-            g = st.G[i][j]
-            if g.is_zero():
-                continue
-            v = g.valuation()
-            if bv is None or v < bv:
-                best, bv = (i, j), v
-    if best is None:
-        raise PreconditionError("form is degenerate to precision")
-    return best, bv
-
-
 def cassels_diagonalize(Q: GramForm, p: int = None):
     """(P, blocks) with P^t Q P in block-diagonal normal form over Z_p.
 
@@ -175,28 +112,33 @@ def cassels_diagonalize(Q: GramForm, p: int = None):
         for j in range(n):
             if not _integral(Q.gram[i, j]):
                 raise UsageError("Gram matrix is not integral")
-    st = _Reduction(Q)
+    st = Congruence(Q)
+    G = st.G
     blocks = []
     pos = 0
     while pos < n:
-        (i, j), w = _min_valuation_entry(st, pos)
+        ij = best_pivot(ring, [((i, j), G[i][j]) for i in range(pos, n)
+                               for j in range(i, n)])
+        if ij is None:
+            raise PreconditionError("form is degenerate to precision")
+        i, j = ij
+        w = G[i][j].valuation()
         if i != j and p != 2:
             # merge to put a minimal-valuation entry on the diagonal;
             # at odd p at least one of b_i +- b_j works
             st.addmul(i, j, ring.one)
-            if st.G[i][i].is_zero() or st.G[i][i].valuation() > w:
+            if G[i][i].is_zero() or G[i][i].valuation() > w:
                 st.addmul(i, j, ring.from_int(-2))
-            i = j = i
-        if i == j or (p == 2 and _diag_min(st, pos, w) is not None):
-            if p == 2 and i != j:
-                i = j = _diag_min(st, pos, w)
+            j = i
+        elif i != j:
+            # p = 2: a diagonal entry of valuation w still gives a 1x1 block
+            k = best_pivot(ring, [(k, G[k][k]) for k in range(pos, n)])
+            if k is not None and G[k][k].valuation() == w:
+                i = j = k
+        if i == j:
             st.swap(pos, i)
-            piv = st.G[pos][pos]
-            for k in range(pos + 1, n):
-                if st.G[k][pos].is_zero():
-                    continue
-                lam = ring.neg(ring.div(st.G[k][pos], piv))
-                st.addmul(k, pos, lam)
+            piv = G[pos][pos]
+            st.clear(pos)
             blocks.append({"type": "unit", "val": piv.valuation(),
                            "unit": piv})
             pos += 1
@@ -204,11 +146,11 @@ def cassels_diagonalize(Q: GramForm, p: int = None):
         # p = 2, minimal valuation strictly off-diagonal: 2x2 block
         st.swap(pos, i)
         st.swap(pos + 1, j if j != pos else i)
-        blk = [[st.G[pos + a][pos + b] for b in range(2)] for a in range(2)]
+        blk = [[G[pos + a][pos + b] for b in range(2)] for a in range(2)]
         db = ring.sub(ring.mul(blk[0][0], blk[1][1]),
                       ring.mul(blk[0][1], blk[0][1]))
         for k in range(pos + 2, n):
-            g0, g1 = st.G[k][pos], st.G[k][pos + 1]
+            g0, g1 = G[k][pos], G[k][pos + 1]
             if g0.is_zero() and g1.is_zero():
                 continue
             lam0 = ring.div(ring.sub(ring.mul(blk[0][1], g1),
@@ -220,97 +162,83 @@ def cassels_diagonalize(Q: GramForm, p: int = None):
         btype = _normalize_even_block(st, pos, w)
         blocks.append({"type": btype, "val": w, "unit": None})
         pos += 2
-    P = Mat(ring, [tuple(row) for row in st.C])
+    P = Mat(ring, st.P)
     _verify_blocks(Q, P, blocks)
     return P, blocks
 
 
-def _diag_min(st: _Reduction, pos: int, w: int):
-    for i in range(pos, st.n):
-        g = st.G[i][i]
-        if (not g.is_zero()) and g.valuation() == w:
-            return i
-    return None
-
-
-def _normalize_even_block(st: _Reduction, pos: int, w: int) -> str:
+def _normalize_even_block(st: Congruence, pos: int, w: int) -> str:
     """Turn the current 2x2 block (scaled even unimodular) into 2^w * H or
     2^w * H0 by an in-block GL_2(Z_2) change of basis."""
     ring = st.ring
     two_w = ring.from_fraction(Fraction(2) ** w)
-    a = ring.div(st.G[pos][pos], two_w)
-    b = ring.div(st.G[pos][pos + 1], two_w)
-    c = ring.div(st.G[pos + 1][pos + 1], two_w)
+    a, b, c = (ring.div(st.G[pos + r][pos + s], two_w)
+               for r, s in ((0, 0), (0, 1), (1, 1)))
+    B = GramForm(Mat(ring, [[a, b], [b, c]]))
     disc = ring.sub(ring.mul(b, b), ring.mul(a, c))   # = -det of the block
-    if ring.is_square(disc):
-        # hyperbolic: primitive isotropic e, then a unimodular partner
-        if a.is_zero():
-            e = [ring.one, ring.zero]
-        else:
-            s = ring.sqrt(disc)
-            e = [ring.sub(s, b), a]
-            ev = min(x.valuation() for x in e if not x.is_zero())
-            sc = ring.from_fraction(Fraction(1, 2 ** ev))
-            e = [ring.mul(x, sc) for x in e]
-        t = [_blk_bil(ring, a, b, c, e, [ring.one, ring.zero]),
-             _blk_bil(ring, a, b, c, e, [ring.zero, ring.one])]
-        k = 0 if _unit(t[0]) else 1
-        base = [ring.one if m == k else ring.zero for m in range(2)]
-        f = [ring.div(x, t[k]) for x in base]
-        qf = _blk_q(ring, a, b, c, f)
-        lam = ring.neg(ring.div(qf, ring.from_int(2)))
+    hyperbolic = ring.is_square(disc)
+    if not hyperbolic:
+        e = _represent_two(B)   # realize [[2,1],[1,2]] exactly
+    elif a.is_zero():
+        e = [ring.one, ring.zero]
+    else:   # a primitive isotropic e
+        s = ring.sqrt(disc)
+        e = [ring.sub(s, b), a]
+        ev = min(x.valuation() for x in e if not x.is_zero())
+        sc = ring.from_fraction(Fraction(1, 2 ** ev))
+        e = [ring.mul(x, sc) for x in e]
+    # a partner f with B(e, f) = 1 on the standard vector where B(e, -)
+    # is a unit
+    t = [B.bilinear([ring.one, ring.zero], e),
+         B.bilinear([ring.zero, ring.one], e)]
+    k = 0 if _unit(t[0]) else 1
+    f = [ring.div(ring.one if m == k else ring.zero, t[k]) for m in range(2)]
+    if hyperbolic:
+        lam = ring.neg(ring.div(_blk_q(B, f), ring.from_int(2)))
         f = [ring.add(f[m], ring.mul(lam, e[m])) for m in range(2)]
         st.set_pair(pos, e, f)
         return "H"
-    # anisotropic: realize [[2,1],[1,2]] exactly
-    e = _represent_two(ring, a, b, c)
-    t = [_blk_bil(ring, a, b, c, e, [ring.one, ring.zero]),
-         _blk_bil(ring, a, b, c, e, [ring.zero, ring.one])]
-    k = 0 if _unit(t[0]) else 1
-    base = [ring.one if m == k else ring.zero for m in range(2)]
-    f = [ring.div(x, t[k]) for x in base]
-    # correct f along the direction w with B(e, w) = 0, which keeps
-    # B(e, f) = 1 while Q(f + s*w) = 2 is solved exactly (a solution
+    # correct f along the direction d with B(e, d) = 0, which keeps
+    # B(e, f) = 1 while Q(f + s*d) = 2 is solved exactly (a solution
     # exists because every anisotropic even unimodular block is
     # equivalent to [[2,1],[1,2]])
-    w = [t[1], ring.neg(t[0])]
-    wv = min(x.valuation() for x in w if not x.is_zero())
-    if wv:
-        sc = ring.from_fraction(Fraction(1, 2 ** wv))
-        w = [ring.mul(x, sc) for x in w]
-    qw = _blk_q(ring, a, b, c, w)
-    bw = _blk_bil(ring, a, b, c, f, w)
-    qf = _blk_q(ring, a, b, c, f)
-    disc2 = ring.sub(ring.mul(bw, bw),
-                     ring.mul(qw, ring.sub(qf, ring.from_int(2))))
+    d = [t[1], ring.neg(t[0])]
+    dv = min(x.valuation() for x in d if not x.is_zero())
+    if dv:
+        sc = ring.from_fraction(Fraction(1, 2 ** dv))
+        d = [ring.mul(x, sc) for x in d]
+    qd = _blk_q(B, d)
+    bd = B.bilinear(d, f)
+    qf = _blk_q(B, f)
+    disc2 = ring.sub(ring.mul(bd, bd),
+                     ring.mul(qd, ring.sub(qf, ring.from_int(2))))
     root = ring.sqrt(disc2)
     sol = None
     for sgn in (root, ring.neg(root)):
-        cand = ring.div(ring.sub(sgn, bw), qw)
+        cand = ring.div(ring.sub(sgn, bd), qd)
         if cand.is_zero() or cand.valuation() >= 0:
             sol = cand
             break
     if sol is None:
         raise PrecisionError("no integral norm-2 partner found")
-    f = [ring.add(f[m], ring.mul(sol, w[m])) for m in range(2)]
+    f = [ring.add(f[m], ring.mul(sol, d[m])) for m in range(2)]
     st.set_pair(pos, e, f)
     return "H0"
 
 
-def _blk_q(ring, a, b, c, v):
+def _blk_q(B: GramForm, v):
+    # B.quad(v) loses a 2-adic digit: cli_gram_h0.json would print mod 2^24
+    ring, a, b, c = B.ring, B.gram[0, 0], B.gram[0, 1], B.gram[1, 1]
     return ring.add(ring.add(ring.mul(a, ring.mul(v[0], v[0])),
                              ring.mul(ring.from_int(2),
                                       ring.mul(b, ring.mul(v[0], v[1])))),
                     ring.mul(c, ring.mul(v[1], v[1])))
 
 
-def _blk_bil(ring, a, b, c, v, w):
-    return ring.dot([ring.dot([a, b], v), ring.dot([b, c], v)], w)
-
-
-def _represent_two(ring, a, b, c):
+def _represent_two(B: GramForm):
     """Vector e over Z_2 with a e0^2 + 2b e0 e1 + c e1^2 = 2 exactly, for an
     even unimodular anisotropic block (which represents every 2*unit)."""
+    ring = B.ring
     two = ring.from_int(2)
     # residue search: a true solution reduces to some residue pair mod 16,
     # and any lift within 2^5 keeps the value ≡ 2 mod 64 with unit gradient
@@ -319,27 +247,28 @@ def _represent_two(ring, a, b, c):
             if x % 2 == 0 and y % 2 == 0:
                 continue
             e = [ring.from_int(x), ring.from_int(y)]
-            val = ring.sub(_blk_q(ring, a, b, c, e), two)
+            val = ring.sub(_blk_q(B, e), two)
             if val.is_zero():
                 return e
             if val.valuation() >= 6:
-                return _hensel_refine(ring, a, b, c, e)
+                return _hensel_refine(B, e)
     raise PreconditionError("even block represents no vector of norm 2 "
                             "(falsifies the anisotropic classification)")
 
 
-def _hensel_refine(ring, a, b, c, e):
+def _hensel_refine(B: GramForm, e):
     """Newton iteration on Q(e + t*d) = 2 along a unit-gradient direction."""
+    ring = B.ring
     grads = [[ring.one, ring.zero], [ring.zero, ring.one]]
-    d = next(g for g in grads if _unit(_blk_bil(ring, a, b, c, e, g)))
+    d = next(g for g in grads if _unit(B.bilinear(g, e)))
     t = ring.zero
     for _ in range(ring.prec + 2):
         cur = [ring.add(e[0], ring.mul(t, d[0])),
                ring.add(e[1], ring.mul(t, d[1]))]
-        h = ring.sub(_blk_q(ring, a, b, c, cur), ring.from_int(2))
+        h = ring.sub(_blk_q(B, cur), ring.from_int(2))
         if h.is_zero():
             return cur
-        hp = ring.mul(ring.from_int(2), _blk_bil(ring, a, b, c, cur, d))
+        hp = ring.mul(ring.from_int(2), B.bilinear(d, cur))
         t = ring.sub(t, ring.div(h, hp))
     raise PrecisionError("norm-2 refinement did not converge")
 
@@ -415,9 +344,9 @@ def _represent_value(Q: GramForm, target):
         v = [w[i] for i in range(n)]
         for k in range(n):
             d = [ring.one if i == k else ring.zero for i in range(n)]
-            bvd = _gram_bil(Q, v, d)
+            bvd = Q.bilinear(v, d)
             if not ring.is_zero(bvd):
-                qd = _gram_bil(Q, d, d)
+                qd = Q.bilinear(d, d)
                 alpha = ring.div(ring.sub(target, qd),
                                  ring.mul(ring.from_int(2), bvd))
                 return [ring.add(ring.mul(alpha, v[i]), d[i])
@@ -452,13 +381,6 @@ def _represent_value(Q: GramForm, target):
     return None
 
 
-def _gram_bil(Q: GramForm, v, w):
-    """sum of v_i w_j G_ij."""
-    ring = Q.ring
-    return ring.dot([ring.mul(a, b) for a in v for b in w],
-                    [g for row in Q.gram.rows for g in row])
-
-
 def _unimodular_transform(Q: GramForm) -> Mat:
     """X with X^t G X diagonal with unit entries (a self-dual basis for the
     form), or raises when no unit is represented at some stage."""
@@ -474,7 +396,7 @@ def _unimodular_transform(Q: GramForm) -> Mat:
     if e is None:
         raise PreconditionError("no self-dual refinement: the form "
                                 "represents no unit")
-    qe = _gram_bil(Q, e, e)
+    qe = Q.bilinear(e, e)
     # complement: project the standard basis away from e
     pivot = max(range(n), key=lambda k: -(e[k].valuation()
                                           if not e[k].is_zero() else 10 ** 9))
@@ -483,11 +405,11 @@ def _unimodular_transform(Q: GramForm) -> Mat:
         if k == pivot:
             continue
         d = [ring.one if i == k else ring.zero for i in range(n)]
-        lam = ring.neg(ring.div(_gram_bil(Q, e, d), qe))
+        lam = ring.neg(ring.div(Q.bilinear(e, d), qe))
         comp.append([ring.add(d[i], ring.mul(lam, e[i])) for i in range(n)])
     if not comp:
         return Mat(ring, [[e[0]]])
-    sub = Mat(ring, [[_gram_bil(Q, comp[i], comp[j])
+    sub = Mat(ring, [[Q.bilinear(comp[i], comp[j])
                       for j in range(len(comp))] for i in range(len(comp))])
     rest = Mat(ring, comp).transpose() * _unimodular_transform(GramForm(sub))
     return Mat(ring, [(a,) + r for a, r in zip(e, rest.rows)])
@@ -499,13 +421,12 @@ def self_dualize(I1: LatticeBasis, B2: GramForm, p: int = None
     ring = B2.ring
     if p is not None and p != ring.p:
         raise UsageError("prime mismatch with the coefficient ring")
-    G = I1.basis.transpose() * B2.gram * I1.basis
-    n = G.nrows
-    if not all(_integral(G[i, j]) for i in range(n) for j in range(n)):
+    G = B2.congruent(I1.basis)
+    if not _integral_matrix(G.gram):
         raise PreconditionError("I1 is not integral for the second form")
-    if _unit(det(G)):
+    if _unit(G.det()):
         return I1
-    X = _unimodular_transform(GramForm(G))
+    X = _unimodular_transform(G)
     out = Mat(ring, I1.basis.rows) * X
     lat = LatticeBasis(out, ring.p, ring.prec, I1.algebra)
     check = lat.basis.transpose() * B2.gram * lat.basis

@@ -53,12 +53,18 @@ class Mat:
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
+    def _same_shape(self, other: "Mat"):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise PreconditionError("matrix dimension mismatch")
+
     def __add__(self, other: "Mat") -> "Mat":
+        self._same_shape(other)
         R = self.ring
         return Mat(R, [[R.add(a, b) for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat") -> "Mat":
+        self._same_shape(other)
         R = self.ring
         return Mat(R, [[R.sub(a, b) for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
@@ -88,6 +94,8 @@ class Mat:
 
     def apply(self, v):
         """Matrix times column vector (list)."""
+        if len(v) != self.ncols:
+            raise PreconditionError("matrix dimension mismatch")
         return [self.ring.dot(r, v) for r in self.rows]
 
     def col(self, j: int):
@@ -136,8 +144,9 @@ def _pivot_key(ring, a):
     return 0
 
 
-def _best_pivot(ring, col_entries):
-    """Index of the preferred nonzero pivot, or None."""
+def best_pivot(ring, col_entries):
+    """Index of the first nonzero entry of least valuation over Q_p (of the
+    first nonzero one elsewhere), or None; entries are (index, value)."""
     best, best_key = None, None
     for idx, a in col_entries:
         if ring.is_zero(a):
@@ -160,7 +169,7 @@ def rref(M: Mat):
     for c in range(n):
         if r >= m:
             break
-        sel = _best_pivot(R, [(i, A[i][c]) for i in range(r, m)])
+        sel = best_pivot(R, [(i, A[i][c]) for i in range(r, m)])
         if sel is None:
             continue
         A[r], A[sel] = A[sel], A[r]
@@ -215,8 +224,7 @@ def nullspace(M: Mat):
 def inverse(M: Mat) -> Mat:
     R = M.ring
     n = M.nrows
-    aug = Mat(R, [list(r) + list(Mat.identity(R, n).rows[i])
-                  for i, r in enumerate(M.rows)])
+    aug = Mat(R, [r + e for r, e in zip(M.rows, Mat.identity(R, n).rows)])
     E, piv = rref(aug)
     if piv != list(range(n)):
         raise PreconditionError("matrix not invertible")

@@ -7,6 +7,10 @@ Hasse invariant at GF(p) and Q_p (Serre, A Course in Arithmetic, ch. IV).
 Splitness compares those with the split model; over Q it is glued from
 R and the relevant Q_p by Hasse-Minkowski.
 
+The module owns the one symmetric congruence, G = P^t G0 P kept with its
+basis change P (Congruence): diagonalize drives it here, and lattices
+drives it for the Z_p block reduction.
+
 Isotropic vectors come from: exhaustive/diagonal search over GF(q),
 mod-p solutions plus Hensel lifting over Q_p (p odd), and Lagrange
 descent for ternary forms over Q. Over Q_2 only invariants are used.
@@ -22,7 +26,7 @@ from math import gcd as igcd, isqrt
 import sympy
 
 from .errors import PreconditionError, UsageError
-from .linalg import Mat, det as mat_det, inverse, nullspace
+from .linalg import Mat, best_pivot, det as mat_det, inverse, nullspace
 from .rings import QQ, RR, Padic, Qp, hilbert_symbol
 
 
@@ -68,7 +72,67 @@ def standard_split_gram(ring, n: int) -> GramForm:
 
 
 # ---------------------------------------------------------------------------
-# diagonalization
+# symmetric congruence and diagonalization
+
+
+class Congruence:
+    """Mutable symmetric congruence G = P^t G0 P, kept with its basis
+    change P; diagonalize and the Z_p block reduction of lattices drive it."""
+
+    def __init__(self, Q: GramForm):
+        R, n = Q.ring, Q.rank
+        self.ring, self.n = R, n
+        self.G = [[Q.gram[i, j] for j in range(n)] for i in range(n)]
+        self.P = [[R.one if i == j else R.zero for j in range(n)]
+                  for i in range(n)]
+
+    def addmul(self, dst: int, src: int, lam):
+        """Basis op b_dst += lam * b_src."""
+        R, G, n = self.ring, self.G, self.n
+        for i in range(n):
+            self.P[i][dst] = R.add(self.P[i][dst], R.mul(lam, self.P[i][src]))
+        for i in range(n):
+            G[i][dst] = R.add(G[i][dst], R.mul(lam, G[i][src]))
+        for j in range(n):
+            G[dst][j] = R.add(G[dst][j], R.mul(lam, G[src][j]))
+
+    def swap(self, i: int, j: int):
+        if i == j:
+            return
+        for r in range(self.n):
+            self.P[r][i], self.P[r][j] = self.P[r][j], self.P[r][i]
+        for r in range(self.n):
+            self.G[r][i], self.G[r][j] = self.G[r][j], self.G[r][i]
+        self.G[i], self.G[j] = self.G[j], self.G[i]
+
+    def set_pair(self, pos: int, e, f):
+        """Replace (b_pos, b_pos+1) by the combinations e, f of themselves."""
+        R, n = self.ring, self.n
+        for row in self.P:
+            c = row[pos:pos + 2]
+            row[pos], row[pos + 1] = R.dot(e, c), R.dot(f, c)
+        # refresh the Gram rows/cols for the pair
+        old = [[self.G[pos + a][pos + b] for b in range(2)] for a in range(2)]
+        vecs = [e, f]
+        for a in range(2):
+            for b in range(2):
+                self.G[pos + a][pos + b] = R.dot(
+                    [R.mul(x, y) for x in vecs[a] for y in vecs[b]],
+                    old[0] + old[1])
+        for j in range(n):
+            if j in (pos, pos + 1):
+                continue
+            g = [self.G[pos][j], self.G[pos + 1][j]]
+            g0, g1 = R.dot(e, g), R.dot(f, g)
+            self.G[pos][j], self.G[pos + 1][j] = g0, g1
+            self.G[j][pos], self.G[j][pos + 1] = g0, g1
+
+    def clear(self, k: int):
+        """Clear row and column k past the pivot G[k][k] != 0."""
+        R, G, piv = self.ring, self.G, self.G[k][k]
+        for j in range(k + 1, self.n):
+            if not R.is_zero(G[k][j]):
+                self.addmul(j, k, R.neg(R.div(G[k][j], piv)))
 
 
 def diagonalize(Q: GramForm):
@@ -77,61 +141,23 @@ def diagonalize(Q: GramForm):
     if R.char == 2:
         raise PreconditionError("characteristic 2 not supported")
     n = Q.rank
-    G = [[Q.gram[i, j] for j in range(n)] for i in range(n)]
-    P = [[R.one if i == j else R.zero for j in range(n)] for i in range(n)]
-
-    def addmul_col(dst, src, c):
-        # column op on G (and record in P): col_dst += c*col_src, then row same
-        for i in range(n):
-            G[i][dst] = R.add(G[i][dst], R.mul(c, G[i][src]))
-        for j in range(n):
-            G[dst][j] = R.add(G[dst][j], R.mul(c, G[src][j]))
-        for i in range(n):
-            P[i][dst] = R.add(P[i][dst], R.mul(c, P[i][src]))
-
-    def swap_cols(a, b):
-        for i in range(n):
-            G[i][a], G[i][b] = G[i][b], G[i][a]
-        G[a], G[b] = G[b], G[a]
-        for i in range(n):
-            P[i][a], P[i][b] = P[i][b], P[i][a]
-
+    st = Congruence(Q)
+    G = st.G
     for k in range(n):
-        # choose pivot among diagonal entries k..n-1
-        pivot = None
-        best_key = None
-        for i in range(k, n):
-            if R.is_zero(G[i][i]):
-                continue
-            key = G[i][i].valuation() if R.is_padic else 0
-            if pivot is None or key < best_key:
-                pivot, best_key = i, key
+        pivot = best_pivot(R, [(i, G[i][i]) for i in range(k, n)])
         if pivot is None:
-            # all diagonal zero: use an off-diagonal entry (char != 2 trick)
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if not R.is_zero(G[i][j]):
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                rad = [j for j in range(k, n)]
+            # all diagonal zero: b_i += b_j gives G[i][i] = 2 G[i][j] != 0
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if not R.is_zero(G[i][j])), None)
+            if pair is None:
                 err = PreconditionError("degenerate form: nonzero radical")
-                err.radical = rad
+                err.radical = list(range(k, n))
                 raise err
-            i, j = found
-            addmul_col(i, j, R.one)  # now G[i][i] = 2*G[i][j] != 0
-            pivot = i
-        if pivot != k:
-            swap_cols(pivot, k)
-        d = G[k][k]
-        for j in range(k + 1, n):
-            if not R.is_zero(G[k][j]):
-                addmul_col(j, k, R.neg(R.div(G[k][j], d)))
-    Pm = Mat(R, P)
-    return Pm, [G[i][i] for i in range(n)]
+            pivot = pair[0]
+            st.addmul(pivot, pair[1], R.one)
+        st.swap(pivot, k)
+        st.clear(k)
+    return Mat(R, st.P), [G[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +260,6 @@ def _is_split_at(inv: FormInvariants) -> bool:
     if n % 2 == 0 and not place.is_square(c):
         return False
     return inv.hasse == _hasse([1, -1] * m + [c] * (n % 2), place)
-
-
-def _square_free_of(disc, ring):
-    """Rational squarefree representative of a disc over Q or Q_p."""
-    if isinstance(disc, Padic):
-        v = disc.valuation()
-        u = disc.unit_mod(3 if ring.is_dyadic else 1)  # fixes its class
-        return Fraction(ring.p ** (v % 2) * u)
-    fr = Fraction(disc)
-    return _squarefree(fr.numerator * fr.denominator)
 
 
 def _squarefree(n: int) -> int:
@@ -409,7 +425,7 @@ def _isotropic_diag_qq(diag):
         d1, d2, d3 = fr[i], fr[j], fr[k]
         aa = -d1 * d2
         bb = -d1 * d3
-        a, b = _square_free_of(aa, QQ), _square_free_of(bb, QQ)
+        a, b = (_squarefree(x.numerator * x.denominator) for x in (aa, bb))
         if a == 0 or b == 0:
             continue
         sol = _legendre_solve(a, b)
@@ -517,8 +533,7 @@ def split_frame(Q: GramForm):
     cols = [v, w]
     if comp:
         C = Mat(R, list(zip(*comp)))  # columns = complement basis
-        Qc = GramForm(C.transpose() * Q.gram * C)
-        Pc, m, c = split_frame(Qc)
+        Pc, m, c = split_frame(Q.congruent(C))
         lifted = C * Pc
         for j in range(lifted.ncols):
             cols.append(lifted.col(j))

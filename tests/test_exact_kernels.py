@@ -224,6 +224,17 @@ class TestDot:
             M.apply([one])
         with pytest.raises(PreconditionError, match="dimension mismatch"):
             M.apply([one, one, one])
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            Mat(ring, []).apply([one, one, one])  # rowless is 0 x 0
+        for other in (Mat.from_ints(ring, [[1]]), Mat(ring, []),
+                      Mat.from_ints(ring, [[1, 2]])):
+            for a, b in ((M, other), (other, M)):
+                with pytest.raises(PreconditionError,
+                                   match="dimension mismatch"):
+                    a + b
+                with pytest.raises(PreconditionError,
+                                   match="dimension mismatch"):
+                    a - b
 
 
 class TestMatProduct:

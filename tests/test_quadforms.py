@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 from orbitlab import quadforms
-from orbitlab.errors import PrecisionError, UsageError
+from orbitlab.errors import UsageError
 from orbitlab.linalg import Mat, det
-from orbitlab.quadforms import (GramForm, _relevant_primes, _square_free_of,
-                                diagonalize,
+from orbitlab.quadforms import (GramForm, _relevant_primes, diagonalize,
                                 form_invariants, is_split, isotropic_vector,
                                 split_isometry, standard_split_gram)
 from orbitlab.rings import GF, QQ, RR, Qp
@@ -199,15 +198,6 @@ class TestInvariants:
             inv2 = form_invariants(Q.congruent(M))
             assert inv1.hasse == inv2.hasse
             assert K.is_square(K.mul(inv1.disc, K.inv(inv2.disc)))
-
-    @pytest.mark.parametrize("prec", [1, 2])
-    def test_two_adic_square_free_needs_three_digits(self, prec):
-        # 3 and 7 are different classes in Q_2 but agree mod 4
-        K = Qp(2, prec)
-        with pytest.raises(PrecisionError):
-            _square_free_of(K.from_fraction(12), K)
-        assert _square_free_of(Qp(2, 3).from_fraction(12), Qp(2, 3)) == 3
-        assert _square_free_of(Qp(5, 1).from_fraction(15), Qp(5, 1)) == 15
 
     def test_signature_over_r(self):
         Q = GramForm(_sym_mat(RR, [[2, 0], [0, -3]]))

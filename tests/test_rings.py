@@ -88,6 +88,16 @@ class TestPadics:
         s = K.sqrt(K.mul(x, x))
         assert K.eq(K.mul(s, s), K.mul(x, x))
 
+    @pytest.mark.parametrize("prec", [1, 2])
+    def test_two_adic_unit_mod_needs_three_digits(self, prec):
+        # 3 and 7 are different square classes in Q_2 but agree mod 4
+        x = Qp(2, prec).from_fraction(12)
+        with pytest.raises(PrecisionError):
+            x.unit_mod(3)
+        assert Qp(2, 3).from_fraction(12).unit_mod(3) == 3
+        assert Qp(2, 3).from_fraction(28).unit_mod(3) == 7
+        assert Qp(5, 1).from_fraction(15).unit_mod(1) == 3
+
     @given(a=nonzero_rationals)
     @settings(max_examples=50, deadline=None)
     def test_square_of_square(self, a):
