@@ -36,7 +36,7 @@ from . import DEFAULT_SEED
 from .errors import BudgetError, PreconditionError, UsageError
 from .orbits import distinguished_coincide
 from .poly import euler_split
-from .rings import QQ, is_prime
+from .rings import QQ, factorint, is_prime
 from .thetarep import Invariants
 
 BRUTEFORCE_BUDGET = 2 * 10 ** 8
@@ -446,18 +446,8 @@ def _is_minimal(a, e, n: int) -> bool:
     """No prime scaling lambda = p with p^(2i) | a_i and p^n | e."""
     if e == 0 and all(x == 0 for x in a):
         return False
-    candidates = set()
     probe = abs(e) if e != 0 else next(abs(x) for x in a if x != 0)
-    d = 2
-    while d * d <= probe:
-        if probe % d == 0:
-            candidates.add(d)
-            while probe % d == 0:
-                probe //= d
-        d += 1
-    if probe > 1:
-        candidates.add(probe)
-    for q in candidates:
+    for q in factorint(probe):
         if e % q ** n != 0 and e != 0:
             continue
         if all(x % q ** (2 * i) == 0 for i, x in enumerate(a, start=1)):

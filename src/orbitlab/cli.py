@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import DEFAULT_SEED, census as census_mod
+from . import DEFAULT_SEED
 from .descent import local_image, sel12_local
 from .errors import OrbitlabError, UsageError
 from .etale import norm_one_classes
@@ -253,6 +253,7 @@ def _density_csv(report, out) -> None:
 
 
 def _cmd_census(args, out) -> int:
+    from . import census as census_mod  # numpy, which no other verb needs
     seed = args.seed
     if args.action == "sweep":
         report = census_mod.fp_sweep(args.p, args.n, seed=seed)
@@ -293,6 +294,7 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_heights(args, out) -> int:
+    from . import census as census_mod
     X = args.X
     if X <= 0:
         raise UsageError("--X must be a positive integer")

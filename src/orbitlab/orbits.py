@@ -11,12 +11,11 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PrecisionError, PreconditionError, UsageError
+from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, square_class
 from .linalg import Mat, block_matrix, inverse, rank, solve
 from .poly import Poly, discriminant, factor, real_roots_exact
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
-from .rings import Qp
 from .thetarep import Invariants, RepElement, antidiag, lift, star
 
 
@@ -117,24 +116,9 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
 
 
 def alpha1_construct(c: Invariants) -> RepElement:
-    """The base-point representative (trivial class)."""
-    return _with_precision_retry(c, algebra_of(c).one())
-
-
-def _with_precision_retry(c: Invariants, nu_elem):
-    ring = c.ring
-    attempts = 0
-    while True:
-        try:
-            return orbit_from_class(c, nu_elem)
-        except PrecisionError:
-            if not ring.is_padic or attempts >= 2:
-                raise
-            attempts += 1
-            ring = Qp(ring.p, 2 * ring.prec)
-            conv = lambda x: ring.from_fraction(x.to_fraction())
-            c = Invariants(ring, tuple(conv(a) for a in c.a), conv(c.e))
-            nu_elem = nu_elem.map_ring(ring, conv)
+    """The base-point representative (trivial class); a PrecisionError
+    reaches the caller."""
+    return orbit_from_class(c, algebra_of(c).one())
 
 
 @dataclass

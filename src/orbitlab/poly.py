@@ -815,20 +815,8 @@ def _factor_qp(f: Poly) -> list:
     fbar_factors = sorted((g for g, _ in _factor_gf(fbar, p)),
                           key=lambda g: (len(g), g))
     lifted = hensel_factorization(ints, p, N, fbar_factors)
-    out = []
-    for L in lifted:
-        coeffs = []
-        for c in L:
-            c %= p ** N
-            if c == 0:
-                coeffs.append(Padic.zero(p, N))
-            else:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                coeffs.append(Padic(p, v, c, N - v))
-        out.append((Poly(ring, coeffs), 1))
+    out = [(Poly(ring, [Padic.from_digits(p, 0, c, N) for c in L]), 1)
+           for L in lifted]
     return sorted(out, key=lambda t: t[0].degree)
 
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd, isqrt
-
-import sympy
+from math import gcd as igcd, isqrt, prod
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, best_pivot, det as mat_det, inverse, nullspace
-from .rings import QQ, RR, Padic, Qp, hilbert_symbol
+from .rings import (QQ, RR, Padic, Qp, factorint, hilbert_symbol,
+                    sqrt_mod)
 
 
 class GramForm:
@@ -211,12 +210,11 @@ def _diag_invariants(diag, ring, place) -> FormInvariants:
 
 
 def _relevant_primes(diag) -> list:
+    """2 and the primes of the numerators and denominators of diag."""
     ps = {2}
     for d in diag:
         fr = Fraction(d)
-        for val in (fr.numerator, fr.denominator):
-            for p in sympy.factorint(abs(val)):
-                ps.add(int(p))
+        ps.update(factorint(abs(fr.numerator)), factorint(fr.denominator))
     return sorted(ps)
 
 
@@ -265,82 +263,64 @@ def _is_split_at(inv: FormInvariants) -> bool:
 def _squarefree(n: int) -> int:
     if n == 0:
         return 0
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in sympy.factorint(abs(n)).items():
-        if e % 2 == 1:
-            out *= int(p)
-    return out
+    return (-1 if n < 0 else 1) * prod(
+        p for p, e in factorint(abs(n)).items() if e % 2)
 
 
 # ---------------------------------------------------------------------------
 # isotropic vectors
 
 
+# The _isotropic_diag_* searches return an isotropic vector of the diagonal
+# form as its nonzero slots [(index, coordinate)], or None.
+
+
+def _isotropic_pair(slots, ring):
+    """The first i < j of the (index, d) slots with q = -d_i/d_j a square:
+    then (1, sqrt(q)) at (i, j) is isotropic."""
+    for (i, di), (j, dj) in itertools.combinations(slots, 2):
+        q = ring.neg(ring.div(di, dj))
+        if ring.is_square(q):
+            return [(i, ring.one), (j, ring.sqrt(q))]
+    return None
+
+
 def _isotropic_diag_gf(diag, ring):
-    """Isotropic vector of a diagonal form over GF(p), p odd, or None."""
+    """Over GF(p), p odd: a pair, else a triple with z = 1 and x, y
+    scanned in lex order."""
     p = ring.p
-    n = len(diag)
-    # pairs first
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = ring.neg(ring.div(diag[i], diag[j]))
-            if ring.is_square(q):
-                v = [ring.zero] * n
-                v[i] = ring.one
-                v[j] = ring.sqrt(q)
-                return v
-    # triples: z = 1, scan x, y in lex order
-    for i, j, k in itertools.combinations(range(n), 3):
+    pair = _isotropic_pair(enumerate(diag), ring)
+    if pair is not None:
+        return pair
+    for i, j, k in itertools.combinations(range(len(diag)), 3):
         for x in range(p):
             for y in range(p):
-                val = (diag[i] * x * x + diag[j] * y * y + diag[k]) % p
-                if val == 0:
-                    v = [ring.zero] * n
-                    v[i], v[j], v[k] = x % p, y % p, ring.one
-                    return v
+                if (diag[i] * x * x + diag[j] * y * y + diag[k]) % p == 0:
+                    return [(i, x), (j, y), (k, ring.one)]
     return None
 
 
 def _isotropic_diag_qp(diag, ring):
-    """Isotropic vector of a diagonal form over Q_p (p odd), or None."""
+    """Over Q_p, p odd: within the slots of one valuation parity."""
     p = ring.p
-    n = len(diag)
-    # normalize: d_i = p^{v_i} u_i; only parity matters, record scaled units
-    norm = []
-    for i, d in enumerate(diag):
-        v = d.valuation()
-        u = Padic(p, 0, d.u, d.prec)
-        norm.append((i, v % 2, v, u))
+    vals = [d.valuation() for d in diag]  # d_i = p^{v_i} u_i
     for parity in (0, 1):
-        group = [(i, u) for (i, _par, _v, u) in norm if _par == parity]
+        group = [(i, Padic(p, 0, d.u, d.prec))
+                 for i, d in enumerate(diag) if vals[i] % 2 == parity]
         res = _unit_group_isotropic(group, ring)
         if res is not None:
-            # d_i = p^{parity + 2 w_i} u_i; coordinate i absorbs p^{-w_i}
-            out = [ring.zero] * n
-            for (i, coeff) in res:
-                w = (dict((j, vv) for (j, _pp, vv, _u) in norm)[i] - parity) // 2
-                out[i] = ring.mul(coeff, ring.from_fraction(
-                    Fraction(1, p ** w) if w >= 0 else Fraction(p ** (-w))))
-            return out
+            # v_i = parity + 2 w_i; coordinate i absorbs p^{-w_i}
+            return [(i, ring.mul(t, ring.from_fraction(
+                Fraction(p) ** ((parity - vals[i]) // 2)))) for i, t in res]
     return None
 
 
 def _unit_group_isotropic(group, ring):
     """Isotropic combination using only unit-scaled slots; or None."""
     p = ring.p
-    if len(group) < 2:
-        return None
-    # pair shortcut
-    for a in range(len(group)):
-        for b in range(a + 1, len(group)):
-            i, ui = group[a]
-            j, uj = group[b]
-            q = ring.neg(ring.div(ui, uj))
-            if ring.is_square(q):
-                return [(i, ring.one), (j, ring.sqrt(q))]
-    if len(group) < 3:
-        return None
+    pair = _isotropic_pair(group, ring)
+    if pair is not None or len(group) < 3:
+        return pair
     # ternary: solve mod p with a liftable first coordinate, then Hensel.
     # After the pair shortcut fails, any mod-p isotropic vector has all
     # coordinates nonzero, so fixing z = 1 and lifting the first slot works.
@@ -371,10 +351,7 @@ def _legendre_solve(a: int, b: int):
     if b == 1:
         return (1, 0, 1)
     # local solvability of x^2 - a y^2 - b z^2
-    places = [RR] + [Qp(p) for p in
-                     sorted({2} | set(int(q) for q in sympy.factorint(abs(a)))
-                            | set(int(q) for q in sympy.factorint(abs(b))))]
-    for pl in places:
+    for pl in [RR] + [Qp(p) for p in _relevant_primes([a, b])]:
         if hilbert_symbol(Fraction(a), Fraction(b), pl) != 1:
             return None
     if abs(a) > abs(b):
@@ -384,12 +361,9 @@ def _legendre_solve(a: int, b: int):
         x, y, z = res
         return (x, z, y)
     # now |a| <= |b|, |b| >= 2
-    t = sympy.ntheory.sqrt_mod(a % abs(b), abs(b))
+    t = sqrt_mod(a, abs(b))
     if t is None:
         return None
-    t = int(t)
-    if t > abs(b) // 2:
-        t = t - abs(b)
     r = (t * t - a) // b
     if r == 0:
         # a = t^2
@@ -410,39 +384,23 @@ def _legendre_solve(a: int, b: int):
 
 
 def _isotropic_diag_qq(diag):
-    """Isotropic vector of a diagonal form over Q, or None (exhausted)."""
-    n = len(diag)
+    """Over Q: a pair, else Legendre's descent on a ternary subform."""
     fr = [Fraction(d) for d in diag]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = -fr[i] / fr[j]
-            if q > 0 and QQ.is_square(q):
-                v = [Fraction(0)] * n
-                v[i] = Fraction(1)
-                v[j] = QQ.sqrt(q)
-                return v
-    for (i, j, k) in itertools.combinations(range(n), 3):
+    pair = _isotropic_pair(enumerate(fr), QQ)
+    if pair is not None:
+        return pair
+    for (i, j, k) in itertools.combinations(range(len(fr)), 3):
         d1, d2, d3 = fr[i], fr[j], fr[k]
         aa = -d1 * d2
         bb = -d1 * d3
         a, b = (_squarefree(x.numerator * x.denominator) for x in (aa, bb))
-        if a == 0 or b == 0:
-            continue
         sol = _legendre_solve(a, b)
         if sol is None:
             continue
-        X, Y, Z = sol
-        alpha2 = aa / a     # aa = a * alpha^2
-        beta2 = bb / b
-        alpha = QQ.sqrt(alpha2)
-        beta = QQ.sqrt(beta2)
-        v = [Fraction(0)] * n
-        v[i] = Fraction(X)
-        v[j] = d1 * Y / alpha
-        v[k] = d1 * Z / beta
-        if v[i] == 0 and v[j] == 0 and v[k] == 0:
-            continue
-        return v
+        X, Y, Z = sol  # never all zero
+        alpha = QQ.sqrt(aa / a)     # aa = a * alpha^2
+        beta = QQ.sqrt(bb / b)
+        return [(i, Fraction(X)), (j, d1 * Y / alpha), (k, d1 * Z / beta)]
     return None
 
 
@@ -484,9 +442,10 @@ def isotropic_vector(Q: GramForm):
         w = _isotropic_diag_qp(diag, ring)
     if w is None:
         return None
-    v = P.apply([ring.from_fraction(c) if isinstance(c, (int, Fraction)) else c
-                 for c in w])
-    v = _normalize_vector(v, ring)
+    v = [ring.zero] * len(diag)
+    for i, c in w:
+        v[i] = ring.from_fraction(c) if isinstance(c, (int, Fraction)) else c
+    v = _normalize_vector(P.apply(v), ring)
     if not ring.is_zero(Q.quad(v)):
         raise PreconditionError("isotropic search produced a bad vector")
     return v

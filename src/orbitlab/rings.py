@@ -1,4 +1,5 @@
-"""Exact base rings: Q, R (exact rational coordinates), GF(p), and truncated Qp.
+"""Exact base rings: Q, R (exact rational coordinates), GF(p), and truncated
+Qp, and the integer number theory they rest on.
 
 Every ring object exposes the same small arithmetic API (add/sub/mul/div,
 dot, is_zero, eq, from_fraction, is_square, sqrt, ...) so that polynomials,
@@ -17,26 +18,94 @@ p-adic scalars are precision-tracked triples (valuation, unit mod p^N, N);
 all cancellation is accounted for explicitly and a value that cannot be
 certified nonzero at its tracked precision raises PrecisionError when a
 valuation is demanded.
+
+The integer helpers have their one implementation here: is_prime
+(Miller-Rabin with a proven basis set), factorint (trial division, then
+Pollard rho), sqrt_mod_p (Tonelli-Shanks) and sqrt_mod (CRT over a
+squarefree modulus).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
 from .errors import PrecisionError, PreconditionError, UsageError
 
 DEFAULT_PRECISION = 20
 
+# Miller-Rabin with the 13 primes up to 41 as bases decides primality of
+# every n below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    """Primality; deterministic for n < 2^64 (sympy's Miller-Rabin bases)
-    and BPSW above."""
-    return sympy.isprime(n)
+    """Primality by Miller-Rabin with the prime bases up to 41, which is
+    proven for n < 3,317,044,064,679,887,385,961,981. A failed base proves
+    n composite at any size; from that bound on, an n that passes every
+    base raises UsageError instead of being called prime unproven."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _PRIME_BOUND:
+        raise UsageError(f"{n} passes every base, but primality is "
+                         f"certified only below {_PRIME_BOUND}")
+    return True
+
+
+def factorint(n: int) -> dict:
+    """{prime: exponent} of an integer n >= 1, primes ascending: trial
+    division below 1000, then square roots and Pollard rho on what is left.
+    What is left has no factor below 1000, so below 10^6 it is prime."""
+    if n < 1:
+        raise PreconditionError(f"cannot factor {n}")
+    out, d = {}, 2
+    while d < 1000 and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            rest += [r, r]
+            continue
+        if m < 10 ** 6 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        for c in itertools.count(1):  # Floyd cycle search on x^2 + c
+            x = y = 2
+            g = 1
+            while g == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                g = math.gcd(x - y, m)
+            if g != m:
+                break
+        rest += [g, m // g]
+    return dict(sorted(out.items()))
 
 
 def _as_fraction(x) -> Fraction:
@@ -92,6 +161,29 @@ def sqrt_mod_p(a: int, p: int) -> int:
     return r
 
 
+def sqrt_mod(a: int, n: int):
+    """A root of x^2 = a mod a squarefree n >= 1, or None when there is
+    none. The roots mod each prime of n, ascending, are joined by CRT in
+    itertools.product order; the first join other than n // 2 is returned,
+    or n minus it when it exceeds n // 2. That choice fixes the isotropic
+    vector of a rational ternary form, and so the printed representative of
+    `orbit construct --base Q`."""
+    primes, roots = list(factorint(n)), []
+    for p in primes:
+        r = a % p
+        if p > 2 and r and pow(r, (p - 1) // 2, p) != 1:
+            return None
+        r = sqrt_mod_p(r, p) if p > 2 else r
+        roots.append(sorted({r, -r % p}))
+    basis = [n // p * pow(n // p, -1, p) for p in primes]
+    half = n // 2
+    for combo in itertools.product(*roots):
+        x = sum(map(operator.mul, combo, basis)) % n
+        if x != half:
+            return x if x < half else n - x
+    return half
+
+
 class Padic:
     """A truncated p-adic number p^v * u + O(p^(v+N)).
 
@@ -122,6 +214,16 @@ class Padic:
         x = object.__new__(cls)
         x.p, x.v, x.u, x.prec = p, v, u, prec
         return x
+
+    @classmethod
+    def from_digits(cls, p: int, m: int, s: int, A: int) -> "Padic":
+        """The value s * p^m known mod p^A, with the p-power of s moved
+        into the valuation."""
+        s = s % p ** (A - m) if A > m else 0
+        if s == 0:
+            return cls.zero(p, A)
+        w = _padic_val(s, p)
+        return cls._unit(p, m + w, s // p ** w, A - m - w)
 
     @staticmethod
     def zero(p: int, abs_prec=None) -> "Padic":
@@ -185,14 +287,10 @@ class Padic:
             return other._truncate_abs(a1)
         if other.u == 0:
             return self._truncate_abs(a2)
-        A = min(a1, a2)
         m = min(self.v, other.v)
-        mod = p ** (A - m)
-        s = (self.u * p ** (self.v - m) + other.u * p ** (other.v - m)) % mod
-        if s == 0:
-            return Padic.zero(p, A)
-        w = _padic_val(s, p)
-        return Padic._unit(p, m + w, s // p ** w, A - m - w)
+        return Padic.from_digits(
+            p, m, self.u * p ** (self.v - m) + other.u * p ** (other.v - m),
+            min(a1, a2))
 
     def _truncate_abs(self, abs_prec) -> "Padic":
         if abs_prec is None or self.u == 0:
@@ -248,10 +346,14 @@ class Padic:
 
 
 class Place:
-    """Place facts shared by the rings; each ring overrides what holds."""
+    """Place facts shared by the rings; each ring overrides what holds.
+    The arithmetic defaults to Python's operators, which Fraction and
+    Padic elements carry; GF(p) reduces mod p instead."""
 
     is_global = is_real = is_finite = is_padic = is_dyadic = False
     tag: str
+    add, sub, mul, neg = map(staticmethod, (operator.add, operator.sub,
+                                            operator.mul, operator.neg))
 
     def hilbert(self, a, b) -> int:
         raise UsageError(f"Hilbert symbol undefined over {self!r}")
@@ -281,15 +383,6 @@ class RationalField(Place):
     def from_fraction(self, x):
         return _as_fraction(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def dot(self, xs, ys):
         _same_length(xs, ys)
         num, den = 0, 1
@@ -299,9 +392,6 @@ class RationalField(Place):
                 num, den = num * d, den * d
             num += a.numerator * b.numerator * (den // d)
         return Fraction(num, den)
-
-    def neg(self, a):
-        return -a
 
     def div(self, a, b):
         if b == 0:
@@ -474,15 +564,6 @@ class PadicField(Place):
             return x
         return Padic.from_fraction(_as_fraction(x), self.p, self.prec)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def dot(self, xs, ys):
         """Digit for digit the term-by-term sum: it is known mod p^A, A the
         least absolute precision of the products."""
@@ -502,16 +583,8 @@ class PadicField(Place):
         if A is None:
             return Padic.zero(p)
         m = min((v for v, _ in terms), default=A)
-        if m >= A:
-            return Padic.zero(p, A)
-        s = sum(u * p ** (v - m) for v, u in terms) % p ** (A - m)
-        if s == 0:
-            return Padic.zero(p, A)
-        w = _padic_val(s, p)
-        return Padic._unit(p, m + w, s // p ** w, A - m - w)
-
-    def neg(self, a):
-        return -a
+        return Padic.from_digits(
+            p, m, sum(u * p ** (v - m) for v, u in terms), A)
 
     def div(self, a, b):
         return a * b.inverse()
@@ -614,11 +687,10 @@ def _val_and_unit(x, p: int):
     x = _as_fraction(x)
     if x == 0:
         raise PreconditionError("Hilbert symbol of zero")
-    v = _padic_val(x.numerator, p) - _padic_val(x.denominator, p)
+    vn, vd = _padic_val(x.numerator, p), _padic_val(x.denominator, p)
     mod = p ** 3
-    num = x.numerator // p ** _padic_val(x.numerator, p)
-    den = x.denominator // p ** _padic_val(x.denominator, p)
-    return v, num * pow(den, -1, mod) % mod
+    return vn - vd, (x.numerator // p ** vn
+                     * pow(x.denominator // p ** vd, -1, mod) % mod)
 
 
 def hilbert_symbol(a, b, place) -> int:

@@ -9,7 +9,7 @@ import pytest
 from conftest import SEED, count_calls, is_rs, random_rs_invariants
 from orbitlab import orbits, quadforms
 from orbitlab.cli import dispatch
-from orbitlab.errors import PreconditionError, UsageError
+from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.etale import EtaleAlgebra, norm_one_classes, square_class
 from orbitlab.linalg import det
 from orbitlab.orbits import (algebra_of, alpha1_construct, delta_map,
@@ -126,9 +126,9 @@ class TestSplitModel:
             [(Qp(7, 20), 20)] * 2
 
     def test_escalated_precision_frames_afresh(self, monkeypatch, q7):
-        """Q_p rings of one p compare equal whatever their precision; the
-        Qp(p, 2 * prec) of a precision escalation still gets its own
-        models, at its own precision."""
+        """Q_p rings of one p compare equal whatever their precision; a
+        construction over Qp(p, 2 * prec) still gets its own models, at its
+        own precision."""
         orbits._split_models.cache_clear()
         seen = self._model_frames(monkeypatch, 3)
         c = Invariants(q7, (q7.from_int(0), q7.from_int(-1)), q7.one)
@@ -140,6 +140,31 @@ class TestSplitModel:
         alpha1_construct(c2)
         alpha1_construct(c2)
         assert [prec for _, prec in seen()] == [20, 20, 40, 40]
+
+
+class TestPrecisionErrors:
+    def test_precision_error_keeps_the_invariants(self, monkeypatch, q7):
+        """A PrecisionError inside alpha1_construct reaches the caller, or
+        the representative still has c's invariants. Re-embedding -1 of
+        Qp(7, 20) through to_fraction() gives 7^20 - 1, another f."""
+        real = orbits.orbit_from_class
+        raised = []
+
+        def flaky(c, nu):
+            if not raised:
+                raised.append(True)
+                raise PrecisionError("injected")
+            return real(c, nu)
+
+        monkeypatch.setattr(orbits, "orbit_from_class", flaky)
+        c = Invariants(q7, (q7.from_int(0), q7.from_int(-1)), q7.one)
+        try:
+            rep = alpha1_construct(c)
+        except PrecisionError:
+            return
+        R, got = rep.ring, invariants_of(rep)
+        for x, want in zip(got.a + (got.e,), (0, -1, 1)):
+            assert R.is_zero(R.sub(x, R.from_int(want))), (x, want)
 
 
 class TestDistinguished:

@@ -1,7 +1,8 @@
 """poly.factor runs on its own kernels over Q and GF(p); poly.py may not
-reach sympy's factoring (sympy stays the test oracle for it). Every module
-but quadforms and rings imports no sympy at all, and descent loads no
-numpy."""
+reach sympy's factoring. No module of the package imports sympy, which is
+the tests' oracle only. numpy is loaded by census alone: importing the CLI,
+or descent, or running a verb other than census and heights, loads
+neither."""
 
 import ast
 import os
@@ -35,7 +36,7 @@ def test_poly_does_not_reach_sympy_factoring():
 
 @pytest.mark.parametrize("module", [
     "census", "cli", "descent", "errors", "etale", "lattices", "linalg",
-    "orbits", "poly", "thetarep"])
+    "orbits", "poly", "quadforms", "rings", "thetarep"])
 def test_module_imports_no_sympy(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     found = [ast.unparse(node) for node in ast.walk(tree)
@@ -46,10 +47,26 @@ def test_module_imports_no_sympy(module):
     assert not found, found
 
 
-def test_descent_loads_no_numpy():
+def _fresh_modules(code):
+    """Which of sympy and numpy a fresh interpreter holds after code."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, orbitlab.descent; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(sorted({'sympy', 'numpy'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_descent_loads_no_numpy():
+    assert "numpy" not in _fresh_modules("import orbitlab.descent")
+
+
+def test_cli_import_loads_neither_sympy_nor_numpy():
+    assert _fresh_modules("import orbitlab.cli") == "[]"
+
+
+def test_real_descent_verb_loads_neither_sympy_nor_numpy():
+    code = ("import io\nfrom orbitlab.cli import dispatch\n"
+            "assert dispatch(['descent', 'local', '--f', '1,0,-1,1', '--e', "
+            "'1', '--base', 'Q', '--place', 'R'], io.StringIO()) == 0")
+    assert _fresh_modules(code) == "[]"

@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from orbitlab.errors import PrecisionError, PreconditionError, UsageError
-from orbitlab.rings import (GF, QQ, RR, PadicField, Qp, hilbert_symbol,
-                            sqrt_mod_p)
+from orbitlab.rings import (GF, QQ, RR, PadicField, Qp, factorint,
+                            hilbert_symbol, is_prime, sqrt_mod, sqrt_mod_p)
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50)).filter(lambda x: x != 0)
@@ -211,3 +213,86 @@ class TestConstruction:
     def test_field_identity(self):
         assert Qp(5, 20) == Qp(5, 20)
         assert isinstance(Qp(5, 20), PadicField)
+
+
+# the Carmichael numbers below 10^5
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 46657, 52633, 62745, 63973, 75361)
+
+
+class TestIntegerHelpers:
+    """is_prime, factorint and sqrt_mod against sympy, the oracle."""
+
+    def test_is_prime_matches_sympy_on_seeded_integers(self):
+        rng = random.Random(17)
+        for _ in range(20000):
+            n = rng.getrandbits(rng.randint(16, 81))
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_is_prime_small_and_carmichael(self):
+        assert [n for n in range(-3, 60) if is_prime(n)] == \
+            list(sympy.primerange(0, 60))
+        for n in CARMICHAEL:
+            assert not sympy.isprime(n) and not is_prime(n), n
+
+    @pytest.mark.parametrize("n", [
+        3825123056546413051,          # strong pseudoprime to the bases <= 23
+        318665857834031151167461])    # ... to the bases <= 37
+    def test_is_prime_rejects_strong_pseudoprimes(self, n):
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+    def test_is_prime_refuses_past_the_proven_bound(self):
+        """Past the bound a failed base still proves n composite; an n that
+        passes every base is refused, prime or not."""
+        assert is_prime(3317044064679887385961979) == \
+            sympy.isprime(3317044064679887385961979)
+        big = sympy.nextprime(10 ** 30)
+        for n in (3317044064679887385961981, big):
+            with pytest.raises(UsageError):
+                is_prime(n)
+            with pytest.raises(UsageError):
+                factorint(6 * n)
+        assert not is_prime(big * sympy.nextprime(10 ** 20))
+        n = 2 ** 5 * 1217 ** 2 * 2147641 ** 2 * 772182877 ** 2  # 127 bits
+        assert factorint(n) == sympy.factorint(n)
+
+    def test_factorint_matches_sympy(self):
+        rng = random.Random(29)
+
+        def prime(bits):
+            return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+        cases = [1, 2, 1000, 999983 ** 2, 1009 * 1013, 2 ** 47, 3 ** 30]
+        for _ in range(40):
+            p, q = prime(24), prime(24)
+            cases += [p * q, p * q * rng.randrange(1, 5000), p ** 2, p ** 3,
+                      p * prime(12) ** 2, rng.getrandbits(48) + 1]
+        for n in cases:
+            assert factorint(n) == sympy.factorint(n), n
+        with pytest.raises(PreconditionError):
+            factorint(0)
+
+    @staticmethod
+    def _squarefree_moduli(lo, hi):
+        return [b for b in range(lo, hi)
+                if all(e == 1 for e in sympy.factorint(b).values())]
+
+    def _check_every_residue(self, b):
+        squares = {x * x % b for x in range(b)}
+        for a in range(b):
+            want = sympy_sqrt_mod(a, b) if a in squares else None
+            assert sqrt_mod(a, b) == want, (a, b)
+
+    def test_sqrt_mod_matches_sympy_on_every_residue(self):
+        """Every residue of every squarefree modulus below 1000, and of 40
+        seeded squarefree moduli in [1000, 3000)."""
+        big = self._squarefree_moduli(1000, 3000)
+        for b in (self._squarefree_moduli(1, 1000)
+                  + random.Random(31).sample(big, 40)):
+            self._check_every_residue(b)
+
+    def test_sqrt_mod_reduces_negative_residues(self):
+        for b in (2, 3, 30, 77, 2 * 3 * 5 * 7 * 11 * 13):
+            for a in range(-b, 0):
+                assert sqrt_mod(a, b) == sqrt_mod(a + b, b)
