@@ -443,8 +443,8 @@ def isotropic_vector(Q: GramForm):
     if w is None:
         return None
     v = [ring.zero] * len(diag)
-    for i, c in w:
-        v[i] = ring.from_fraction(c) if isinstance(c, (int, Fraction)) else c
+    for i, c in w:  # the searches return ring elements
+        v[i] = c
     v = _normalize_vector(P.apply(v), ring)
     if not ring.is_zero(Q.quad(v)):
         raise PreconditionError("isotropic search produced a bad vector")
