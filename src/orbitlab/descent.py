@@ -8,6 +8,10 @@ the marked point and of sampled local points: each class outside the span
 so far doubles it (raises its rank by one), and sampling stops once the
 span reaches the local size target or the budget is spent. sel12_local
 intersects the two curves' images by vector.
+
+|J[2](k_v)| and the classes come from c's algebra localized at the place
+(built once per place); good reduction at an odd p from the exact
+valuations of the rational a, e and disc(f).
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ class MarkedCurve:
 
 
 def two_torsion_size(c: Invariants, place=None) -> int:
-    """|J[2](k_v)| = 2^(r-1), r = number of factors of f over the place."""
+    """|J[2](k_v)| = 2^(r-1), r = number of factors of f over the place,
+    read off c's algebra localized there (see stabilizer_info)."""
     return stabilizer_info(c, base=place).order
 
 
@@ -133,27 +138,20 @@ class LocalImage:
 
 def _good_reduction(c: Invariants, ring, which: int) -> bool:
     """Odd residue characteristic, p-integral invariants, unit disc(f);
-    curve 2 (y^2 = x f(x)) additionally needs f(0) = e^2 to be a unit."""
+    curve 2 (y^2 = x f(x)) additionally needs f(0) = e^2 to be a unit.
+    Rational invariants are exact, so from_fraction reads their
+    valuations (and that of disc(f)) exactly at Q_p."""
     if not ring.is_padic or ring.is_dyadic:
         return False
-    conv = _localized(c, ring)
-    vals = [a.valuation() for a in conv.a if not a.is_zero()]
-    if any(v < 0 for v in vals):
-        return False
-    if conv.e.is_zero() or conv.e.valuation() < 0:
-        return False
-    if which == 2 and conv.e.valuation() != 0:
-        return False
-    return not conv.disc.is_zero() and conv.disc.valuation() == 0
-
-
-def _localized(c: Invariants, ring):
-    if c.ring == ring:
-        return c
-    if not c.ring.is_global:
+    if c.ring != ring and not c.ring.is_global:
         raise UsageError("place change requires rational invariants")
-    return Invariants(ring, tuple(ring.from_fraction(a) for a in c.a),
-                      ring.from_fraction(c.e))
+    e, disc, *a = (x if c.ring == ring else ring.from_fraction(x)
+                   for x in (c.e, c.disc, *c.a))
+    if any(x.valuation() < 0 for x in a if not x.is_zero()):
+        return False
+    if e.is_zero() or e.valuation() < 0 or which == 2 and e.valuation():
+        return False
+    return not disc.is_zero() and disc.valuation() == 0
 
 
 def _real_components(h: Poly):

@@ -271,14 +271,16 @@ class EtaleAlgebra:
     # -- base change ----------------------------------------------------
 
     def localize(self, place) -> "EtaleAlgebra":
-        """The same algebra over a completion (base must be Q), built once
-        per place and precision: place equality ignores precision."""
+        """The same algebra over a completion or residue field (base must
+        be Q), built once per place and precision: place equality ignores
+        precision. Its disc(f) is the exact rational one, read there."""
         if not self.ring.is_global:
             raise UsageError("localize only from a Q-algebra")
         key = (place.tag, getattr(place, "prec", None))
         if key not in self._local_cache:
             self._local_cache[key] = EtaleAlgebra(
-                self.f.map_ring(place, place.from_fraction))
+                self.f.map_ring(place, place.from_fraction),
+                disc=place.from_fraction(self.disc))
         return self._local_cache[key]
 
     @cached_property

@@ -14,7 +14,7 @@ from functools import lru_cache
 from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, square_class
 from .linalg import Mat, block_matrix, inverse, rank, solve
-from .poly import Poly, discriminant, factor, real_roots_exact
+from .poly import Poly
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
 from .thetarep import Invariants, RepElement, antidiag, lift, star
 
@@ -130,32 +130,27 @@ class StabilizerInfo:
 
 def stabilizer_info(c: Invariants, base=None) -> StabilizerInfo:
     """Factor degrees of f over the base (c's ring by default) and the
-    stabilizer orders 2^(r - 1) and 2^(n - 1); f must be separable there."""
+    stabilizer orders 2^(r - 1) and 2^(n - 1); f must be separable there.
+
+    The degrees are read off c's algebra, localized at another base: its
+    factors over GF(p) or Q_p, its real roots and complex pairs over R. The
+    localization is cached per place, so a local image at the same place
+    reuses them."""
     ring = c.ring if base is None else base
-    f = g = c.fpoly()
-    n = f.degree
-    if ring != c.ring and not ring.is_real:
-        if not c.ring.is_global:
-            raise UsageError("base change requires rational invariants")
-        g = f.map_ring(ring, ring.from_fraction)
-    # R and Q_p contain Q, so there f is separable iff it is over c's ring,
-    # which building c's algebra (once per c) checks
-    if ring.is_finite and ring != c.ring:
-        separable = not ring.is_zero(discriminant(g))
-    else:
-        try:
-            separable = algebra_of(c) is not None
-        except PreconditionError:
-            separable = False
-    if not separable:
-        raise PreconditionError("curve requires separable f")
+    if ring != c.ring and not c.ring.is_global:
+        raise UsageError("base change requires rational invariants")
+    try:  # c's algebra checks disc(f), its localization the reduction mod p
+        L = algebra_of(c)
+        if ring != c.ring:
+            L = L.localize(ring)
+    except PreconditionError:
+        raise PreconditionError("curve requires separable f") from None
     if ring.is_real:
-        n_real = len(real_roots_exact(f))
-        degs = (1,) * n_real + (2,) * ((n - n_real) // 2)
+        degs = (1,) * len(L.real_roots) + (2,) * L.n_pairs
     else:
-        degs = tuple(h.degree for h, _ in factor(g))
+        degs = tuple(g.degree for g in L.factors)
     r = len(degs)
-    return StabilizerInfo(degs, 2 ** (r - 1), 2 ** (n - 1))
+    return StabilizerInfo(degs, 2 ** (r - 1), 2 ** (c.n - 1))
 
 
 def recompute_class(rep: RepElement, place=None) -> SquareClass:

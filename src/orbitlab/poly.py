@@ -759,24 +759,25 @@ def _bezout_mod_p(g, h, p):
 
 
 def _lift_pair(f, g, h, p, N):
-    """Lift f = g*h from mod p to mod p^N (f, g, h monic integer polys)."""
+    """Lift f = g*h from mod p to mod p^N (f, g, h monic integer polys):
+    quadratic Hensel steps with the Bezout pair s*g + t*h = 1 lifted along
+    (von zur Gathen-Gerhard, Modern Computer Algebra, Alg. 15.10), the
+    last step capped at p^N; the monic lift is unique."""
     s, t = _bezout_mod_p(g, h, p)
-    G = [c % p ** N for c in g]
-    H = [c % p ** N for c in h]
-    for k in range(1, N):
-        mod = p ** (k + 1)
-        diff = _zsub(f, _zmul(G, H, p ** N), p ** N)
-        e = [(c % mod) // p ** k for c in diff]
-        while e and e[-1] == 0:
-            e.pop()
-        if not e:
-            continue
-        dg = _zdivmod_monic(_zmul(t, e, p), [c % p for c in G], p)[1]
-        dh = _zdivmod_monic(_zmul(s, e, p), [c % p for c in H], p)[1]
-        G = [(G[i] if i < len(G) else 0) + p ** k * (dg[i] if i < len(dg) else 0)
-             for i in range(max(len(G), len(dg)))]
-        H = [(H[i] if i < len(H) else 0) + p ** k * (dh[i] if i < len(dh) else 0)
-             for i in range(max(len(H), len(dh)))]
+    G, H = [c % p for c in g], [c % p for c in h]
+    k = 1
+    while k < N:
+        k = min(2 * k, N)
+        m = p ** k
+        e = _zsub(_zmul(G, H, m), f, m)
+        q, r = _zdivmod_monic(_zmul(s, e, m), H, m)
+        G = _zsub(_zsub(G, _zmul(t, e, m), m), _zmul(q, G, m), m)
+        H = _zsub(H, r, m)
+        if k < N:  # s*G + t*H = 1 again, mod p^k
+            b = _zsub(_zmul(s, G, m), _zsub([1], _zmul(t, H, m), m), m)
+            c, d = _zdivmod_monic(_zmul(s, b, m), H, m)
+            s = _zsub(s, d, m)
+            t = _zsub(_zsub(t, _zmul(t, b, m), m), _zmul(c, G, m), m)
     return G, H
 
 

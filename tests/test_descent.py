@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, count_calls, random_rs_invariants
-from orbitlab import descent, orbits
+from orbitlab import descent, orbits, poly
 from orbitlab.cli import dispatch
 from orbitlab.descent import (LocalImage, MarkedCurve, descent_class,
                               local_image, local_mw_size, sel12_local,
@@ -230,12 +230,104 @@ class TestLocalizedAlgebraBuilds:
         assert [(f.ring.tag, f.degree) for _, f in built] == [
             ("Q", 3), ("Qp:7", 3), ("Qp:7", 2)]
 
+    @pytest.mark.parametrize("argv", [
+        ["local", "--f", "1,0,-1,1", "--e", "1", "--place", "7",
+         "--which", "1"],
+        ["local", "--f", "1,1,1,49", "--e", "7", "--place", "7",
+         "--which", "2"],
+        ["local", "--f", "1,-5,-5,4", "--e", "2", "--place", "2",
+         "--which", "1"],
+        ["sel12", "--f", "1,0,-1,1", "--e", "1", "--place", "7"]],
+        ids=["good-7", "sampled-7", "dyadic", "sel12-7"])
+    def test_factors_over_qp_once(self, counted, monkeypatch, argv):
+        """|J[2](k_v)| and the image read one factorization of f over Q_p,
+        that of c's localized algebra, for one curve as for both."""
+        factored = count_calls(monkeypatch, poly, "_factor_qp")
+        assert dispatch(["descent", *argv], io.StringIO()) == 0
+        assert [(f.ring.tag, f.degree) for f, in factored] == [
+            ("Qp:" + argv[argv.index("--place") + 1], 3)]
+
     def test_localize_keys_by_precision(self):
         """Qp(5, 10) == Qp(5, 40), but each gets its own algebra."""
         L = EtaleAlgebra(Poly.from_ints(QQ, [1, -1, 0, 1]))
         assert L.localize(Qp(5, 10)).ring.prec == 10
         assert L.localize(Qp(5, 40)).ring.prec == 40
         assert L.localize(Qp(5, 10)) is L.localize(Qp(5, 10))
+
+
+def _qp_good_reduction(c, ring, which):
+    """descent._good_reduction as it was: c read again as Q_p invariants,
+    whose disc(f) is a Q_p discriminant."""
+    if not ring.is_padic or ring.is_dyadic:
+        return False
+    if c.ring == ring:
+        conv = c
+    elif not c.ring.is_global:
+        raise UsageError("place change requires rational invariants")
+    else:
+        conv = Invariants(ring, tuple(ring.from_fraction(a) for a in c.a),
+                          ring.from_fraction(c.e))
+    if any(a.valuation() < 0 for a in conv.a if not a.is_zero()):
+        return False
+    if conv.e.is_zero() or conv.e.valuation() < 0:
+        return False
+    if which == 2 and conv.e.valuation() != 0:
+        return False
+    return not conv.disc.is_zero() and conv.disc.valuation() == 0
+
+
+def _decision(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type
+        return type(exc)
+
+
+class TestGoodReduction:
+    def test_rational_valuations_match_qp_invariants(self):
+        """Over seeded (a1, a2, e, p, which) the exact rational reading
+        decides as the Q_p invariants did, exceptions included: p | e,
+        p | disc, p in a denominator, e = 0, disc = 0, p = 2."""
+        rng = random.Random(SEED + 18)
+        seen = {}
+        for _ in range(4000):
+            p = rng.choice((2, 3, 3, 5, 5, 7, 11))
+            ring = Qp(p, 20)
+
+            def scalar():
+                return Fraction(rng.randint(-12, 12),
+                                rng.choice((1, 1, 1, 1, 2, p, p * p)))
+            if rng.random() < 0.1:  # (x - r)^2 (x + s^2): disc = 0
+                r, s = rng.randint(-4, 4), rng.randint(1, 3)
+                a = (Fraction(s * s - 2 * r), Fraction(r * r - 2 * r * s * s))
+                e = Fraction(r * s)
+            elif rng.random() < 0.1:  # a1 in p^-2 Z_p with a unit disc(f)
+                a = (Fraction(rng.randint(-12, 12), p * p),
+                     Fraction(rng.randint(-12, 12)))
+                e = Fraction(p * rng.randint(1, 3))
+            else:
+                a = (scalar(), scalar())
+                e = rng.choice((Fraction(0), p * scalar(), scalar()))
+            c = Invariants(QQ, a, e)
+            which = rng.randint(1, 2)
+            got = _decision(descent._good_reduction, c, ring, which)
+            assert got == _decision(_qp_good_reduction, c, ring, which)
+            d = c.disc
+            a_at_p = any(x.denominator % p == 0 for x in a)
+            tags = {"p=2": p == 2, "e=0": e == 0,
+                    "p|e": e != 0 and e.numerator % p == 0,
+                    "p|disc": d != 0 and d.numerator % p == 0,
+                    "disc=0": d == 0,
+                    "1/p": a_at_p or e.denominator % p == 0,
+                    "1/p, unit disc": a_at_p and d != 0
+                    and d.numerator * d.denominator % p != 0,
+                    "good": got is True}
+            for tag, hit in tags.items():
+                seen[tag] = seen.get(tag, 0) + hit
+        assert min(seen.values()) >= 40, seen
+        c7 = Invariants(GF(7), (1, 2), 3)  # no place change from GF(7)
+        for fn in (descent._good_reduction, _qp_good_reduction):
+            assert _decision(fn, c7, Qp(7, 20), 1) is UsageError
 
 
 class TestSel12:

@@ -215,6 +215,14 @@ class TestStabilizer:
         infor = stabilizer_info(base_c_q, base=RR)
         assert infor.order == 2 ** (len(infor.factor_degrees) - 1)
 
+    def test_real_base_needs_rational_invariants(self):
+        """Only a Q-algebra localizes: over R as over GF(p) and Q_p."""
+        K = Qp(5, 20)
+        c = Invariants(K, (K.zero, K.from_int(-1)), K.one)
+        for base in (RR, GF(5)):
+            with pytest.raises(UsageError, match="rational invariants"):
+                stabilizer_info(c, base=base)
+
 
 class TestPencil:
     def test_sign_insensitive(self, base_c_f5):

@@ -6,8 +6,9 @@ import pytest
 import sympy
 
 from orbitlab.errors import PrecisionError
-from orbitlab.poly import (Poly, discriminant, euler_split, factor, gcd,
-                           parse_coeff_list, resultant)
+from orbitlab.poly import (Poly, _bezout_mod_p, _lift_pair, _zdivmod_monic,
+                           _zgcd, _zmul, _zsub, discriminant, euler_split,
+                           factor, gcd, parse_coeff_list, resultant)
 from orbitlab.rings import GF, QQ, RR, Qp
 
 
@@ -294,3 +295,56 @@ class TestFactorAgainstSympy:
         assert got[(Fraction(-3), Fraction(1))] == 2
         # x^4 - 10x^2 + 1 is irreducible but splits modulo every prime
         assert len(_agrees(_q([1, 0, -10, 0, 1]))) == 1
+
+
+def _linear_lift_pair(f, g, h, p, N):
+    """The digit-at-a-time Hensel lift that poly._lift_pair replaced: one
+    step per power of p, each with a full G*H product."""
+    s, t = _bezout_mod_p(g, h, p)
+    G = [c % p ** N for c in g]
+    H = [c % p ** N for c in h]
+    for k in range(1, N):
+        mod = p ** (k + 1)
+        diff = _zsub(f, _zmul(G, H, p ** N), p ** N)
+        e = [(c % mod) // p ** k for c in diff]
+        while e and e[-1] == 0:
+            e.pop()
+        if not e:
+            continue
+        dg = _zdivmod_monic(_zmul(t, e, p), [c % p for c in G], p)[1]
+        dh = _zdivmod_monic(_zmul(s, e, p), [c % p for c in H], p)[1]
+        G = [(G[i] if i < len(G) else 0) + p ** k * (dg[i] if i < len(dg)
+                                                      else 0)
+             for i in range(max(len(G), len(dg)))]
+        H = [(H[i] if i < len(H) else 0) + p ** k * (dh[i] if i < len(dh)
+                                                      else 0)
+             for i in range(max(len(H), len(dh)))]
+    return G, H
+
+
+class TestQuadraticLift:
+    def test_matches_linear_lift(self):
+        """The monic lift of a coprime factorization mod p is unique, so the
+        quadratic lift returns exactly the linear one's G, H mod p^N, for
+        p = 2 and odd p, N = 1 and N not a power of 2, degrees 1-4."""
+        rng = random.Random(SEED_POLY + 15)
+        seen = set()
+        cases = 0
+        while cases < 3000:
+            p = rng.choice((2, 2, 3, 5, 7, 11, 13))
+            N = rng.randint(1, 13)
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+            h = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+            if len(_zgcd(g, h, p)) != 1:
+                continue
+            f = [c + p * rng.randint(-60, 60)
+                 for c in _zmul(g, h, p)[:-1]] + [1]
+            G, H = _lift_pair(f, g, h, p, N)
+            assert (G, H) == _linear_lift_pair(f, g, h, p, N)
+            assert _zsub(f, _zmul(G, H, p ** N), p ** N) == []
+            seen.add((p == 2, N == 1, N & (N - 1) != 0, len(g) - 1))
+            cases += 1
+        assert {(True, True), (True, False), (False, True)} <= {
+            (two, one) for two, one, _, _ in seen}
+        assert any(npow2 for _, _, npow2, _ in seen)
+        assert {d for *_, d in seen} == {1, 2, 3, 4}

@@ -160,10 +160,10 @@ def _oracle_local_image(c, place, which):
     ring = place
     target = local_mw_size(c, place, which)
     if ring.is_finite:
-        L = EtaleAlgebra(descent._localized(c, ring).fpoly())
+        L = algebra_of(c).localize(ring)
         return _oracle_norm_one_classes(L), target, True
     if descent._good_reduction(c, ring, which):
-        L = EtaleAlgebra(descent._localized(c, ring).fpoly())
+        L = algebra_of(c).localize(ring)
         classes = [cl for cl in _oracle_norm_one_classes(L)
                    if all(lab[0] == 0 for lab in cl.labels)]
         return classes, target, True
