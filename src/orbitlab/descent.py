@@ -154,11 +154,11 @@ def _good_reduction(c: Invariants, ring, which: int) -> bool:
     return not disc.is_zero() and disc.valuation() == 0
 
 
-def _real_components(h: Poly):
+def _real_components(h: Poly, roots):
     """Rational sample x-values, several per connected arc where h >= 0,
-    around cuts at the bottoms of the roots' intervals, width <= 1/64."""
+    around cuts at the bottoms of h's roots' intervals, width <= 1/64."""
     cuts = []
-    for root in real_roots_exact(h):
+    for root in roots:
         while root.hi - root.lo > Fraction(1, 64):
             root = root.refine()
         cuts.append(root.lo)
@@ -225,7 +225,9 @@ def local_image(c: Invariants, place, which: int,
 
     adjoin(L.mul(L.gamma(), L.scalar(cring.neg(cring.one))))
     if ring.is_real:
-        candidates = _real_components(curve.hpoly().map_ring(QQ, Fraction))
+        h = curve.hpoly().map_ring(QQ, Fraction)
+        candidates = _real_components(h, Lv.real_roots if which == 1
+                                      else real_roots_exact(h))
     else:
         candidates = _qp_candidates(ring.p, budget, seed)
 

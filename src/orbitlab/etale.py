@@ -29,12 +29,15 @@ certificate: "no" is a non-square norm, or an odd unramified prime < 200 at
 which the element is a unit non-residue, or chi(t^2) irreducible for the
 element's characteristic polynomial chi; "yes" is an explicit beta with
 beta^2 = element, checked by multiplication: a root lifted p-adically at an
-inert prime, or read off chi(t^2) when there is none.
+inert prime, or read off chi(t^2) when there is none. Both read the split
+of f mod each prime once per algebra (split_mod), and f is factored over Q
+only when it is inert at none of SMALL_ODD_PRIMES.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from fractions import Fraction
 from functools import cached_property
@@ -42,10 +45,10 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve
-from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, euler_split, ext_gcd,
-                   factor, fq_sqrt, gcd, lift_sqrt, powmod,
-                   rational_reconstruction, real_roots_exact, resultant,
-                   sign_at_root)
+from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, distinct_degree,
+                   ext_gcd, factor, fq_sqrt, gcd, lift_sqrt, part_is_square,
+                   powmod, rational_reconstruction, real_roots_exact,
+                   resultant, sign_at_root)
 from .rings import GF, QQ, is_prime
 
 
@@ -138,14 +141,19 @@ class EtaleAlgebra:
             self._factors = _UNFACTORED
         self._comp_cache = {}
         self._local_cache = {}
+        self._split_cache = {}
         self._idem_cache = None
 
     @property
     def factors(self):
         """Irreducible factors, computed on first use (multiplication and
-        trace/norm work do not need them)."""
+        trace/norm work do not need them); over Q, f when it is inert at
+        one of SMALL_ODD_PRIMES, which proves it irreducible."""
         if self._factors is _UNFACTORED:
-            parts = factor(self.f)
+            parts = [(self.f, 1)] if self.ring.is_global and any(
+                split and split[0][0] == self.n
+                for split in map(self.split_mod, SMALL_ODD_PRIMES)
+            ) else factor(self.f)
             if any(m > 1 for _, m in parts):
                 raise PreconditionError(
                     "repeated factor in separable polynomial")
@@ -283,6 +291,16 @@ class EtaleAlgebra:
                 disc=place.from_fraction(self.disc))
         return self._local_cache[key]
 
+    def split_mod(self, p: int):
+        """poly.distinct_degree of f mod the odd prime p over Q, built once
+        per p; None where p divides disc(f) or a denominator of f."""
+        if p not in self._split_cache:
+            F, dens = GF(p), (c.denominator for c in self.f.coeffs)
+            bad = self.disc.numerator * math.lcm(*dens)
+            self._split_cache[p] = None if bad % p == 0 else distinct_degree(
+                list(self.f.map_ring(F, F.from_fraction).coeffs), p)
+        return self._split_cache[p]
+
     @cached_property
     def coordinates(self) -> "_Coordinates":
         """F_2 coordinates of the square classes over a local base."""
@@ -408,12 +426,12 @@ class SquareWitness(NamedTuple):
     prime: int | None = None
 
 
-# Screened after the lift fails. N(alpha) square puts Gal(f(-t^2)) in S4,
-# so a non-square is a residue in every residue field at a good prime with
-# probability 15/24: about 2% of them pass SMALL_ODD_PRIMES.
+# Screened after the first lift try fails. N(alpha) square puts Gal(f(-t^2))
+# in S4, so a non-square is a residue in every residue field at a good prime
+# with probability 15/24: about 2% of them pass SMALL_ODD_PRIMES.
 _WIDE_SCREEN_PRIMES = tuple(p for p in range(37, 200, 2) if is_prime(p))
 # The lift tries p^N >= 2^64, 2^128, 2^256: roots r/s with |r|, s < 2^127.
-# A non-square that passes the screen runs every try, each costing about
+# A non-square that passes both screens runs every try, each costing about
 # all before it, so the cap bounds that waste; larger roots go to chi(t^2).
 _LIFT_BITS, _LIFT_DOUBLINGS = 64, 2
 
@@ -426,12 +444,13 @@ def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
     if fi.degree == 1:  # alpha is the rational number norm
         return SquareWitness(fi, root=Poly.const(QQ, QQ.sqrt(norm)))
     p, inert = _nonresidue_prime(K, alpha, norm, SMALL_ODD_PRIMES)
-    if p is None and inert is not None:
-        beta = _lifted_root(K, alpha, inert)
-        if beta is not None:
-            return SquareWitness(fi, root=beta)
-    if p is None:
+    tries = _lifted_root(K, alpha, inert) if p is None and inert else iter(())
+    beta = next(tries, None)
+    if beta is None and p is None:  # cheaper than the longer lift tries
         p, _ = _nonresidue_prime(K, alpha, norm, _WIDE_SCREEN_PRIMES)
+        beta = None if p else next(filter(None, tries), None)
+    if beta is not None:
+        return SquareWitness(fi, root=beta)
     if p is not None:
         return SquareWitness(fi, prime=p)
     beta = _square_root(K, alpha)
@@ -450,46 +469,45 @@ def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm, primes):
     A good p divides neither disc(f), a denominator of f or alpha, nor the
     numerator of N(alpha): then Z_p[x]/(f) is etale over Z_p and alpha is a
     unit in it, so a square alpha would be a square in every residue field.
+    alpha's characters on the residue fields multiply to that of N(alpha),
+    a square (the caller checked it), so an inert p gives no witness and
+    the last part of K.split_mod(p) with one factor needs no test.
     """
-    bad = K.disc.numerator * norm.numerator
-    for c in K.f.coeffs + alpha.coeffs:
-        bad *= c.denominator
+    bad = norm.numerator * math.lcm(*(c.denominator for c in alpha.coeffs))
     inert = None
     for p in primes:
-        if bad % p == 0:
+        split = K.split_mod(p)
+        if split is None or bad % p == 0:
             continue
-        F = GF(p)
-        fbar, abar = (list(g.map_ring(F, F.from_fraction).coeffs)
-                      for g in (K.f, alpha))
-        split = euler_split(fbar, abar, p)
-        if not all(square for _, _, square in split):
+        if split[0][0] == K.n:
+            inert = inert or p
+            continue
+        abar = list(alpha.map_ring(GF(p), GF(p).from_fraction).coeffs)
+        last = max((i for i, (k, g) in enumerate(split) if len(g) - 1 == k),
+                   default=None)
+        if not all(part_is_square(k, g, abar, p)
+                   for i, (k, g) in enumerate(split) if i != last):
             return p, inert
-        if inert is None and split[0][0] == K.n:
-            inert = p
     return None, inert
 
 
 def _lifted_root(K: EtaleAlgebra, alpha: Poly, p: int):
-    """beta with beta^2 = alpha over Q, or None: the root of alpha mod
-    (f, p), f inert at the good prime p, lifted mod p^N (poly.lift_sqrt)
-    and read back by rational reconstruction, at each N up to the cap."""
+    """Per N up to the cap, beta with beta^2 = alpha over Q or None: the
+    root of alpha mod (f, p), f inert at the good prime p, lifted mod p^N
+    (poly.lift_sqrt) and read back by rational reconstruction."""
     N = next(N for N in itertools.count(1) if p ** N >= 2 ** _LIFT_BITS)
     precisions = [N << k for k in range(_LIFT_DOUBLINGS + 1)]
     M = p ** precisions[-1]
     f, a = ([c.numerator * pow(c.denominator, -1, M) % M for c in g.coeffs]
             for g in (K.f, alpha))
-    F = GF(p)
-    fbar, abar = (list(g.map_ring(F, F.from_fraction).coeffs)
-                  for g in (K.f, alpha))
+    F, [(_, fbar)] = GF(p), K.split_mod(p)
+    abar = list(alpha.map_ring(F, F.from_fraction).coeffs)
     z = (list(_nonsquare_unit(F, Poly(F, fbar)).coeffs)
          if p ** K.n % 4 == 1 else None)  # read by fq_sqrt only then
     for m, b in lift_sqrt(f, a, fq_sqrt(fbar, abar, z, p), p, precisions):
         coeffs = rational_reconstruction(b, m)
-        if coeffs is not None:
-            beta = Poly(QQ, coeffs)
-            if K.mul(beta, beta) == alpha:
-                return beta
-    return None
+        beta = coeffs and Poly(QQ, coeffs)
+        yield beta if beta and K.mul(beta, beta) == alpha else None
 
 
 def _square_root(K: EtaleAlgebra, alpha: Poly):

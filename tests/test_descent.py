@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, count_calls, random_rs_invariants
-from orbitlab import descent, orbits, poly
+from orbitlab import descent, etale, orbits, poly
 from orbitlab.cli import dispatch
 from orbitlab.descent import (LocalImage, MarkedCurve, descent_class,
                               local_image, local_mw_size, sel12_local,
@@ -246,6 +246,19 @@ class TestLocalizedAlgebraBuilds:
         assert dispatch(["descent", *argv], io.StringIO()) == 0
         assert [(f.ring.tag, f.degree) for f, in factored] == [
             ("Qp:" + argv[argv.index("--place") + 1], 3)]
+
+    @pytest.mark.parametrize("which, isolations", [("1", 1), ("2", 2)])
+    def test_real_roots_isolated_once_per_polynomial(self, counted,
+                                                     monkeypatch, which,
+                                                     isolations):
+        """Curve 1 at R samples around the roots of f that the R-localized
+        algebra isolated; curve 2's x f has its own."""
+        calls = [count_calls(monkeypatch, module, "real_roots_exact")
+                 for module in (etale, descent)]
+        argv = ["descent", "local", "--f", "1,0,-4,1", "--e", "1",
+                "--place", "R", "--which", which]
+        assert dispatch(argv, io.StringIO()) == 0
+        assert sum(map(len, calls)) == isolations
 
     def test_localize_keys_by_precision(self):
         """Qp(5, 10) == Qp(5, 40), but each gets its own algebra."""

@@ -21,8 +21,8 @@ from orbitlab.errors import PreconditionError
 from orbitlab.etale import (EtaleAlgebra, SquareClass, real_roots_exact,
                             sign_at_root, square_class)
 from orbitlab.orbits import algebra_of, distinguished_coincide
-from orbitlab.poly import (SMALL_ODD_PRIMES, Poly, discriminant, factor,
-                           fq_sqrt, resultant)
+from orbitlab.poly import (SMALL_ODD_PRIMES, Poly, _zpowmod, discriminant,
+                           distinct_degree, factor, fq_sqrt, resultant)
 from orbitlab.rings import GF, QQ
 from orbitlab.thetarep import Invariants
 
@@ -393,3 +393,107 @@ class TestNoPath:
         [w] = cls.witnesses()
         assert w.prime is not None and w.prime >= 37
         assert check_witnesses(cls) is False
+
+
+def _euler_nonresidue_prime(K, alpha, norm, primes):
+    """etale._nonresidue_prime as it was before f's splits were cached: at
+    every good prime, inert ones included, Euler's criterion
+    alpha^((p^k - 1)/2) = 1 on each part of the distinct-degree split."""
+    bad = K.disc.numerator * norm.numerator
+    for c in K.f.coeffs + alpha.coeffs:
+        bad *= c.denominator
+    inert = None
+    for p in primes:
+        if bad % p == 0:
+            continue
+        F = GF(p)
+        fbar, abar = (list(g.map_ring(F, F.from_fraction).coeffs)
+                      for g in (K.f, alpha))
+        split = distinct_degree(fbar, p)
+        if not all(_zpowmod(abar, (p ** k - 1) // 2, g, p) == [1]
+                   for k, g in split):
+            return p, inert
+        if inert is None and split[0][0] == K.n:
+            inert = p
+    return None, inert
+
+
+def _monic_with_square_constant(rng, n):
+    """A random monic f of degree n >= 1 over Q with f(0) a nonzero rational
+    square."""
+    s = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+    return Poly(QQ, [s * s] + [Fraction(rng.randint(-5, 5), rng.choice(
+        (1, 1, 2, 3))) for _ in range(n - 1)] + [Fraction(1)])
+
+
+def _screen_cases(rng, count):
+    """count seeded (L, alpha): f of degree 1-5 with f(0) a square, half of
+    them products of two such factors (so often reducible over Q), and
+    alpha = -gamma b^2, whose norm f(0) N(b)^2 is a square."""
+    made = 0
+    while made < count:
+        n = rng.randint(1, 5)
+        if n > 1 and rng.random() < 0.5:
+            k = rng.randint(1, n - 1)
+            f = (_monic_with_square_constant(rng, k)
+                 * _monic_with_square_constant(rng, n - k))
+        else:
+            f = _monic_with_square_constant(rng, n)
+        try:
+            L = EtaleAlgebra(f)
+        except PreconditionError:  # f inseparable
+            continue
+        b = Poly(QQ, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in range(n)])
+        if QQ.is_zero(L.norm(b)):
+            continue
+        made += 1
+        yield L, L.mul(L.scalar(-1), L.mul(L.gamma(), L.mul(b, b)))
+
+
+class TestCachedSplits:
+    """The screen reads f's cached distinct-degree splits, skips inert
+    primes and decides parts with one factor by their norms; every answer
+    matches Euler's criterion at every prime, f factored over Q."""
+
+    def test_witnesses_match_euler_screen(self, monkeypatch):
+        """Over 5,000 cases the (p, inert) of every screen call and the
+        witness lists agree with the Euler screen on f factored over Q."""
+        results = []
+
+        def recorded(screen):
+            def run(*args):
+                results.append(screen(*args))
+                return results[-1]
+            return run
+
+        new_screen = recorded(etale._nonresidue_prime)
+        old_screen = recorded(_euler_nonresidue_prime)
+        screened = primes = 0
+        for L, alpha in _screen_cases(random.Random(19), 5000):
+            monkeypatch.setattr(etale, "_nonresidue_prime", new_screen)
+            new = list(SquareClass(L, alpha).witnesses())
+            new_results = results[:]
+            del results[:]
+            old_alg = EtaleAlgebra(L.f)
+            old_alg._factors = [g for g, _ in factor(L.f)]
+            monkeypatch.setattr(etale, "_nonresidue_prime", old_screen)
+            old = list(SquareClass(old_alg, alpha).witnesses())
+            assert (L.factors, new, new_results) == (
+                old_alg.factors, old, results), (L.f, alpha)
+            del results[:]
+            screened += len(new_results)
+            primes += any(w.prime is not None for w in new)
+        assert screened > 2500 and primes > 2000
+
+    @pytest.mark.parametrize("desc, factored", [
+        ([1, 0, -1, 1], 0),     # irreducible, inert at 3
+        ([1, 2, 1, -4], 1),     # (x - 1)(x^2 + 3x + 4)
+        ([1, 0, 0, 0, 1], 1)])  # x^4 + 1: reducible mod every prime
+    def test_factored_over_q_only_without_inert_prime(self, monkeypatch,
+                                                      desc, factored):
+        L = EtaleAlgebra(_q_poly(desc))
+        calls = count_calls(monkeypatch, etale, "factor")
+        alpha = L.scalar(3) if L.n == 4 else L.mul(L.gamma(), L.scalar(-1))
+        list(SquareClass(L, alpha).witnesses())
+        assert [f for f, in calls] == [L.f] * factored

@@ -177,9 +177,10 @@ def test_repeated_roots_count_once():
 
 _FRESH_SAMPLES = """
 from orbitlab import descent
-from orbitlab.poly import Poly
+from orbitlab.poly import Poly, real_roots_exact
 from orbitlab.rings import QQ
-print(descent._real_components(Poly.from_ints(QQ, [1, -4, 0, 1])))
+h = Poly.from_ints(QQ, [1, -4, 0, 1])
+print(descent._real_components(h, real_roots_exact(h)))
 """
 
 
@@ -194,5 +195,6 @@ def test_real_samples_ignore_earlier_sign_computations():
     for a in [L.gamma(), L.gamma() + L.one()] + [
             c.rep for c in norm_one_classes(L)]:
         square_class(L, a)
-    again = descent._real_components(Poly.from_ints(QQ, [1, -4, 0, 1]))
+    h = Poly.from_ints(QQ, [1, -4, 0, 1])
+    again = descent._real_components(h, real_roots_exact(h))
     assert str(again) == fresh.strip()

@@ -29,7 +29,7 @@ from orbitlab.etale import (EtaleAlgebra, SquareClass, _mod8_factor,
                             norm_one_classes, sign_at_root, square_class)
 from orbitlab.census import DEFAULT_SEED
 from orbitlab.orbits import algebra_of
-from orbitlab.poly import Poly
+from orbitlab.poly import Poly, real_roots_exact
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import Invariants
 
@@ -173,7 +173,8 @@ def _oracle_local_image(c, place, which):
     group = _close_under_product(
         [descent.descent_class("marked", curve, place)], trivial)
     if ring.is_real:
-        candidates = descent._real_components(curve.hpoly())
+        h = curve.hpoly()
+        candidates = descent._real_components(h, real_roots_exact(h))
     else:
         candidates = descent._qp_candidates(ring.p, DEFAULT_BUDGET,
                                             DEFAULT_SEED)
