@@ -45,8 +45,8 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, charpoly, det as mat_det, solve
-from .poly import (SMALL_ODD_PRIMES, Poly, discriminant, distinct_degree,
-                   ext_gcd, factor, fq_sqrt, gcd, lift_sqrt, part_is_square,
+from .poly import (SMALL_ODD_PRIMES, Poly, _zpowmod, discriminant,
+                   distinct_degree, ext_gcd, factor, fq_sqrt, gcd, lift_sqrt,
                    powmod, rational_reconstruction, real_roots_exact,
                    resultant, sign_at_root)
 from .rings import GF, QQ, is_prime
@@ -444,15 +444,19 @@ def _factor_witness(K: EtaleAlgebra, alpha: Poly, norm) -> SquareWitness:
     if fi.degree == 1:  # alpha is the rational number norm
         return SquareWitness(fi, root=Poly.const(QQ, QQ.sqrt(norm)))
     p, inert = _nonresidue_prime(K, alpha, norm, SMALL_ODD_PRIMES)
+    # In order: the first lift try, the wide screen (cheaper than the
+    # longer tries), the longer tries, chi(t^2).
     tries = _lifted_root(K, alpha, inert) if p is None and inert else iter(())
     beta = next(tries, None)
-    if beta is None and p is None:  # cheaper than the longer lift tries
-        p, _ = _nonresidue_prime(K, alpha, norm, _WIDE_SCREEN_PRIMES)
-        beta = None if p else next(filter(None, tries), None)
     if beta is not None:
         return SquareWitness(fi, root=beta)
+    if p is None:
+        p, _ = _nonresidue_prime(K, alpha, norm, _WIDE_SCREEN_PRIMES)
     if p is not None:
         return SquareWitness(fi, prime=p)
+    for beta in tries:
+        if beta is not None:
+            return SquareWitness(fi, root=beta)
     beta = _square_root(K, alpha)
     if beta is None:
         return SquareWitness(fi)
@@ -471,7 +475,8 @@ def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm, primes):
     unit in it, so a square alpha would be a square in every residue field.
     alpha's characters on the residue fields multiply to that of N(alpha),
     a square (the caller checked it), so an inert p gives no witness and
-    the last part of K.split_mod(p) with one factor needs no test.
+    the last part of K.split_mod(p) with one factor needs no test; the
+    others are decided by Euler's criterion, as in poly.euler_split.
     """
     bad = norm.numerator * math.lcm(*(c.denominator for c in alpha.coeffs))
     inert = None
@@ -485,7 +490,7 @@ def _nonresidue_prime(K: EtaleAlgebra, alpha: Poly, norm, primes):
         abar = list(alpha.map_ring(GF(p), GF(p).from_fraction).coeffs)
         last = max((i for i, (k, g) in enumerate(split) if len(g) - 1 == k),
                    default=None)
-        if not all(part_is_square(k, g, abar, p)
+        if not all(_zpowmod(abar, (p ** k - 1) // 2, g, p) == [1]
                    for i, (k, g) in enumerate(split) if i != last):
             return p, inert
     return None, inert

@@ -564,28 +564,19 @@ def _factor_gf(f, p):
             for g in _equal_degree(fk, k, p)]
 
 
-def part_is_square(k, g, a, p):
-    """Whether a is a square in every residue field F_p[x]/(h), h | g, for
-    a part g of distinct_degree's (p odd; Cantor-Zassenhaus, Math. Comp.
-    36, 1981): for g irreducible (deg g = k) iff its norm Res(g, a) is a
-    square in GF(p), else iff a^((p^k - 1)/2) = 1 mod g (Euler)."""
-    if len(g) - 1 == k:
-        r = _zdivmod_monic(a, g, p)[1]
-        return bool(r) and pow(_zresultant(g, r), (p - 1) // 2, p) == 1
-    return _zpowmod(a, (p ** k - 1) // 2, g, p) == [1]
-
-
 def euler_split(f, a, p):
-    """Distinct-degree split of f over GF(p), p odd, with the quadratic
-    character of a on each part.
+    """Distinct-degree split of f over GF(p), p odd, with Euler's criterion
+    for a on each part (Cantor-Zassenhaus, Math. Comp. 36, 1981).
 
     f is monic and a a unit modulo f, both ascending lists of residues.
-    Returns [(k, f_k, part_is_square(k, f_k, a, p))] over distinct_degree,
-    or None when f is not squarefree (gcd(f, f') != 1).
+    Returns [(k, f_k, square)]: f_k != 1 is the product of the irreducible
+    factors of f of degree k, and square says whether a is a square in
+    every residue field F_p[x]/(g), g | f_k, i.e. a^((p^k - 1)/2) = 1 mod
+    f_k. Returns None when f is not squarefree (gcd(f, f') != 1).
     """
     if not _separable_mod(f, p):
         return None
-    return [(k, g, part_is_square(k, g, a, p))
+    return [(k, g, _zpowmod(a, (p ** k - 1) // 2, g, p) == [1])
             for k, g in distinct_degree(f, p)]
 
 

@@ -453,8 +453,9 @@ def _screen_cases(rng, count):
 
 class TestCachedSplits:
     """The screen reads f's cached distinct-degree splits, skips inert
-    primes and decides parts with one factor by their norms; every answer
-    matches Euler's criterion at every prime, f factored over Q."""
+    primes and leaves the last part with one factor untested; every answer
+    matches Euler's criterion on every part at every prime, f factored
+    over Q."""
 
     def test_witnesses_match_euler_screen(self, monkeypatch):
         """Over 5,000 cases the (p, inert) of every screen call and the

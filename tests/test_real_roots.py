@@ -186,7 +186,8 @@ print(descent._real_components(h, real_roots_exact(h)))
 
 def test_real_samples_ignore_earlier_sign_computations():
     """The real sample points of x^3 - 4x + 1 in a fresh process come back
-    after square classes of that f were computed over R."""
+    after square classes of that f were computed over R, from the roots the
+    algebra over R holds (descent.local_image samples curve 1 around them)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     fresh = subprocess.run([sys.executable, "-c", _FRESH_SAMPLES], env=env,
@@ -196,5 +197,5 @@ def test_real_samples_ignore_earlier_sign_computations():
             c.rep for c in norm_one_classes(L)]:
         square_class(L, a)
     h = Poly.from_ints(QQ, [1, -4, 0, 1])
-    again = descent._real_components(h, real_roots_exact(h))
+    again = descent._real_components(h, L.real_roots)
     assert str(again) == fresh.strip()
