@@ -20,9 +20,12 @@ coordinate vector: an int with a block of additive bits per factor,
 Classes are equal when their vectors are, trivial when it is 0, and
 multiply by adding them. A representative is a product of fixed generators
 of each factor (over R, lines x - m between the roots' Sturm intervals),
-never of other representatives, so no class needs more precision than
-they do. Labels are read off the vector; at Q_2 t shows only when the
-level bits are 0. norm_one_classes lists the kernel of the F_2 norm map.
+built when a representative is first read, never of other representatives,
+so no class needs more precision than they do. Labels are read off the
+vector; at Q_2 t shows only when the level bits are 0. norm_one_classes
+lists the kernel of the F_2 norm map from the generators' norm images. At
+GF(p) and odd p these need no generator: N: F_(p^d)^x -> F_p^x is onto, so
+a non-square unit has a non-square norm, and N(p) = p^d for degree d.
 
 Over Q there are no labels; per irreducible factor, an exact answer with a
 certificate: "no" is a non-square norm, or an odd unramified prime < 200 at
@@ -654,6 +657,7 @@ class _Coordinates:
             fi.degree + 2 if ring.is_dyadic else 2 if ring.is_padic else 1
             for fi in alg.factors]
         self.offsets = [sum(self.widths[:i]) for i in range(len(self.widths))]
+        self._generators = {}
 
     def vector(self, rep: Poly) -> int:
         alg, ring = self.alg, self.alg.ring
@@ -685,36 +689,51 @@ class _Coordinates:
         return tuple(out)
 
     @cached_property
-    def generators(self):
-        """Per factor, {bits in place: (generator, base coordinates of its
-        norm)} in listing order: 1 and a non-square unit at GF(p), and
-        their products with p at odd p; the 2-adic unit representatives
-        and their products with 2 at Q_2. The norm's coordinates are those
-        of the degree-1 factor x. Over R only the signs (rep builds)."""
+    def units(self):
+        """Per factor, {unit bits: unit of k[x]/(f_i), None for 1} in
+        listing order: 1 and a non-square unit at GF(p) and odd p, the
+        2-adic unit representatives at Q_2."""
+        ring = self.alg.ring
+        return [{0: None} if ring.char == 2  # all of GF(2^d) are squares
+                else _unit_class_reps_2adic(ring, fi) if ring.is_dyadic
+                else {0: None, 2 if ring.is_padic else 1:
+                      _nonsquare_unit(ring, fi)} for fi in self.alg.factors]
+
+    @cached_property
+    def images(self):
+        """Per factor, {bits in place: base coordinates of its generator's
+        norm} in listing order, units before their products with p (bit 0)
+        at Q_p: in closed form at GF(p) and odd p (module docstring), from
+        the generators' norms at Q_2, the signs over R."""
+        ring = self.alg.ring
+        if ring.is_real:
+            return [{0: 0, 1 << off: 1} for off in self.offsets]
+        return [{b << off: self._image(i, b) for b in ([
+            *units, *(u | 1 for u in units)] if ring.is_padic else units)}
+            for i, (units, off) in enumerate(zip(self.units, self.offsets))]
+
+    def _image(self, i: int, bits: int) -> int:
+        """Base coordinates of the norm of generator(i, bits)."""
         alg, ring = self.alg, self.alg.ring
-        gens = []
-        for i, off in enumerate(self.offsets):
-            if ring.is_real:
-                gens.append({0: (None, 0), 1 << off: (None, 1)})
-                continue
-            if ring.char == 2:  # every element of GF(2^d) is a square
-                block = {0: alg.one()}
-            elif ring.is_dyadic:
-                block = {bits: _pad_const(alg, u, i) for bits, u in
-                         _unit_class_reps_2adic(ring, alg.factors[i]).items()}
+        if ring.is_dyadic:
+            n = alg.norm_in_factor(self.generator(i, bits), i)
+            return _factor_bits(ring, Poly.gen(ring), Poly.const(ring, n), n)
+        return bits & 2 | bits & alg.factors[i].degree & 1 if ring.is_padic \
+            else bits
+
+    def generator(self, i: int, bits: int) -> Poly:
+        """Generator of factor i with these bits, built on first use: its
+        unit there and 1 elsewhere, times p there (gens[i]) at Q_p bit 0."""
+        gens, alg = self._generators, self.alg
+        if (i, bits) not in gens:
+            if alg.ring.is_padic and bits & 1:
+                if i not in gens:
+                    gens[i] = _pad_const(alg, alg.scalar(alg.ring.p), i)
+                gens[i, bits] = alg.mul(self.generator(i, bits ^ 1), gens[i])
             else:
-                ns = _nonsquare_unit(ring, alg.factors[i])
-                block = {0: alg.one(),
-                         2 if ring.is_padic else 1: _pad_const(alg, ns, i)}
-            if ring.is_padic:
-                pi = _pad_const(alg, Poly.const(ring, ring.from_int(ring.p)), i)
-                block.update({bits | 1: alg.mul(u, pi)
-                              for bits, u in block.items()})
-            norms = [alg.norm_in_factor(el, i) for el in block.values()]
-            gens.append({bits << off: (el, _factor_bits(
-                ring, Poly.gen(ring), Poly.const(ring, n), n))
-                for (bits, el), n in zip(block.items(), norms)})
-        return gens
+                u = self.units[i][bits]
+                gens[i, bits] = _pad_const(alg, u, i) if u else alg.one()
+        return gens[i, bits]
 
     @cached_property
     def separators(self):
@@ -732,8 +751,8 @@ class _Coordinates:
                     rep = alg.mul(rep, Poly(ring, [ring.neg(
                         ring.from_fraction(m)), ring.one]))
             return rep
-        for block, w, off in zip(self.generators, self.widths, self.offsets):
-            rep = alg.mul(rep, block[vector & (1 << w) - 1 << off][0])
+        for i, (w, off) in enumerate(zip(self.widths, self.offsets)):
+            rep = alg.mul(rep, self.generator(i, vector >> off & (1 << w) - 1))
         return rep
 
 
@@ -745,9 +764,9 @@ def norm_one_classes(alg: EtaleAlgebra):
         raise UsageError("enumeration only over local bases")
     out = []
     for combo in itertools.product(*[
-            block.items() for block in reversed(alg.coordinates.generators)]):
+            block.items() for block in reversed(alg.coordinates.images)]):
         vector = norm = 0
-        for bits, (_, image) in combo:
+        for bits, image in combo:
             vector |= bits
             norm ^= image
         if norm == 0:
@@ -757,8 +776,7 @@ def norm_one_classes(alg: EtaleAlgebra):
 
 def _pad_const(alg: EtaleAlgebra, local_el: Poly, i: int):
     """Element of L equal to local_el in factor i and 1 elsewhere."""
-    parts = [alg.one() if j != i else local_el for j in range(alg.r)]
-    return alg.crt(parts)
+    return alg.crt([local_el if j == i else alg.one() for j in range(alg.r)])
 
 
 def _separators(roots):

@@ -108,6 +108,8 @@ class Poly:
         R = self.ring
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if len(self.coeffs) < len(other.coeffs):
+            return Poly(R, []), self
         if R.is_finite:  # over the monic divisor other / lc
             p, inv_lc = R.p, pow(other.lc, -1, R.p)
             q, r = _zdivmod_monic(self.coeffs,

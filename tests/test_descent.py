@@ -220,15 +220,49 @@ class TestLocalizedAlgebraBuilds:
         assert drawn[0] < drawn[1]
 
     def test_sel12_localizes_once(self, counted):
-        """Both curves' images share the Q_7 algebra of f (and the field of
-        its quadratic factor there): x^3 - x + 1 has good reduction at 7
-        for both curves."""
+        """Both curves' images share the Q_7 algebra of f: x^3 - x + 1 has
+        good reduction at 7 for both curves, and the norm images there are
+        read off the factor degrees, so the field of its quadratic factor
+        is not built."""
         built, _ = counted
         argv = ["descent", "sel12", "--f", "1,0,-1,1", "--e", "1",
                 "--place", "7"]
         assert dispatch(argv, io.StringIO()) == 0
         assert [(f.ring.tag, f.degree) for _, f in built] == [
-            ("Q", 3), ("Qp:7", 3), ("Qp:7", 2)]
+            ("Q", 3), ("Qp:7", 3)]
+
+    def test_good_reduction_lists_without_generators(self, counted,
+                                                     monkeypatch):
+        """At a good odd p the norm images come from the factor degrees:
+        listing the norm-one classes pads no generator and takes no norm
+        (the labels need no representative)."""
+        listed, inside = [], []
+        listing = descent.norm_one_classes
+
+        def spy_listing(alg):
+            inside.append(alg)
+            try:
+                return listing(alg)
+            finally:
+                listed.append(inside.pop())
+
+        calls = {}
+        for owner, name in ((etale, "_pad_const"),
+                            (EtaleAlgebra, "norm_in_factor")):
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, _name=name):
+                if inside:
+                    calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(descent, "norm_one_classes", spy_listing)
+        argv = ["descent", "local", "--f", "1,0,-1,1", "--e", "1",
+                "--place", "7"]
+        assert dispatch(argv, io.StringIO()) == 0
+        assert [L.ring.tag for L in listed] == ["Qp:7"]
+        assert calls == {}
 
     @pytest.mark.parametrize("argv", [
         ["local", "--f", "1,0,-1,1", "--e", "1", "--place", "7",

@@ -7,6 +7,7 @@ a set of classes under products of representatives, and listing norm-one
 classes by filtering every product of generators -- kept below as oracles.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -23,13 +24,15 @@ from conftest import SEED, random_rs_invariants
 from orbitlab import descent, orbits
 from orbitlab.descent import DEFAULT_BUDGET, local_image, local_mw_size
 from orbitlab.errors import PrecisionError, PreconditionError
-from orbitlab.etale import (EtaleAlgebra, SquareClass, _mod8_factor,
-                            _mod8_mul, _nonsquare_unit, _pad_const,
-                            _residues, _separators, _unit2_bits,
-                            norm_one_classes, sign_at_root, square_class)
+from orbitlab.etale import (EtaleAlgebra, SquareClass, _factor_bits,
+                            _mod8_factor, _mod8_mul, _nonsquare_unit,
+                            _pad_const, _residues, _separators, _unit2_bits,
+                            _unit_class_reps_2adic, norm_one_classes,
+                            sign_at_root, square_class)
 from orbitlab.census import DEFAULT_SEED
 from orbitlab.orbits import algebra_of
-from orbitlab.poly import Poly, real_roots_exact
+from orbitlab.poly import (Poly, discriminant, distinct_degree,
+                           real_roots_exact)
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import Invariants
 
@@ -230,6 +233,123 @@ def test_norm_one_classes_match_filtered_products(ring, coeffs):
     assert [c.labels for c in new] == [c.labels for c in old]
     assert len({c.vector for c in new}) == len(new)
     assert all(L.ring.is_square(L.norm(c.rep)) for c in new)
+
+
+def _oracle_generators(alg):
+    """_Coordinates.generators as it was: per factor, {bits in place:
+    (generator, base coordinates of its norm)}, every generator built and
+    its norm taken."""
+    co, ring = alg.coordinates, alg.ring
+    gens = []
+    for i, off in enumerate(co.offsets):
+        if ring.char == 2:
+            block = {0: alg.one()}
+        elif ring.is_dyadic:
+            block = {bits: _pad_const(alg, u, i) for bits, u in
+                     _unit_class_reps_2adic(ring, alg.factors[i]).items()}
+        else:
+            ns = _nonsquare_unit(ring, alg.factors[i])
+            block = {0: alg.one(),
+                     2 if ring.is_padic else 1: _pad_const(alg, ns, i)}
+        if ring.is_padic:
+            pi = _pad_const(alg, Poly.const(ring, ring.from_int(ring.p)), i)
+            block.update({bits | 1: alg.mul(u, pi)
+                          for bits, u in block.items()})
+        norms = [alg.norm_in_factor(el, i) for el in block.values()]
+        gens.append({bits << off: (el, _factor_bits(
+            ring, Poly.gen(ring), Poly.const(ring, n), n))
+            for (bits, el), n in zip(block.items(), norms)})
+    return gens
+
+
+def _oracle_listing(alg):
+    """The norm images and the norm-one classes (vector, labels, rep) read
+    off the oracle's generators."""
+    co, gens = alg.coordinates, _oracle_generators(alg)
+    images = [[(bits, image) for bits, (_, image) in block.items()]
+              for block in gens]
+    classes = []
+    for combo in itertools.product(*[block.items()
+                                     for block in reversed(gens)]):
+        vector = norm = 0
+        for bits, (_, image) in combo:
+            vector, norm = vector | bits, norm ^ image
+        if norm:
+            continue
+        rep = alg.one()
+        for block, w, off in zip(gens, co.widths, co.offsets):
+            rep = alg.mul(rep, block[vector & (1 << w) - 1 << off][0])
+        classes.append((vector, co.labels(vector), repr(rep)))
+    return images, classes
+
+
+def _listing(alg):
+    images = [list(block.items()) for block in alg.coordinates.images]
+    return images, [(c.vector, c.labels, repr(c.rep))
+                    for c in norm_one_classes(alg)]
+
+
+def _outcome(listing, ring, coeffs, factors):
+    """listing on a fresh algebra (with these factors, when given), or the
+    (type, message) it raised."""
+    try:
+        L = _alg(ring, coeffs)
+        if factors:
+            L._factors = [_alg(ring, fi).f for fi in factors]
+        return listing(L)
+    except (PreconditionError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _images_cases():
+    """Seeded (ring, monic f descending, factors or None): squarefree f mod
+    p at GF(p); at Q_p per degree 1-5 one f inert mod p (one factor of that
+    degree), one of good reduction and one of bad, whose factorization
+    raises; and factors with fbar_i = g^k set by hand, the Eisenstein
+    x^3 - p (k = 3) and x^2 - p (k = 2, no non-square unit), alone and
+    beside a linear factor."""
+    rng = random.Random(SEED + 20)
+
+    def draw(p, d, keep):
+        while True:
+            coeffs = [1] + [rng.randint(-2 * p, 2 * p) for _ in range(d)]
+            disc = discriminant(Poly.from_ints(QQ, coeffs[::-1]))
+            if disc and keep(disc, distinct_degree(
+                    [c % p for c in reversed(coeffs)], p)):
+                return coeffs
+
+    for p in (3, 5, 7, 11, 13):
+        for d in range(1, 6):
+            yield GF(p), draw(p, d, lambda disc, split: disc % p), None
+    for p in (3, 5, 7):
+        ring = Qp(p, 20)
+        for d in range(1, 6):
+            yield ring, draw(p, d, lambda disc, split: split[0][0] == d), None
+            yield ring, draw(p, d, lambda disc, split: disc % p), None
+            if d > 1:
+                yield ring, draw(p, d, lambda disc, split: disc % p == 0), None
+        for eisenstein in ([1, 0, 0, -p], [1, 0, -p]):
+            yield ring, eisenstein, [eisenstein]
+        yield ring, [1, -1, 0, -p, p], [[1, -1], [1, 0, 0, -p]]
+        yield ring, [1, 1, -p, -p], [[1, 1], [1, 0, -p]]
+
+
+def test_norm_images_match_generator_norms():
+    """The closed-form norm images at GF(p) and odd p, and the generators
+    built on demand, against the generators built and normed up front:
+    the same images, labels and representatives, and the same error
+    where the up-front build raised."""
+    answered, raised = [], []
+    for ring, coeffs, factors in _images_cases():
+        old = _outcome(_oracle_listing, ring, coeffs, factors)
+        assert _outcome(_listing, ring, coeffs, factors) == old, \
+            (ring.tag, coeffs)
+        (raised if isinstance(old[0], type) else answered).append(
+            (factors is not None, old))
+    assert len(answered) >= 25 + 3 * 10
+    # x^3 - p answers, alone and beside x - 1; x^2 - p raises in both
+    assert sum(by_hand for by_hand, _ in answered) == 6
+    assert sum(by_hand for by_hand, _ in raised) == 6
 
 
 _FRESH_REAL_REPS = """
