@@ -5,15 +5,17 @@ enumeration over Z, and the strict-inclusion local test family.
 The sweeps classify invariant tuples (a, e), f = x^n + a_1 x^(n-1) + ...
 + e^2, by how f factors over F_p and by whether -gamma (the class of -x)
 is a square in every factor, i.e. whether each irreducible factor g has
-g(0) a square. One table per (p, n) holds these facts for all p^n monics
-of degree n by index code sum c_i p^i (_factor_table); its flags mark the
-multiples of each irreducible g of degree <= n // 2. n = 3 at p <= 97 is
-exhaustive: all p^3 tuples are counted off the cubic table, each f
-weighted by the number of e with e^2 = f(0). Other tuples are sampled
-with a seeded random.Random. The samples are looked up in the table when
-it has at most TABLE_PER_SAMPLE entries per sample; otherwise each is
-classified by one distinct-degree split of f with Euler's criterion for
--x on each part (poly.euler_split).
+g(0) a square. n = 3 at p <= 97 is exhaustive and counted in closed
+form: the monic irreducibles of each degree, split by the residue class of
+g(0) (_irreducible_counts), make up each squarefree f as a product of
+distinct ones (_products), and each f stands for the number of e with
+e^2 = f(0). Other tuples are sampled with a seeded random.Random. For
+these sampled lookups one table per (p, n) holds the facts for all p^n
+monics of degree n by index code sum c_i p^i (_factor_table); its flags
+mark the multiples of each irreducible g of degree <= n // 2. The samples
+are looked up in the table when it has at most TABLE_PER_SAMPLE entries
+per sample; otherwise each is classified by one distinct-degree split of
+f with Euler's criterion for -x on each part (poly.euler_split).
 
 The orbit oracle works in integers on index codes: a matrix A over F_p is
 the number sum A[i][j] p^(3i+j). The fiber table sorts all p^9 codes by
@@ -29,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -46,6 +49,15 @@ BRUTEFORCE_BUDGET = 2 * 10 ** 8
 # Xeon): at the bound the table costs under 3% of the splits it replaces,
 # and a 20,000-sample sweep builds at most 1.3M entries (about 40 MB).
 TABLE_PER_SAMPLE = 64
+
+
+def _check_odd(n: int, p: int | None = None) -> None:
+    """UsageError unless n = 2g + 1 >= 3 is odd and p, when given, is an
+    odd prime: the paper works with odd n in odd characteristic."""
+    if n % 2 == 0 or n < 3:
+        raise UsageError("n must be odd and at least 3")
+    if p is not None and (p == 2 or not is_prime(p)):
+        raise UsageError("p must be an odd prime")
 
 
 # ---------------------------------------------------------------------------
@@ -162,33 +174,70 @@ def fp_sweep(p: int, n: int = 3, seed: int = DEFAULT_SEED,
              sample_size: int = 20000) -> SweepReport:
     """Counts of the invariant-tuple classes over F_p with exact densities.
 
-    n = 3 at p <= 97 is exhaustive: each of the p^3 tuples is read off the
-    factorization-type table of the monic cubics (_factor_table), weighted
-    by the number of e != 0 with e^2 = f(0). Other odd n, and n = 3 at
-    larger p, sample seeded tuples and report the sample size. A sampled
-    f is looked up in the table when p^n <= TABLE_PER_SAMPLE *
-    sample_size, and otherwise classified by one distinct-degree split
-    with Euler's criterion for -x (poly.euler_split). smallonetwo counts
-    the e = 0 tuples at n = 3 only.
+    n = 3 at p <= 97 is exhaustive: the p^3 tuples are counted in closed
+    form from the numbers of monic irreducibles of degree <= 3 whose g(0)
+    is a nonzero square or a non-residue, each squarefree f weighted by
+    the number of e != 0 with e^2 = f(0); no table is built. Other odd n,
+    and n = 3 at larger p, sample seeded tuples and report the sample
+    size. A sampled f is looked up in the factorization-type table
+    (_factor_table) when p^n <= TABLE_PER_SAMPLE * sample_size, and
+    otherwise classified by one distinct-degree split with Euler's
+    criterion for -x (poly.euler_split). smallonetwo counts the e = 0
+    tuples at n = 3 only.
     """
-    if n % 2 == 0 or n < 3:
-        raise UsageError("n must be odd and at least 3")
-    if p == 2 or not is_prime(p):
-        raise UsageError("p must be an odd prime")
+    _check_odd(n, p)
     if n == 3 and p <= 97:
         return _fp_sweep_cubic(p, seed)
     return _fp_sweep_sampled(p, n, seed, sample_size)
 
 
+def _irreducible_counts(p: int, n: int):
+    """(plus, minus): plus[k] and minus[k], 1 <= k <= n, count the monic
+    irreducibles g of degree k over F_p with g(0) a nonzero square and a
+    non-residue.
+
+    The k roots of g have exact degree k in F_(p^k)^x, and N_k(a) =
+    N_d(a)^(k/d) for a of exact degree d | k. Half of F_(p^k)^x has a
+    square norm. Of the elements of exact degree d < k, all have one when
+    k/d is even, and those with N_d(a) a square when k/d is odd. g(0) =
+    (-1)^k N_k(a): at odd k every d | k is odd, so exactly half of each
+    level has a square norm and the sign swaps two equal counts."""
+    exact, square = [0] * (n + 1), [0] * (n + 1)
+    plus, minus = [0] * (n + 1), [0] * (n + 1)
+    for k in range(1, n + 1):
+        divisors = [d for d in range(1, k) if k % d == 0]
+        exact[k] = p ** k - 1 - sum(exact[d] for d in divisors)
+        square[k] = (p ** k - 1) // 2 - sum(
+            square[d] if k // d % 2 else exact[d] for d in divisors)
+        plus[k], minus[k] = square[k] // k, (exact[k] - square[k]) // k
+    return plus, minus
+
+
+def _products(n: int, plus, minus, s: int) -> int:
+    """[x^n] prod_k (1 + x^k)^plus[k] (1 + s x^k)^minus[k]. A squarefree
+    monic f with f(0) != 0 is a product of distinct irreducibles, so s = 1
+    counts these f of degree n, s = -1 sums the Legendre symbols of their
+    f(0), and s = 0 counts those whose factors all have g(0) a square."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        for m, t in ((plus[k], 1), (minus[k], s)):
+            series = [sum(series[i - k * j] * comb(m, j) * t ** j
+                          for j in range(i // k + 1)) for i in range(n + 1)]
+    return series[n]
+
+
 def _fp_sweep_cubic(p: int, seed: int) -> SweepReport:
-    # w[c] = #{e != 0 : e^2 = c}, and c = f(0) is a code's lowest digit
-    w = np.bincount(np.arange(1, p) ** 2 % p, minlength=p)
-    # e = 0: f = x (x^2 + a_1 x + a_2), the quadratic split with a_2 a
-    # nonzero square
-    sf, irr, _ = _factor_table(p, 2)
-    small = int((sf & ~irr & np.tile(w > 0, p)).sum())
-    return _report(p, 3, seed, True, p ** 3, p * p, small,
-                   np.tile(w, p * p), _factor_table(p, 3))
+    # a squarefree f with f(0) a nonzero square stands for the 2 tuples of
+    # its e != 0, and f(0) is a square iff an even number of its factors
+    # have a non-residue g(0)
+    plus, minus = _irreducible_counts(p, 3)
+    rs = _products(3, plus, minus, 1) + _products(3, plus, minus, -1)
+    dist = 2 * _products(3, plus, minus, 0)
+    # e = 0: f = x (x^2 + a_1 x + a_2), the quadratic split with distinct
+    # roots whose product a_2 is a nonzero square
+    h = (p - 1) // 2
+    return _report(p, 3, seed, True, p ** 3, p * p, h * (h - 1), rs,
+                   2 * plus[3], dist)
 
 
 def _fp_sweep_sampled(p: int, n: int, seed: int, sample_size: int
@@ -206,16 +255,17 @@ def _fp_sweep_sampled(p: int, n: int, seed: int, sample_size: int
                  if not r[-1] and pow(r[1], (p - 1) // 2, p) == 1]
         sf, irr, _ = _classify(p, 2, quads, table)
         small = int((sf & ~irr).sum())
+    sf, irr, bad = _classify(p, n, polys, table)
     return _report(p, n, seed, False, sample_size, sample_size - len(polys),
-                   small, np.ones(len(polys), dtype=np.int64),
-                   _classify(p, n, polys, table))
+                   small, int(sf.sum()), int(irr.sum()),
+                   int((sf & ~bad).sum()))
 
 
-def _report(p, n, seed, exhaustive, total, e_zero, small, weight, flags):
-    """The report of tuples with e != 0 whose f carry flags (as
-    _factor_table) and weights, plus e_zero tuples with e = 0."""
-    sf, irr, bad = flags
-    rs, irreducible, dist = (int(weight @ m) for m in (sf, irr, sf & ~bad))
+def _report(p, n, seed, exhaustive, total, e_zero, small, rs, irreducible,
+            dist):
+    """The report of total tuples: e_zero with e = 0, small of them
+    smallonetwo, and rs regular semisimple, irreducible of them with f
+    irreducible and dist with -gamma a square in every factor."""
     # a reducible separable f has r > 1 factors: stabilizer order 2^(r - 1)
     counts = {"total": total, "regular_semisimple": rs,
               "irreducible": irreducible, "reducible_rs": rs - irreducible,
@@ -277,6 +327,7 @@ def so3_group(p: int):
 def group_order(p: int, n: int = 3) -> int:
     """Brute-force |SO_n(F_p)| for n = 3, checked against the closed form
     p^(m^2) * prod(p^(2i) - 1)."""
+    _check_odd(n, p)
     m = n // 2
     formula = p ** (m * m)
     for i in range(1, m + 1):
@@ -370,6 +421,7 @@ def bruteforce_orbits(p: int, n: int, c: Invariants):
     search. Each representative is the first unmarked matrix of the fiber,
     and its stabilizer order is |G|^2 over its orbit's size.
     """
+    _check_odd(n, p)
     if n != 3:
         raise BudgetError("brute force is limited to n = 3")
     ring = c.ring
@@ -415,6 +467,7 @@ def same_orbit(p: int, A1, A2) -> bool:
 
 def height_box_bounds(X: int, n: int):
     """Per-coordinate strict bounds: |a_i| < X^(2i), |e| < X^n."""
+    _check_odd(n)
     return [X ** (2 * i) for i in range(1, n)] + [X ** n]
 
 
@@ -479,10 +532,9 @@ def diverges_family(p: int, n: int = 3, count: int = 30,
     """Members c with f = x(x-r1)(x-r2) + (p*m)^2: distinct nonzero unit
     roots with square product, one root of even positive valuation, and
     p * f(p) a p-adic square."""
+    _check_odd(n, p)
     if n != 3:
         raise UsageError("the test family is implemented for n = 3")
-    if p % 2 == 0 or not is_prime(p):
-        raise UsageError("p must be an odd prime")
     rng = random.Random(seed ^ p)
     out = []
     tries = 0

@@ -213,6 +213,74 @@ def test_factor_table_matches_factor_oracle(p, n):
             assert bad[code] == any_bad, code
 
 
+ODD_PRIMES_TO_97 = [p for p in range(3, 98, 2) if is_prime(p)]
+
+
+def _legendre(p):
+    """leg[c] = 1, -1 or 0: c a nonzero square, a non-residue or 0 mod p."""
+    leg = -np.ones(p, dtype=np.int64)
+    leg[np.arange(1, p) ** 2 % p] = 1
+    leg[0] = 0
+    return leg
+
+
+def _table_cubic_counts(p):
+    """The exhaustive n = 3 counts weighted off census._factor_table: each
+    cubic f, by index code, weighted by #{e != 0 : e^2 = f(0)}, its
+    constant term the code's lowest digit; smallonetwo from the quadratic
+    table."""
+    w = np.bincount(np.arange(1, p) ** 2 % p, minlength=p)
+    weight = np.tile(w, p * p)
+    sf, irr, bad = census._factor_table(p, 3)
+    sf2, irr2, _ = census._factor_table(p, 2)
+    return {"regular_semisimple": int(weight @ sf),
+            "irreducible": int(weight @ irr),
+            "distinguished_coincide": int(weight @ (sf & ~bad)),
+            "smallonetwo": int((sf2 & ~irr2 & np.tile(w > 0, p)).sum())}
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_97)
+def test_closed_form_sweep_matches_table_counts(p):
+    """The closed-form exhaustive sweep against the table-weighted count
+    it replaced."""
+    want = _table_cubic_counts(p)
+    counts = fp_sweep(p).counts
+    assert {k: counts[k] for k in want} == want
+    assert counts["e_zero"] == p * p and counts["total"] == p ** 3
+
+
+@pytest.mark.parametrize("p, n", [(p, 5) for p in (3, 5, 7, 11, 13)]
+                         + [(3, 7), (5, 7), (3, 9)])
+def test_closed_form_matches_factor_table(p, n):
+    """_irreducible_counts at every degree k <= n and _products at n
+    against the factorization-type tables."""
+    leg = _legendre(p)
+    plus, minus = census._irreducible_counts(p, n)
+    for k in range(1, n + 1):
+        irr = census._factor_table(p, k)[1]
+        g0 = leg[np.arange(p ** k) % p]
+        assert (plus[k], minus[k]) == (int((irr & (g0 == 1)).sum()),
+                                       int((irr & (g0 == -1)).sum())), k
+    sf, _, bad = census._factor_table(p, n)
+    f0 = leg[np.arange(p ** n) % p]
+    assert census._products(n, plus, minus, 1) == int((sf & (f0 != 0)).sum())
+    assert census._products(n, plus, minus, -1) == int(sf @ f0)
+    # when f(0) is a nonzero square, bad flags a factor with g(0) a
+    # non-residue
+    assert census._products(n, plus, minus, 0) == int(
+        (sf & ~bad & (f0 == 1)).sum())
+
+
+def test_exhaustive_sweep_builds_no_table(monkeypatch):
+    calls = count_calls(monkeypatch, census, "_factor_table")
+    for p in (3, 61, 97):
+        assert fp_sweep(p).exhaustive
+    assert not calls
+    # the sampled side still looks its draws up in the table
+    fp_sweep(5, 5, 1, 500)
+    assert calls
+
+
 class TestGroupOrder:
     def test_known_orders(self):
         assert group_order(3) == 24
@@ -227,6 +295,12 @@ class TestGroupOrder:
             for g in G[:: max(1, len(G) // 17)]:
                 assert ((g.T @ B @ g) % p == B % p).all()
                 assert round(np.linalg.det(g)) % p == 1
+
+    @pytest.mark.parametrize("p, n", [(-3, 3), (1, 3), (2, 3), (4, 3),
+                                      (9, 3), (5, 2), (5, 4)])
+    def test_refuses_outside_odd_theory(self, p, n):
+        with pytest.raises(UsageError):
+            group_order(p, n)
 
     def test_n5_closed_form(self):
         assert group_order(3, n=5) == 3 ** 4 * (3 ** 2 - 1) * (3 ** 4 - 1)
@@ -260,6 +334,14 @@ class TestBruteforceOrbits:
         _, _, reps2 = bruteforce_orbits(3, 3, c2)
         if reps1 and reps2:
             assert not same_orbit(3, reps1[0], reps2[0])
+
+    def test_refuses_characteristic_2_and_even_n(self):
+        F = GF(2)
+        c = Invariants(F, (F.one, F.one), F.one)
+        with pytest.raises(UsageError, match="odd prime"):
+            bruteforce_orbits(2, 3, c)
+        with pytest.raises(UsageError, match="odd and at least 3"):
+            bruteforce_orbits(5, 4, c)
 
     def test_budget_rejects_large_p(self):
         F = GF(7)
@@ -456,6 +538,13 @@ class TestHeights:
         assert sum(1 for _ in height_enumerate(X, 3)) == \
             height_box_count(X, 3)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_refuses_n_outside_odd_family(self, n):
+        with pytest.raises(UsageError):
+            height_box_count(1, n)
+        with pytest.raises(UsageError):
+            next(height_enumerate(2, n))
+
     def test_x1_only_zero_and_not_rs(self):
         recs = list(height_enumerate(1, 3, flags=True))
         assert len(recs) == 1
@@ -500,6 +589,11 @@ class TestDivergesFamily:
             vals = sorted(g.coeff(0).valuation() for g, _ in parts)
             assert vals[0] == 0 and vals[1] == 0
             assert vals[2] > 0 and vals[2] % 2 == 0
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (9, 3), (-3, 3), (5, 4)])
+    def test_refuses_outside_odd_theory(self, p, n):
+        with pytest.raises(UsageError):
+            diverges_family(p, n=n, count=1)
 
     def test_density_of_pattern(self):
         # measured r_p > 0 for p in 5..37 (members exist)

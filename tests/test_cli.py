@@ -211,6 +211,25 @@ class TestCensusVerb:
         assert code == 5
         assert lines[0]["error"]["code"] == "BudgetError"
 
+    @pytest.mark.parametrize("p, n", [(-3, 3), (1, 3), (2, 3), (4, 3),
+                                      (9, 3), (5, 2), (5, 4), (5, 1)])
+    def test_group_order_refuses_outside_odd_theory(self, p, n):
+        """SO_n over F_p for an odd prime p and odd n >= 3 only; even n
+        would answer the order of SO_(2m+1)."""
+        code, lines = run_json(["census", "group-order", "--p", str(p),
+                                "--n", str(n)])
+        assert code == 2
+        assert lines == [{"error": {
+            "code": "UsageError", "exit": 2,
+            "message": "n must be odd and at least 3" if n != 3
+            else "p must be an odd prime"}}]
+
+    def test_orbits_refuse_characteristic_2(self):
+        code, lines = run_json(["census", "orbits", "--p", "2",
+                                "--f", "1,1,1,1", "--e", "1"])
+        assert code == 2
+        assert lines[0]["error"]["message"] == "p must be an odd prime"
+
     def test_family_stream(self):
         code, lines = run_json(["census", "family", "--p", "5",
                                 "--count", "3"])
@@ -273,6 +292,21 @@ class TestHeightsVerb:
     def test_nonpositive_x(self):
         code, _ = run(["heights", "--X", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 4])
+    def test_n_outside_odd_family(self, n):
+        """n = 2g + 1: the stream refuses other n before it writes a
+        record."""
+        code, lines = run_json(["heights", "--X", "1", "--n", str(n)])
+        assert code == 2
+        assert lines == [{"error": {
+            "code": "UsageError", "exit": 2,
+            "message": "n must be odd and at least 3"}}]
+
+    def test_n5_stream(self):
+        code, lines = run_json(["heights", "--X", "1", "--n", "5"])
+        assert code == 0
+        assert lines[-1] == {"X": 1, "box_count": 1, "count": 1, "n": 5}
 
 
 class TestParser:
