@@ -422,6 +422,8 @@ def bruteforce_orbits(p: int, n: int, c: Invariants):
     and its stabilizer order is |G|^2 over its orbit's size.
     """
     _check_odd(n, p)
+    if c.n != n:
+        raise UsageError(f"invariants have degree {c.n}, not n = {n}")
     if n != 3:
         raise BudgetError("brute force is limited to n = 3")
     ring = c.ring

@@ -275,7 +275,7 @@ def _cmd_census(args, out) -> int:
     if args.action == "orbits":
         ring = GF(args.p)
         c = parse_invariants(args.f, args.e, ring)
-        count, stabs, _ = census_mod.bruteforce_orbits(args.p, c.n, c)
+        count, stabs, _ = census_mod.bruteforce_orbits(args.p, args.n, c)
         _emit({"p": args.p, "orbits": count,
                "stabilizer_orders": sorted(stabs)}, out)
         return 0

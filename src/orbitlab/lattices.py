@@ -17,8 +17,7 @@ from .etale import EtaleAlgebra, _nonsquare_unit
 from .linalg import Mat, best_pivot, det, inverse
 from .orbits import algebra_of, trace_gram
 from .poly import Poly, discriminant
-from .quadforms import (Congruence, GramForm, diagonalize, is_split,
-                         isotropic_vector)
+from .quadforms import Congruence, GramForm, is_split, isotropic_vector
 from .thetarep import Invariants
 
 
@@ -353,7 +352,7 @@ def _represent_value(Q: GramForm, target):
                         for i in range(n)]
         return None
     # p = 2: diagonalize and run a bounded complete search
-    P, diag = diagonalize(Q)
+    P, diag = Q.diagonal
     vmax = max(abs(d.valuation()) for d in diag) // 2 + abs(
         target.valuation()) // 2 + 3
     cands = _two_adic_candidates(vmax)

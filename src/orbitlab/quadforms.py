@@ -5,7 +5,9 @@ A form is classified at its place (the base ring, or a completion of Q)
 by one diagonalization: the signature at R, the discriminant and the
 Hasse invariant at GF(p) and Q_p (Serre, A Course in Arithmetic, ch. IV).
 Splitness compares those with the split model; over Q it is glued from
-R and the relevant Q_p by Hasse-Minkowski.
+R and the relevant Q_p by Hasse-Minkowski. The diagonalization is kept on
+the form (GramForm.diagonal), so is_split, form_invariants and
+isotropic_vector share one per form.
 
 The module owns the one symmetric congruence, G = P^t G0 P kept with its
 basis change P (Congruence): diagonalize drives it here, and lattices
@@ -21,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd, isqrt, prod
+from functools import cached_property
+from math import gcd, isqrt, lcm, prod
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, best_pivot, det as mat_det, inverse, nullspace
@@ -53,6 +56,12 @@ class GramForm:
         if self._det is None:  # is_split, form_invariants and callers share it
             self._det = mat_det(self.gram)
         return self._det
+
+    @cached_property
+    def diagonal(self):
+        """diagonalize(self) as an immutable (P, diag) pair."""
+        P, diag = diagonalize(self)
+        return P, tuple(diag)
 
     def is_nondegenerate(self) -> bool:
         return not self.ring.is_zero(self.det())
@@ -188,7 +197,7 @@ def form_invariants(Q: GramForm, place=None) -> FormInvariants:
         place = ring
     if not Q.is_nondegenerate():
         raise PreconditionError("degenerate form")
-    _, diag = diagonalize(Q)
+    _, diag = Q.diagonal
     if place != ring and (place.is_finite or not ring.is_global):
         raise UsageError(
             f"no invariants at {place!r} for a form over {ring!r}")
@@ -230,7 +239,7 @@ def is_split(Q: GramForm, place=None) -> bool:
     if place.is_global:
         if not ring.is_global:
             raise UsageError("global splitness needs rational coordinates")
-        _, diag = diagonalize(Q)
+        _, diag = Q.diagonal
         if n % 2 == 0:
             disc = Fraction(1)
             for d in diag:
@@ -344,43 +353,37 @@ def _unit_group_isotropic(group, ring):
 def _legendre_solve(a: int, b: int):
     """(x, y, z) != 0 with x^2 = a*y^2 + b*z^2; a, b squarefree nonzero.
 
-    Returns None when locally unsolvable. Lagrange descent.
+    None when (a, b)_v = -1 at R or a prime of 2ab. Otherwise Lagrange's
+    descent solves it, and each step keeps it soluble, so the symbols are
+    read once (Cremona-Rusin, Math. Comp. 72, 2003): sqrt_mod(a, |b|) has a
+    root, as (a, b)_p = (a/p) = 1 at an odd p | b, p not dividing a; t^2 = a
+    cannot hold for a squarefree a != 1; b b' m^2 = t^2 - a is a norm from
+    Q(sqrt a), so (a, b')_v = (a, b)_v = 1 at every v; and a zero triple
+    would need a zero triple one level down.
     """
+    for pl in [RR] + [Qp(p) for p in _relevant_primes([a, b])]:
+        if hilbert_symbol(Fraction(a), Fraction(b), pl) != 1:
+            return None
+    return _lagrange_descent(a, b)
+
+
+def _lagrange_descent(a: int, b: int):
+    """_legendre_solve for a locally soluble x^2 = a*y^2 + b*z^2."""
     if a == 1:
         return (1, 1, 0)
     if b == 1:
         return (1, 0, 1)
-    # local solvability of x^2 - a y^2 - b z^2
-    for pl in [RR] + [Qp(p) for p in _relevant_primes([a, b])]:
-        if hilbert_symbol(Fraction(a), Fraction(b), pl) != 1:
-            return None
     if abs(a) > abs(b):
-        res = _legendre_solve(b, a)
-        if res is None:
-            return None
-        x, y, z = res
+        x, y, z = _lagrange_descent(b, a)
         return (x, z, y)
     # now |a| <= |b|, |b| >= 2
     t = sqrt_mod(a, abs(b))
-    if t is None:
-        return None
     r = (t * t - a) // b
-    if r == 0:
-        # a = t^2
-        return (t, 1, 0)
     bprime = _squarefree(r)
     m = isqrt(r // bprime)
-    res = _legendre_solve(a, bprime)
-    if res is None:
-        return None
-    x1, y1, z1 = res
+    x1, y1, z1 = _lagrange_descent(a, bprime)
     # (x1 t + a y1)^2 - a (x1 + t y1)^2 = (t^2 - a)(x1^2 - a y1^2) = b (b' m z1)^2
-    x = x1 * t + a * y1
-    y = x1 + t * y1
-    z = bprime * m * z1
-    if x == 0 and y == 0 and z == 0:
-        return None
-    return (x, y, z)
+    return (x1 * t + a * y1, x1 + t * y1, bprime * m * z1)
 
 
 def _isotropic_diag_qq(diag):
@@ -405,31 +408,23 @@ def _isotropic_diag_qq(diag):
 
 
 def _normalize_vector(v, ring):
-    """Scale for determinism: integer primitive with positive leading entry
-    over Q; unit leading entry over GF; valuation-balanced over Qp."""
-    if ring.is_global:
-        den = 1
-        for c in v:
-            den = den * Fraction(c).denominator // igcd(den, Fraction(c).denominator)
-        ints = [int(Fraction(c) * den) for c in v]
-        g = 0
-        for c in ints:
-            g = igcd(g, abs(c))
-        if g:
-            ints = [c // g for c in ints]
-        for c in ints:
-            if c != 0:
-                if c < 0:
-                    ints = [-t for t in ints]
-                break
-        return [ring.from_int(c) for c in ints]
-    return list(v)
+    """Over Q, scale v for determinism to a primitive integer vector with a
+    positive leading entry; over GF(p) and Q_p, v as a list, unscaled."""
+    if not ring.is_global:
+        return list(v)
+    fr = [Fraction(c) for c in v]
+    den = lcm(*(c.denominator for c in fr))
+    ints = [int(c * den) for c in fr]
+    g = gcd(*ints) or 1
+    if next((c for c in ints if c), 0) < 0:
+        g = -g
+    return [ring.from_int(c // g) for c in ints]
 
 
 def isotropic_vector(Q: GramForm):
     """A nonzero v with Q(v) = 0, or None if none found/exists."""
     ring = Q.ring
-    P, diag = diagonalize(Q)
+    P, diag = Q.diagonal
     if ring.is_real:
         raise UsageError("no isotropic search over R")
     if ring.is_dyadic:

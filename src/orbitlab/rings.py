@@ -440,8 +440,8 @@ class RealField(RationalField):
         return _as_fraction(a) >= 0
 
     def sqrt(self, a):
-        # only exact square roots are representable
-        return RationalField.sqrt(self, a)
+        # only rational square roots are representable
+        return QQ.sqrt(a)
 
     def hilbert(self, a, b) -> int:
         a, b = _as_fraction(a), _as_fraction(b)

@@ -343,6 +343,12 @@ class TestBruteforceOrbits:
         with pytest.raises(UsageError, match="odd and at least 3"):
             bruteforce_orbits(5, 4, c)
 
+    def test_refuses_invariants_of_another_degree(self):
+        F = GF(3)
+        c = Invariants(F, (F.one, F.one), F.one)
+        with pytest.raises(UsageError, match="invariants have degree 3, not n = 5"):
+            bruteforce_orbits(3, 5, c)
+
     def test_budget_rejects_large_p(self):
         F = GF(7)
         c = Invariants(F, (F.from_int(0), F.from_int(1)), F.from_int(1))

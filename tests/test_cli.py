@@ -230,6 +230,18 @@ class TestCensusVerb:
         assert code == 2
         assert lines[0]["error"]["message"] == "p must be an odd prime"
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--f", "1,1,1,1", "--e", "1"],
+        ["--f", "1,0,0,0,1,1", "--e", "1"]])
+    def test_orbits_refuse_degree_other_than_n(self, argv):
+        """--n is the degree of the fiber: a cubic --f with --n 5, or a
+        quintic --f with the default --n 3, is a usage error."""
+        code, lines = run_json(["census", "orbits", "--p", "3"] + argv)
+        assert code == 2
+        assert lines[0]["error"]["message"] == (
+            "invariants have degree 3, not n = 5" if "--n" in argv
+            else "invariants have degree 5, not n = 3")
+
     def test_family_stream(self):
         code, lines = run_json(["census", "family", "--p", "5",
                                 "--count", "3"])

@@ -125,6 +125,21 @@ class TestSplitModel:
         assert sorted(seen(), key=repr) == [(GF(5), None)] * 2 + \
             [(Qp(7, 20), 20)] * 2
 
+    @pytest.mark.parametrize("cls", [[], ["--class=-gamma"]])
+    @pytest.mark.parametrize("base, f, e", [("Q", "1,0,-1,1", "1"),
+                                            ("Qp:7", "1,0,-1,1", "1"),
+                                            ("F:5", "1,4,1,4", "2")])
+    def test_construct_diagonalizes_each_trace_form_once(
+            self, monkeypatch, base, f, e, cls):
+        """is_split and the isotropic search of split_frame share the one
+        diagonalization kept on each of the two trace forms."""
+        argv = ["orbit", "construct", "--f", f, "--e", e, *cls,
+                "--base", base]
+        assert dispatch(argv, io.StringIO()) == 0  # frames the split models
+        calls = count_calls(monkeypatch, quadforms, "diagonalize")
+        assert dispatch(argv, io.StringIO()) == 0
+        assert len(calls) == 2
+
     def test_escalated_precision_frames_afresh(self, monkeypatch, q7):
         """Q_p rings of one p compare equal whatever their precision; a
         construction over Qp(p, 2 * prec) still gets its own models, at its

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,11 @@ from conftest import count_calls
 from orbitlab import quadforms
 from orbitlab.errors import UsageError
 from orbitlab.linalg import Mat, det
-from orbitlab.quadforms import (GramForm, _relevant_primes, diagonalize,
-                                form_invariants, is_split, isotropic_vector,
-                                split_isometry, standard_split_gram)
-from orbitlab.rings import GF, QQ, RR, Qp
+from orbitlab.quadforms import (GramForm, _legendre_solve, _relevant_primes,
+                                _squarefree, diagonalize, form_invariants,
+                                is_split, isotropic_vector, split_isometry,
+                                standard_split_gram)
+from orbitlab.rings import GF, QQ, RR, Qp, hilbert_symbol, sqrt_mod
 
 
 def _sym_mat(ring, entries):
@@ -203,3 +205,76 @@ class TestInvariants:
         Q = GramForm(_sym_mat(RR, [[2, 0], [0, -3]]))
         inv = form_invariants(Q)
         assert inv.signature == (1, 1)
+
+
+def _legendre_solve_per_level(a: int, b: int):
+    """_legendre_solve as it was: the local solubility test is read again
+    at every level of Lagrange's descent, and every step may give up."""
+    if a == 1:
+        return (1, 1, 0)
+    if b == 1:
+        return (1, 0, 1)
+    for pl in [RR] + [Qp(p) for p in _relevant_primes([a, b])]:
+        if hilbert_symbol(Fraction(a), Fraction(b), pl) != 1:
+            return None
+    if abs(a) > abs(b):
+        res = _legendre_solve_per_level(b, a)
+        if res is None:
+            return None
+        x, y, z = res
+        return (x, z, y)
+    t = sqrt_mod(a, abs(b))
+    if t is None:
+        return None
+    r = (t * t - a) // b
+    if r == 0:
+        return (t, 1, 0)
+    bprime = _squarefree(r)
+    m = isqrt(r // bprime)
+    res = _legendre_solve_per_level(a, bprime)
+    if res is None:
+        return None
+    x1, y1, z1 = res
+    x, y, z = x1 * t + a * y1, x1 + t * y1, bprime * m * z1
+    if x == 0 and y == 0 and z == 0:
+        return None
+    return (x, y, z)
+
+
+def _squarefrees(lo, hi):
+    return [d for d in range(lo, hi + 1) if d and _squarefree(d) == d]
+
+
+class TestLegendreSolve:
+    """One local solubility test, then a descent that cannot fail, against
+    the descent that tests at every level."""
+
+    @staticmethod
+    def _check(a, b):
+        got = _legendre_solve(a, b)
+        assert got == _legendre_solve_per_level(a, b), (a, b)
+        if got is not None:
+            x, y, z = got
+            assert x * x == a * y * y + b * z * z and got != (0, 0, 0)
+        return got is not None
+
+    def test_matches_per_level_descent_up_to_100(self):
+        sf = _squarefrees(-100, 100)
+        soluble = [self._check(a, b) for a in sf for b in sf]
+        assert 0 < sum(soluble) < len(soluble)
+
+    def test_matches_per_level_descent_on_large_pairs(self):
+        rng = random.Random(0x1E6E)
+        soluble = 0
+        for _ in range(400):
+            a, b = (_squarefree(rng.choice([-1, 1]) * rng.randint(2, 10 ** 7))
+                    for _ in range(2))
+            soluble += self._check(a, b)
+        # soluble pairs, built as b = (t^2 - a) / k for a square t^2 mod k
+        for _ in range(200):
+            a = _squarefree(rng.choice([-1, 1]) * rng.randint(2, 10 ** 6))
+            t = rng.randint(1, 10 ** 4)
+            b = _squarefree(t * t - a)
+            if b not in (0, 1):
+                soluble += self._check(a, b)
+        assert soluble >= 200

@@ -31,6 +31,15 @@ class TestRationals:
         assert RR.is_square(RR.from_fraction(Fraction(2)))
         assert not RR.is_square(RR.from_fraction(Fraction(-2)))
 
+    def test_real_sqrt_only_of_rational_squares(self):
+        """R holds exact rationals: a positive non-square such as 2 is a
+        real square with no representable root, so sqrt refuses it."""
+        assert RR.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        assert RR.sqrt(Fraction(0)) == 0
+        for a in (Fraction(2), Fraction(8), Fraction(1, 2), Fraction(-4)):
+            with pytest.raises(PreconditionError, match="rational square"):
+                RR.sqrt(a)
+
 
 class TestPrimeField:
     def test_inverse_all_units(self):
