@@ -22,7 +22,7 @@ the number sum A[i][j] p^(3i+j). The fiber table sorts all p^9 codes by
 their invariants, read off nine digit arrays with integer arithmetic. As
 G = SO(B)(F_p) is a group, the orbit of A under A -> g1 A g2^(-1) is
 G A G, so no inverse is taken: the codes of all |G|^2 images come from a
-per-p table of row actions, and binary search marks them on the fiber.
+per-p table of row actions, and one scatter marks them on a p^9 mask.
 """
 
 from __future__ import annotations
@@ -385,6 +385,8 @@ def _fibers(p: int):
 
 
 _ROW_CACHE = {}
+# per p, a mask over all p^9 index codes, all False between orbit counts
+_MASK_CACHE = {}
 
 
 def _row_action(p: int):
@@ -417,9 +419,10 @@ def bruteforce_orbits(p: int, n: int, c: Invariants):
 
     The fiber is a sorted array of index codes (_fibers). As G is a group,
     the orbit of A is G A G: the codes of all |G|^2 images come from a few
-    array gathers (_orbit_codes) and are marked on the fiber by binary
-    search. Each representative is the first unmarked matrix of the fiber,
-    and its stabilizer order is |G|^2 over its orbit's size.
+    array gathers (_orbit_codes) and one scatter marks them on a mask over
+    all p^9 codes. The fiber reads its hits and clears its codes, so a code
+    still marked lies outside it. Each representative is the first unhit
+    matrix of the fiber, its stabilizer order |G|^2 over its orbit's hits.
     """
     _check_odd(n, p)
     if c.n != n:
@@ -432,6 +435,9 @@ def bruteforce_orbits(p: int, n: int, c: Invariants):
     G = so3_group(p)
     gsq = len(G) ** 2
     order, bounds = _fibers(p)
+    if p not in _MASK_CACHE:
+        _MASK_CACHE[p] = np.zeros(p ** 9, dtype=bool)
+    mask = _MASK_CACHE[p]
     key = _fiber_key(int(c.a[0]), int(c.a[1]), int(c.e), p)
     fiber = order[bounds[key]:bounds[key + 1]]
     covered = np.zeros(fiber.size, dtype=bool)
@@ -440,16 +446,18 @@ def bruteforce_orbits(p: int, n: int, c: Invariants):
     k = 0
     while k < fiber.size:
         mat = _decode(int(fiber[k]), p)
-        codes = np.sort(_orbit_codes(p, G, mat))
-        pos = np.minimum(np.searchsorted(fiber, codes), fiber.size - 1)
-        if (fiber[pos] != codes).any():
+        codes = _orbit_codes(p, G, mat)
+        mask[codes] = True
+        hit = mask[fiber]
+        mask[fiber] = False
+        if mask[codes].any():
+            mask[codes] = False
             raise PreconditionError("orbit left the fiber (invariance bug)")
-        covered[pos] = True
-        if not covered[k]:
+        if not hit[k]:
             raise PreconditionError("orbit misses its representative")
+        covered |= hit
         reps.append(mat)
-        # the orbit's size is the number of distinct sorted codes
-        stab_orders.append(gsq // (1 + int(np.count_nonzero(np.diff(codes)))))
+        stab_orders.append(gsq // int(np.count_nonzero(hit)))
         free = ~covered[k:]
         k = k + int(free.argmax()) if free.any() else fiber.size
     return len(reps), stab_orders, reps
@@ -537,6 +545,8 @@ def diverges_family(p: int, n: int = 3, count: int = 30,
     _check_odd(n, p)
     if n != 3:
         raise UsageError("the test family is implemented for n = 3")
+    if count < 0:
+        raise UsageError("count must be nonnegative")
     rng = random.Random(seed ^ p)
     out = []
     tries = 0

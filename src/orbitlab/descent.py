@@ -195,6 +195,8 @@ def local_image(c: Invariants, place, which: int,
                 ) -> LocalImage:
     """Subgroup of (L^x/L^x2)_{N=1} generated by descent classes of local
     points, with a completeness flag against the local size target."""
+    if budget < 0:
+        raise UsageError("budget must be nonnegative")
     ring = c.ring if place is None else place
     target = local_mw_size(c, place, which)
     L = algebra_of(c)

@@ -591,14 +591,16 @@ def _residues(g: Poly, m: int, length: int, what: str):
 def _nonsquare_unit(ring, fi: Poly) -> Poly:
     """A unit of O[x]/(fi), over GF(p) or Z_p with p odd, whose residue is
     a nonsquare: the first in the order 1, 2, ..., p - 1, x, 1 + x, ...;
-    for deg fi = 1 that is the least non-residue >= 2."""
+    a constant c is one iff the integer c^((p^d - 1) / 2) is -1 mod p, d =
+    deg fi: the least non-residue at odd d, and none at even d."""
     p, d = ring.p, fi.degree
     F = GF(p)
     fbar = Poly(F, _residues(fi, p, d + 1, "non-integral factor"))
     half = (p ** d - 1) // 2
     for trial in range(1, p ** d):
         z = Poly(F, [trial // p ** k % p for k in range(d)])
-        pw = powmod(z, half, fbar)
+        pw = (Poly(F, [pow(trial, half, p)]) if trial < p  # a constant
+              else powmod(z, half, fbar))
         if pw.degree == 0 and F.eq(pw.coeff(0), F.from_int(-1)):
             return z.map_ring(ring, ring.from_int)
     raise PreconditionError("no nonsquare found (is p = 2?)")

@@ -3,11 +3,12 @@ explicit isometries onto split models.
 
 A form is classified at its place (the base ring, or a completion of Q)
 by one diagonalization: the signature at R, the discriminant and the
-Hasse invariant at GF(p) and Q_p (Serre, A Course in Arithmetic, ch. IV).
-Splitness compares those with the split model; over Q it is glued from
-R and the relevant Q_p by Hasse-Minkowski. The diagonalization is kept on
-the form (GramForm.diagonal), so is_split, form_invariants and
-isotropic_vector share one per form.
+Hasse invariant at Q_p (Serre, A Course in Arithmetic, ch. IV); at GF(p)
+by det(G), as the Hasse invariant there is 1. Splitness compares those
+with the split model; over Q it is glued from R and the relevant Q_p by
+Hasse-Minkowski. The diagonalization is kept on the form
+(GramForm.diagonal), so is_split, form_invariants and isotropic_vector
+share one per form.
 
 The module owns the one symmetric congruence, G = P^t G0 P kept with its
 basis change P (Congruence): diagonalize drives it here, and lattices
@@ -191,17 +192,20 @@ def _hasse(diag, place) -> int:
 
 def form_invariants(Q: GramForm, place=None) -> FormInvariants:
     """Rank, discriminant, and the signature (R) or the Hasse invariant
-    (GF(p), Q_p) at the place; the form's base must be the place or Q."""
+    (GF(p), Q_p) at the place; the form's base must be the place or Q. At
+    GF(p), where Hilbert symbols of units are 1 and a diagonal P^t G P has
+    product det(G) det(P)^2, they are det(G) and 1, with no diagonal."""
     ring = Q.ring
     if place is None:
         place = ring
     if not Q.is_nondegenerate():
         raise PreconditionError("degenerate form")
-    _, diag = Q.diagonal
     if place != ring and (place.is_finite or not ring.is_global):
         raise UsageError(
             f"no invariants at {place!r} for a form over {ring!r}")
-    return _diag_invariants(diag, ring, place)
+    if place.is_finite and place.char != 2:  # diagonalize refuses char 2
+        return FormInvariants(Q.rank, Q.det(), 1, None, place)
+    return _diag_invariants(Q.diagonal[1], ring, place)
 
 
 def _diag_invariants(diag, ring, place) -> FormInvariants:

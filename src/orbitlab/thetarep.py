@@ -19,7 +19,7 @@ from .errors import PreconditionError, UsageError
 from .linalg import Mat, block_matrix, charpoly, nullspace
 from .poly import Poly, discriminant
 from .quadforms import standard_split_gram
-from .rings import QQ
+from .rings import GF, QQ
 
 
 def antidiag(ring, n: int) -> Mat:
@@ -344,11 +344,26 @@ def _check_witness(ring, Bi: Mat, M: Mat, vecs) -> bool:
     return True
 
 
+def _quad(S, v) -> int:
+    """v S v for an integer matrix S, given by its rows, and vector v."""
+    return sum(x * s * y for x, row in zip(v, S) for s, y in zip(row, v))
+
+
+@cache
+def _isotropic_points(p: int):
+    """The points v of P^2(F_p), in lexicographic order with first nonzero
+    coordinate 1, with v B v = 0 for the forms B and -B on V1 and V2."""
+    B = antidiag(GF(p), 3).rows
+    return [v for v in itertools.product(range(p), repeat=3)
+            if next((c for c in v if c != 0), 0) == 1 and not _quad(B, v) % p]
+
+
 def distinguished_witness(T: RepElement, i: int, candidates=None) -> WitnessResult:
     """Maximal isotropic X in V_i with T^2 X inside X-perp.
 
-    Searches exhaustively over finite fields (q <= 13, n = 3); elsewhere
-    verifies caller-provided candidate bases only.
+    Searches exhaustively over finite fields (q <= 13, n = 3): the first
+    v of _isotropic_points(p) with v B_i M v = 0 mod p, M = T^2 on V_i,
+    confirmed by _check_witness; elsewhere verifies candidate bases only.
     """
     ring = T.ring
     n = T.n
@@ -362,13 +377,10 @@ def distinguished_witness(T: RepElement, i: int, candidates=None) -> WitnessResu
                              None)
     if ring.is_finite and ring.p <= 13 and n == 3:
         p = ring.p
-        # projective isotropic lines, lexicographic representatives
-        for v in itertools.product(range(p), repeat=3):
-            if next((c for c in v if c != 0), 0) != 1:
-                continue
-            vv = [ring.from_int(c) for c in v]
-            if _check_witness(ring, Bi, M, [vv]):
-                return WitnessResult("found", [vv])
+        BM = (Bi * M).rows
+        for v in map(list, _isotropic_points(p)):
+            if not _quad(BM, v) % p and _check_witness(ring, Bi, M, [v]):
+                return WitnessResult("found", [v])
         return WitnessResult("none", None)
     return WitnessResult("undecidable", None)
 

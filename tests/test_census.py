@@ -13,7 +13,7 @@ from orbitlab.census import (bruteforce_orbits, diverges_family, fp_sweep,
                              group_order, height_box_count, height_enumerate,
                              height_lt, same_orbit, scale_invariants,
                              so3_group)
-from orbitlab.errors import BudgetError, UsageError
+from orbitlab.errors import BudgetError, PreconditionError, UsageError
 from orbitlab.etale import EtaleAlgebra, square_class
 from orbitlab.linalg import Mat, charpoly
 from orbitlab.poly import Poly, discriminant, factor
@@ -436,6 +436,7 @@ def _assert_matches_oracle(p, key, fiber):
     assert all(type(s) is int for s in stabs)
     assert [tuple(map(tuple, r.tolist())) for r in reps] == want[2], key
     assert all(r.dtype == np.int64 and r.shape == (3, 3) for r in reps)
+    assert not census._MASK_CACHE[p].any()
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +472,23 @@ class TestOrbitOracle:
                      for code in order[bounds[k]:bounds[k + 1]]]
             assert _direct_key(fiber[0], p) == key
             _assert_matches_oracle(p, key, fiber)
+
+    def test_orbit_leaving_the_fiber_is_refused(self, monkeypatch):
+        """An orbit with one code from another fiber raises, and the mask
+        is left all False for the next call."""
+        p, key = 3, (1, 0, 1)
+        order, bounds = census._fibers(p)
+        k = census._fiber_key(*key, p)
+        stray = order[bounds[k + 1]]  # first code of the next fiber
+        real = census._orbit_codes
+        monkeypatch.setattr(census, "_orbit_codes",
+                            lambda *args: np.append(real(*args), stray))
+        with pytest.raises(PreconditionError,
+                           match=r"^orbit left the fiber \(invariance bug\)$"):
+            bruteforce_orbits(p, 3, _invariants(p, key))
+        assert not census._MASK_CACHE[p].any()
+        monkeypatch.undo()
+        assert bruteforce_orbits(p, 3, _invariants(p, key))[0] == 2
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_fiber_table_keys(self, p, keys_at_3):

@@ -125,6 +125,18 @@ class TestDescentVerb:
         assert code == 0
         assert lines[0]["complete"] is True and lines[0]["target"] == 4
 
+    @pytest.mark.parametrize("place", ["7", "R"])
+    @pytest.mark.parametrize("action", ["local", "sel12"])
+    def test_negative_budget_refused(self, action, place):
+        """A negative --budget is a usage error at every place, not "no
+        sampling"; --budget 0 stays allowed."""
+        argv = ["descent", action, "--place", place] + Q_BASE
+        code, lines = run_json(argv + ["--budget", "-5"])
+        assert code == 2
+        assert lines[0]["error"] == {"code": "UsageError", "exit": 2,
+                                     "message": "budget must be nonnegative"}
+        assert run_json(argv + ["--budget", "0"])[0] == 0
+
 
 class TestLatticeVerb:
     def test_selfdual_refines(self, tmp_path):
@@ -248,6 +260,16 @@ class TestCensusVerb:
         assert code == 0
         assert len(lines) == 4
         assert lines[-1]["count"] == 3 and lines[-1]["p"] == 5
+
+    def test_family_refuses_negative_count(self):
+        code, lines = run_json(["census", "family", "--p", "5",
+                                "--count", "-3"])
+        assert code == 2
+        assert lines == [{"error": {"code": "UsageError", "exit": 2,
+                                    "message": "count must be nonnegative"}}]
+        code, lines = run_json(["census", "family", "--p", "5",
+                                "--count", "0"])
+        assert code == 0 and lines[-1]["count"] == 0
 
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv("ORBITLAB_SEED", "123")

@@ -50,6 +50,16 @@ class TestDeltaMap:
             _, _, in_ker = delta_map(base_c_f5, cls.rep)
             assert in_ker
 
+    def test_builds_no_diagonal_over_gf(self, monkeypatch):
+        """Splitness over GF(p) reads det(G): delta_map diagonalizes
+        neither trace form, on every class of a seeded fiber at GF(5)."""
+        F = GF(5)
+        c = random_rs_invariants(F, random.Random(SEED))
+        classes = norm_one_classes(algebra_of(c))
+        calls = count_calls(monkeypatch, quadforms, "diagonalize")
+        assert all(delta_map(c, cls.rep)[2] for cls in classes)
+        assert len(classes) > 1 and calls == []
+
 
 class TestRoundTrip:
     def test_f5_all_classes(self, base_c_f5, f5):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +127,53 @@ class TestSplitOverQ:
         calls = count_calls(monkeypatch, quadforms, "diagonalize")
         assert is_split(Q)
         assert len(calls) == 1
+
+
+def _split_by_diagonal(Q: GramForm) -> bool:
+    """is_split at GF(p) as it was: the discriminant and Hasse invariant of
+    a fresh diagonalization."""
+    if not Q.is_nondegenerate():
+        return False
+    _, diag = diagonalize(Q)
+    return quadforms._is_split_at(
+        quadforms._diag_invariants(diag, Q.ring, Q.ring))
+
+
+class TestSplitOverFiniteFields:
+    """is_split at GF(p), read off det(G), against the diagonal it
+    replaced, on seeded symmetric matrices, degenerate ones included."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_diagonal_invariants(self, p):
+        F = GF(p)
+        rng = random.Random(p)
+        seen = set()
+        for n in range(1, 7):
+            for k in range(40):
+                # every fourth form has a repeated row and column
+                rows = [[rng.randrange(p) for _ in range(n)]
+                        for _ in range(n)]
+                S = [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                     for i in range(n)]
+                if n > 1 and k % 4 == 0:
+                    S[-1] = S[0][:]
+                    for row in S:
+                        row[-1] = row[0]
+                Q = GramForm(_sym_mat(F, S))
+                got = is_split(Q)
+                assert got == _split_by_diagonal(Q), (p, S)
+                seen.add((Q.is_nondegenerate(), got))
+                if Q.is_nondegenerate():
+                    inv, (_, diag) = form_invariants(Q), diagonalize(Q)
+                    assert inv.hasse == quadforms._hasse(diag, F) == 1
+                    assert F.is_square(F.div(inv.disc, prod(diag) % p))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_reads_no_diagonal(self, monkeypatch):
+        calls = count_calls(monkeypatch, quadforms, "diagonalize")
+        Q = GramForm(_sym_mat(GF(7), [[1, 2, 3], [2, 5, 1], [3, 1, 5]]))
+        assert is_split(Q) and form_invariants(Q).hasse == 1
+        assert not calls
 
 
 class TestIsotropicVector:

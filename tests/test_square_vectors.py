@@ -31,7 +31,7 @@ from orbitlab.etale import (EtaleAlgebra, SquareClass, _factor_bits,
                             sign_at_root, square_class)
 from orbitlab.census import DEFAULT_SEED
 from orbitlab.orbits import algebra_of
-from orbitlab.poly import (Poly, discriminant, distinct_degree,
+from orbitlab.poly import (Poly, discriminant, distinct_degree, powmod,
                            real_roots_exact)
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import Invariants
@@ -205,6 +205,21 @@ def _oracle_local_image(c, place, which):
     return group, target, len(group) >= target
 
 
+def _nonsquare_unit_by_trials(ring, fi):
+    """_nonsquare_unit as it was: every trial z, the constants included,
+    raised to (p^d - 1) / 2 modulo the reduction of fi."""
+    p, d = ring.p, fi.degree
+    F = GF(p)
+    fbar = Poly(F, _residues(fi, p, d + 1, "non-integral factor"))
+    half = (p ** d - 1) // 2
+    for trial in range(1, p ** d):
+        z = Poly(F, [trial // p ** k % p for k in range(d)])
+        pw = powmod(z, half, fbar)
+        if pw.degree == 0 and F.eq(pw.coeff(0), F.from_int(-1)):
+            return z.map_ring(ring, ring.from_int)
+    raise PreconditionError("no nonsquare found (is p = 2?)")
+
+
 # ---------------------------------------------------------------------------
 # differential tests
 
@@ -233,6 +248,58 @@ def test_norm_one_classes_match_filtered_products(ring, coeffs):
     assert [c.labels for c in new] == [c.labels for c in old]
     assert len({c.vector for c in new}) == len(new)
     assert all(L.ring.is_square(L.norm(c.rep)) for c in new)
+
+
+def _nonsquare_cases():
+    """(ring, ascending coefficients of fi): every monic of degree 1 and 2
+    over GF(p), p <= 7, seeded ones of degree 3 and 4, and over Z_p
+    reductions g^k with k = 1 .. 4 and a non-integral factor."""
+    rng = random.Random(SEED)
+    cases = []
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        for d in (1, 2):
+            cases += [(F, list(low) + [1])
+                      for low in itertools.product(range(p), repeat=d)]
+        for d in (3, 4) if p <= 5 else (3,):
+            cases += [(F, [rng.randrange(p) for _ in range(d)] + [1])
+                      for _ in range(12)]
+    for p in (3, 5, 7):
+        K = Qp(p, 20)
+        cases += [(K, [rng.randint(-9, 9) for _ in range(d)] + [1])
+                  for d in ((1, 2, 3, 4) if p <= 5 else (1, 2, 3))
+                  for _ in range(4)]
+        cases += [(K, [-p, 0, 1]),                 # x^2: k = 2
+                  (K, [-p, 0, 0, 1]),              # x^3: k = 3
+                  (K, [1 + p, 3, 3, 1]),           # (x + 1)^3
+                  (K, [Fraction(1, p), 1]),        # non-integral
+                  (K, [1, Fraction(1, p), 1])]
+    K = Qp(3, 20)
+    cases += [(K, [3, 0, 0, 0, 1]),                # x^4
+              (K, [1, 3, 2, 0, 1]),                # (x^2 + 1)^2 + 3x
+              (K, [4, 0, 1]), (K, [-1, 0, 0, 1])]  # irreducible mod 3
+    return cases
+
+
+def _outcome_of(fn, ring, fi):
+    try:
+        z = fn(ring, fi)
+    except Exception as exc:  # the same type and message, or a value
+        return type(exc), str(exc)
+    return [ring.scalar_str(c) for c in z.coeffs]
+
+
+def test_nonsquare_unit_matches_trials():
+    outcomes = set()
+    for ring, coeffs in _nonsquare_cases():
+        fi = Poly(ring, [ring.from_fraction(Fraction(c)) for c in coeffs])
+        got = _outcome_of(_nonsquare_unit, ring, fi)
+        assert got == _outcome_of(_nonsquare_unit_by_trials, ring, fi), \
+            (ring, coeffs)
+        outcomes.add(got if isinstance(got, tuple) else len(got))
+    assert outcomes >= {
+        1, 2, (PreconditionError, "non-integral factor"),
+        (PreconditionError, "no nonsquare found (is p = 2?)")}
 
 
 def _oracle_generators(alg):

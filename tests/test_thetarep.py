@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 import sympy
 
 from conftest import abs_digits
+from orbitlab import census, thetarep
 from orbitlab.errors import PreconditionError, UsageError
 from orbitlab.linalg import Mat, block_matrix, charpoly, det
 from orbitlab.poly import discriminant
@@ -266,6 +268,58 @@ class TestCuspClassify:
                 if not F7.is_zero(discriminant(c.fpoly())):
                     pass
         assert hits > 15
+
+
+def _witness_by_points(T, i):
+    """distinguished_witness's exhaustive search as it was: every projective
+    point v in lexicographic order goes through _check_witness, with
+    Mat.apply and the ring's dot."""
+    ring, n = T.ring, T.n
+    M = T.t_squared_block(i)
+    Bi = thetarep._gram_vi(ring, n, i)
+    for v in itertools.product(range(ring.p), repeat=3):
+        if next((c for c in v if c != 0), 0) != 1:
+            continue
+        vv = [ring.from_int(c) for c in v]
+        if thetarep._check_witness(ring, Bi, M, [vv]):
+            return "found", [vv]
+    return "none", None
+
+
+def _assert_witnesses_match(A):
+    T = lift(A)
+    for i in (1, 2):
+        got = thetarep.distinguished_witness(T, i)
+        assert (got.status, got.basis) == _witness_by_points(T, i), (A, i)
+
+
+class TestWitnessSearch:
+    """The integer-form scan of distinguished_witness against the search
+    it replaced: identical status and basis."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_rs_fiber_representative(self, p):
+        F = GF(p)
+        fibers = 0
+        for a1, a2, e in itertools.product(range(p), range(p), range(1, p)):
+            c = Invariants(F, (a1, a2), e)
+            if F.is_zero(discriminant(c.fpoly())):
+                continue
+            fibers += 1
+            for rep in census.bruteforce_orbits(p, 3, c)[2]:
+                _assert_witnesses_match(Mat.from_ints(F, rep.tolist()))
+        assert fibers == {3: 14, 5: 84}[p]
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_seeded_matrices(self, p):
+        F = GF(p)
+        rng = random.Random(p)
+        statuses = set()
+        for _ in range(40):
+            A = _random_mat(F, rng, 3)
+            _assert_witnesses_match(A)
+            statuses.add(thetarep.distinguished_witness(lift(A), 1).status)
+        assert statuses == {"found", "none"}
 
 
 class TestWeightSystem:
