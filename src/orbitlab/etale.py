@@ -1,15 +1,15 @@
 """Etale algebras L = k[x]/(f) with norm/trace and square-class arithmetic.
 
-Elements are polynomials of degree < deg f over the base ring. The ring is
-also the place, and the code asks it (is_real, is_global, is_finite,
-is_padic, is_dyadic) instead of testing its class.
+Elements are polynomials of degree < deg f over the base ring, which is
+also the place.
 
 The trace form (x, y) -> Tr(w x y) in the power basis is the Hankel matrix
 sum_k w_k s_(i+j+k) in the power sums s_k = Tr(gamma^k), which Newton's
 identities give once per algebra from f.
 
 At a local place L^x/L^x2 is an F_2-vector space, and a class is its
-coordinate vector: an int with a block of additive bits per factor,
+coordinate vector: an int with a block of additive bits per factor, stated
+by one class per place kind, which EtaleAlgebra.coordinates picks once:
 
   * GF(p):   the residue bit of the norm down to GF(p);
   * R:       one sign bit per real root (poly.sign_at_root);
@@ -145,7 +145,6 @@ class EtaleAlgebra:
         self._comp_cache = {}
         self._local_cache = {}
         self._split_cache = {}
-        self._idem_cache = None
 
     @property
     def factors(self):
@@ -262,20 +261,19 @@ class EtaleAlgebra:
             return a.eval(self.ring.neg(fi.coeff(0)))
         return self.comp_algebra(i).norm(self.component(a, i))
 
+    @cached_property
     def idempotents(self):
         """CRT idempotents e_i (1 in factor i, 0 elsewhere)."""
-        if self._idem_cache is None:
-            out = []
-            for fi in self.factors:
-                rest = self.f.divmod(fi)[0]
-                _, s, _ = ext_gcd(rest.mod(fi), fi)
-                out.append((rest * s).mod(self.f))
-            self._idem_cache = out
-        return self._idem_cache
+        out = []
+        for fi in self.factors:
+            rest = self.f.divmod(fi)[0]
+            _, s, _ = ext_gcd(rest.mod(fi), fi)
+            out.append((rest * s).mod(self.f))
+        return out
 
     def crt(self, parts) -> Poly:
         acc = Poly(self.ring, [])
-        for part, e in zip(parts, self.idempotents()):
+        for part, e in zip(parts, self.idempotents):
             acc = (acc + part * e).mod(self.f)
         return acc
 
@@ -306,8 +304,14 @@ class EtaleAlgebra:
 
     @cached_property
     def coordinates(self) -> "_Coordinates":
-        """F_2 coordinates of the square classes over a local base."""
-        return _Coordinates(self)
+        """F_2 coordinates of the square classes, by place kind."""
+        ring = self.ring
+        if ring.is_global:
+            raise UsageError("enumeration only over local bases")
+        if ring.is_real:
+            return _RealCoordinates(self, self.real_roots)
+        return (_FiniteCoordinates if ring.is_finite else _DyadicCoordinates
+                if ring.is_dyadic else _OddCoordinates)(self, self.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -606,155 +610,178 @@ def _nonsquare_unit(ring, fi: Poly) -> Poly:
     raise PreconditionError("no nonsquare found (is p = 2?)")
 
 
-def _unit_class_reps_2adic(ring, fi: Poly):
-    """O^x/O^x2 for an unramified factor fi at 2, as {unit bits: unit}: the
-    first unit residue mod 8O of each class, in the order of its base-8
-    code."""
-    d = fi.degree
-    f8, fbar = _mod8_factor(fi)
-    reps = {}
-    for code in range(8 ** d):
-        u8 = tuple(code // 8 ** k % 8 for k in range(d))
-        if not any(c % 2 for c in u8):
-            continue
-        level, t = _unit2_bits(u8, f8, fbar)
-        bits = level << 1 | t << d + 1
-        if bits not in reps:
-            reps[bits] = Poly(ring, [ring.from_int(c) for c in u8])
-            if len(reps) == 2 ** (d + 1):
-                return reps
-    raise PreconditionError("2-adic unit class enumeration incomplete")
-
-
-def _factor_bits(ring, fi: Poly, comp: Poly, norm) -> int:
-    """Coordinates of an element of k[x]/(fi) (module docstring), from its
-    component comp there and its norm; bit 0 is the valuation at Q_p."""
-    if ring.is_finite:
-        if ring.is_zero(norm):
-            raise PreconditionError("square class of a non-unit")
-        return 0 if ring.is_square(norm) else 1
-    p, d = ring.p, fi.degree
-    vN = norm.valuation()
-    if vN % d != 0:
-        raise PreconditionError(
-            "factor appears ramified; only unramified factors are supported")
-    vK = vN // d
-    if not ring.is_dyadic:
-        return vK % 2 | (0 if pow(norm.u % p, (p - 1) // 2, p) == 1 else 2)
-    # p = 2: normalize to a unit of O and classify mod 8
-    unit_el = comp.scale(ring.from_fraction(Fraction(2) ** -vK)).mod(fi)
-    u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
-    level, t = _unit2_bits(tuple(u8), *_mod8_factor(fi))
-    return vK % 2 | level << 1 | t << d + 1
-
-
 class _Coordinates:
     """F_2 coordinates on L^x/L^x2 over a local base: factor i (real root i
-    over R) owns widths[i] bits of the vector, from bit offsets[i] up."""
+    over R) owns widths[i] bits of the vector, from bit offsets[i] up. Each
+    place kind states a factor's _bits and _units ({unit bits: unit, None
+    for 1}), and overrides the one-bit _width, _label and _image defaults."""
 
-    def __init__(self, alg: EtaleAlgebra):
-        ring = alg.ring
+    def __init__(self, alg: EtaleAlgebra, factors):
         self.alg = weakref.proxy(alg)  # no cycle: alg owns its coordinates
-        self.widths = [1] * len(alg.real_roots) if ring.is_real else [
-            fi.degree + 2 if ring.is_dyadic else 2 if ring.is_padic else 1
-            for fi in alg.factors]
+        self.widths = [self._width(fi) for fi in factors]
         self.offsets = [sum(self.widths[:i]) for i in range(len(self.widths))]
         self._generators = {}
 
+    def _width(self, fi: Poly) -> int:
+        return 1
+
+    def _label(self, bits: int, w: int):
+        return bits
+
+    def _image(self, i: int, bits: int) -> int:
+        return bits  # N: F_(p^d)^x -> F_p^x is onto
+
+    def _listed(self, units):
+        return units
+
     def vector(self, rep: Poly) -> int:
-        alg, ring = self.alg, self.alg.ring
-        if ring.is_real:
-            return sum(1 << j for j, root in enumerate(alg.real_roots)
-                       if sign_at_root(rep, root) < 0)
-        return sum(_factor_bits(ring, fi, alg.component(rep, i),
-                                alg.norm_in_factor(rep, i)) << off
+        alg = self.alg
+        return sum(self._bits(fi, alg.component(rep, i),
+                              alg.norm_in_factor(rep, i)) << off
                    for i, (fi, off) in enumerate(zip(alg.factors,
                                                      self.offsets)))
 
     def labels(self, vector: int) -> tuple:
-        """Per factor: the sign over R, the residue bit at GF(p), (v, qr)
-        at odd p, (v, level bits, t or None) at 2."""
-        ring = self.alg.ring
-        out = []
-        for w, off in zip(self.widths, self.offsets):
-            bits = vector >> off & (1 << w) - 1
-            if ring.is_real:
-                out.append(1 - 2 * bits)
-            elif not ring.is_padic:
-                out.append(bits)
-            elif not ring.is_dyadic:
-                out.append((bits & 1, bits >> 1))
-            else:
-                level = tuple(bits >> j & 1 for j in range(1, w - 1))
-                out.append((bits & 1, level,
-                            None if any(level) else bits >> w - 1))
-        return tuple(out)
+        return tuple(self._label(vector >> off & (1 << w) - 1, w)
+                     for w, off in zip(self.widths, self.offsets))
 
     @cached_property
     def units(self):
-        """Per factor, {unit bits: unit of k[x]/(f_i), None for 1} in
-        listing order: 1 and a non-square unit at GF(p) and odd p, the
-        2-adic unit representatives at Q_2."""
-        ring = self.alg.ring
-        return [{0: None} if ring.char == 2  # all of GF(2^d) are squares
-                else _unit_class_reps_2adic(ring, fi) if ring.is_dyadic
-                else {0: None, 2 if ring.is_padic else 1:
-                      _nonsquare_unit(ring, fi)} for fi in self.alg.factors]
+        return [self._units(fi) for fi in self.alg.factors]
 
     @cached_property
     def images(self):
-        """Per factor, {bits in place: base coordinates of its generator's
-        norm} in listing order, units before their products with p (bit 0)
-        at Q_p: in closed form at GF(p) and odd p (module docstring), from
-        the generators' norms at Q_2, the signs over R."""
-        ring = self.alg.ring
-        if ring.is_real:
-            return [{0: 0, 1 << off: 1} for off in self.offsets]
-        return [{b << off: self._image(i, b) for b in ([
-            *units, *(u | 1 for u in units)] if ring.is_padic else units)}
-            for i, (units, off) in enumerate(zip(self.units, self.offsets))]
-
-    def _image(self, i: int, bits: int) -> int:
-        """Base coordinates of the norm of generator(i, bits)."""
-        alg, ring = self.alg, self.alg.ring
-        if ring.is_dyadic:
-            n = alg.norm_in_factor(self.generator(i, bits), i)
-            return _factor_bits(ring, Poly.gen(ring), Poly.const(ring, n), n)
-        return bits & 2 | bits & alg.factors[i].degree & 1 if ring.is_padic \
-            else bits
+        """Per factor, {bits: base coordinates of the generator's norm}."""
+        return [{b << off: self._image(i, b) for b in self._listed(units)}
+                for i, (units, off) in enumerate(zip(self.units,
+                                                     self.offsets))]
 
     def generator(self, i: int, bits: int) -> Poly:
-        """Generator of factor i with these bits, built on first use: its
-        unit there and 1 elsewhere, times p there (gens[i]) at Q_p bit 0."""
-        gens, alg = self._generators, self.alg
+        """Its unit in factor i and 1 elsewhere, built on first use."""
+        gens = self._generators
         if (i, bits) not in gens:
-            if alg.ring.is_padic and bits & 1:
-                if i not in gens:
-                    gens[i] = _pad_const(alg, alg.scalar(alg.ring.p), i)
-                gens[i, bits] = alg.mul(self.generator(i, bits ^ 1), gens[i])
-            else:
-                u = self.units[i][bits]
-                gens[i, bits] = _pad_const(alg, u, i) if u else alg.one()
+            u = self.units[i][bits]
+            gens[i, bits] = _pad_const(self.alg, u, i) if u else self.alg.one()
         return gens[i, bits]
 
-    @cached_property
-    def separators(self):
-        return _separators(self.alg.real_roots)
-
     def rep(self, vector: int) -> Poly:
-        """The generator product of a vector, factor by factor; over R the
-        product of the lines x - m at separators m of the real roots whose
-        two sides differ in sign bit."""
-        alg, ring = self.alg, self.alg.ring
-        rep = alg.one()
-        if ring.is_real:
-            for j, m in enumerate(self.separators):
-                if (vector >> j ^ vector >> j + 1) & 1:
-                    rep = alg.mul(rep, Poly(ring, [ring.neg(
-                        ring.from_fraction(m)), ring.one]))
-            return rep
+        """The generator product of a vector, factor by factor."""
+        alg, rep = self.alg, self.alg.one()
         for i, (w, off) in enumerate(zip(self.widths, self.offsets)):
             rep = alg.mul(rep, self.generator(i, vector >> off & (1 << w) - 1))
+        return rep
+
+
+class _FiniteCoordinates(_Coordinates):
+    def _bits(self, fi: Poly, comp: Poly, norm) -> int:
+        ring = self.alg.ring
+        if ring.is_zero(norm):
+            raise PreconditionError("square class of a non-unit")
+        return 0 if ring.is_square(norm) else 1
+
+    def _units(self, fi: Poly):
+        ring = self.alg.ring  # all of GF(2^d) are squares
+        return {0: None} if ring.char == 2 else {
+            0: None, 1: _nonsquare_unit(ring, fi)}
+
+
+class _OddCoordinates(_Coordinates):
+    """Bit 0 is the valuation mod 2, generated by p, listed after units."""
+
+    def _width(self, fi: Poly) -> int:
+        return 2
+
+    def _valuation(self, fi: Poly, norm) -> int:
+        if norm.valuation() % fi.degree != 0:
+            raise PreconditionError("factor appears ramified; "
+                                    "only unramified factors are supported")
+        return norm.valuation() // fi.degree
+
+    def _bits(self, fi: Poly, comp: Poly, norm) -> int:
+        p, v = self.alg.ring.p, self._valuation(fi, norm)
+        return v % 2 | 2 * (pow(norm.u, p // 2, p) != 1)
+
+    def _label(self, bits: int, w: int):
+        return bits & 1, bits >> 1
+
+    def _units(self, fi: Poly):
+        return {0: None, 2: _nonsquare_unit(self.alg.ring, fi)}
+
+    def _image(self, i: int, bits: int) -> int:
+        return bits & 2 | bits & self.alg.factors[i].degree & 1
+
+    def _listed(self, units):
+        return [*units, *(u | 1 for u in units)]
+
+    def generator(self, i: int, bits: int) -> Poly:
+        gens, alg = self._generators, self.alg
+        if bits & 1 and (i, bits) not in gens:
+            if i not in gens:  # p in factor i, 1 elsewhere
+                gens[i] = _pad_const(alg, alg.scalar(alg.ring.p), i)
+            gens[i, bits] = alg.mul(self.generator(i, bits ^ 1), gens[i])
+        return super().generator(i, bits)
+
+
+class _DyadicCoordinates(_OddCoordinates):
+    """Unit bits mod 8O; norm images read off the generators' norms."""
+
+    def _width(self, fi: Poly) -> int:
+        return fi.degree + 2
+
+    def _bits(self, fi: Poly, comp: Poly, norm) -> int:
+        d, vK = fi.degree, self._valuation(fi, norm)
+        unit_el = comp.scale(self.alg.ring.from_fraction(Fraction(2) ** -vK))
+        u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
+        level, t = _unit2_bits(tuple(u8), *_mod8_factor(fi))
+        return vK % 2 | level << 1 | t << d + 1
+
+    def _label(self, bits: int, w: int):
+        level = tuple(bits >> j & 1 for j in range(1, w - 1))
+        return bits & 1, level, None if any(level) else bits >> w - 1
+
+    def _units(self, fi: Poly):
+        """O^x/O^x2 as {unit bits: unit}: the first unit residue mod 8O of
+        each class, in the order of its base-8 code."""
+        ring, d, reps = self.alg.ring, fi.degree, {}
+        f8, fbar = _mod8_factor(fi)
+        for code in range(8 ** d):
+            u8 = tuple(code // 8 ** k % 8 for k in range(d))
+            if not any(c % 2 for c in u8):
+                continue
+            level, t = _unit2_bits(u8, f8, fbar)
+            bits = level << 1 | t << d + 1
+            if bits not in reps:
+                reps[bits] = Poly(ring, [ring.from_int(c) for c in u8])
+                if len(reps) == 2 ** (d + 1):
+                    return reps
+        raise PreconditionError("2-adic unit class enumeration incomplete")
+
+    def _image(self, i: int, bits: int) -> int:
+        ring, n = self.alg.ring, self.alg.norm_in_factor(
+            self.generator(i, bits), i)
+        return self._bits(Poly.gen(ring), Poly.const(ring, n), n)
+
+
+class _RealCoordinates(_Coordinates):
+    def vector(self, rep: Poly) -> int:
+        return sum(1 << j for j, root in enumerate(self.alg.real_roots)
+                   if sign_at_root(rep, root) < 0)
+
+    def _label(self, bits: int, w: int):
+        return 1 - 2 * bits
+
+    @cached_property
+    def images(self):
+        return [{0: 0, 1 << off: 1} for off in self.offsets]
+
+    def rep(self, vector: int) -> Poly:
+        alg, ring, roots = self.alg, self.alg.ring, self.alg.real_roots
+        seps = [(a.hi + b.lo) / 2 for a, b in zip(roots, roots[1:])]
+        rep = alg.one()
+        for j, m in enumerate(seps + [roots[-1].hi + 1] if roots else []):
+            if (vector >> j ^ vector >> j + 1) & 1:
+                rep = alg.mul(rep, Poly(ring, [ring.neg(
+                    ring.from_fraction(m)), ring.one]))
         return rep
 
 
@@ -762,15 +789,12 @@ def norm_one_classes(alg: EtaleAlgebra):
     """(L^x/L^x2)_{N=1} over a local base (GF, R, Qp), the kernel of the
     F_2 norm map, listed by running through the generators of each factor
     (the signs of each root over R), the first factor fastest."""
-    if alg.ring.is_global:
-        raise UsageError("enumeration only over local bases")
     out = []
     for combo in itertools.product(*[
             block.items() for block in reversed(alg.coordinates.images)]):
         vector = norm = 0
         for bits, image in combo:
-            vector |= bits
-            norm ^= image
+            vector, norm = vector | bits, norm ^ image
         if norm == 0:
             out.append(SquareClass._of(alg, vector))
     return out
@@ -779,9 +803,3 @@ def norm_one_classes(alg: EtaleAlgebra):
 def _pad_const(alg: EtaleAlgebra, local_el: Poly, i: int):
     """Element of L equal to local_el in factor i and 1 elsewhere."""
     return alg.crt([local_el if j == i else alg.one() for j in range(alg.r)])
-
-
-def _separators(roots):
-    """Rationals between consecutive roots' intervals, and one above all."""
-    seps = [(a.hi + b.lo) / 2 for a, b in zip(roots, roots[1:])]
-    return seps + [roots[-1].hi + 1] if roots else []

@@ -1,7 +1,7 @@
 """Rational orbit parametrization: representatives from square classes via
 trace forms, stabilizer structure, the class-to-forms map with its kernel
-test, class recovery from a representative, distinguished-orbit
-coincidence, and pencils of quadrics.
+test, class recovery from a representative and distinguished-orbit
+coincidence.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, square_class
-from .linalg import Mat, block_matrix, inverse, rank, solve
+from .linalg import Mat, inverse, rank, solve
 from .poly import Poly
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
 from .thetarep import Invariants, RepElement, antidiag, lift, star
@@ -208,25 +208,3 @@ def distinguished_coincide(c: Invariants, place=None) -> bool:
     ring = c.ring
     neg_gamma = L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
     return square_class(L, neg_gamma, place).is_trivial()
-
-
-@dataclass
-class PencilPair:
-    q_ambient: GramForm     # (n+1)x(n+1) extension of Q_i by a zero slot
-    q_twisted: GramForm     # extension of B_i(v, T^2 w) by a 1 in the corner
-    i: int
-
-
-def pencil_of(T: RepElement, i: int) -> PencilPair:
-    ring = T.ring
-    n = T.n
-    Bi = antidiag(ring, n) if i == 1 else -antidiag(ring, n)
-    M = T.t_squared_block(i)
-    BM = Bi * M
-    zcol = Mat.zero(ring, n, 1)
-    zrow = Mat.zero(ring, 1, n)
-    one = Mat(ring, [[ring.one]])
-    zero1 = Mat(ring, [[ring.zero]])
-    q1 = block_matrix(ring, [[Bi, zcol], [zrow, zero1]])
-    q2 = block_matrix(ring, [[BM, zcol], [zrow, one]])
-    return PencilPair(GramForm(q1), GramForm(q2), i)

@@ -1,7 +1,7 @@
 """The representation: n x n matrices A lifted to self-adjoint block
 operators T on V1 + V2, their invariants (a_1..a_{n-1}, e), regular
-nilpotents with sl2 data and slice bases, distinguished-orbit witnesses,
-cusp block-pattern classification, and the coordinate weight system.
+nilpotents with sl2 data and slice bases, distinguished-orbit witnesses
+and cusp block-pattern classification.
 
 The invariants are read at n x n, never from the 2n x 2n operator:
 T^2 = diag(AA*, A*A) and T is conjugate to -T, so det(x - T) =
@@ -386,7 +386,7 @@ def distinguished_witness(T: RepElement, i: int, candidates=None) -> WitnessResu
 
 
 # ---------------------------------------------------------------------------
-# cusp patterns and weights
+# cusp patterns
 
 
 def _block_zero(A: Mat, rows: int, cols: int) -> bool:
@@ -412,40 +412,3 @@ def cusp_classify(A: Mat) -> str:
     if _block_zero(A, m + 1, m):
         return "distinguished-forced-2"
     return "none"
-
-
-class WeightSystem:
-    """Torus weights of the coordinates a_ij, i, j in {-m..m}.
-
-    Exponent vectors live in coordinates (r_1..r_m, s_1..s_m).
-    """
-
-    def __init__(self, n: int):
-        if n % 2 == 0:
-            raise PreconditionError("n must be odd")
-        self.n = n
-        self.m = n // 2
-
-    def _half(self, i: int):
-        v = [0] * self.m
-        if i > 0:
-            for k in range(i):
-                v[k] = -1
-        elif i < 0:
-            for k in range(-i):
-                v[k] = 1
-        return v
-
-    def exponent_vector(self, i: int, j: int):
-        m = self.m
-        if not (-m <= i <= m and -m <= j <= m):
-            raise UsageError("index out of range")
-        return tuple(self._half(i) + self._half(j))
-
-    def leq(self, ij, kl) -> bool:
-        """a_ij <= a_kl in the cusp partial order."""
-        (i, j), (k, l) = ij, kl
-        return k <= i and l <= j
-
-    def minimal(self):
-        return (self.m, self.m)

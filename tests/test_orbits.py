@@ -11,10 +11,9 @@ from orbitlab import orbits, quadforms
 from orbitlab.cli import dispatch
 from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.etale import EtaleAlgebra, norm_one_classes, square_class
-from orbitlab.linalg import det
 from orbitlab.orbits import (algebra_of, alpha1_construct, delta_map,
                              distinguished_coincide, orbit_from_class,
-                             pencil_of, recompute_class, stabilizer_info)
+                             recompute_class, stabilizer_info)
 from orbitlab.quadforms import GramForm, is_split, standard_split_gram
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import (Invariants, distinguished_witness,
@@ -247,44 +246,6 @@ class TestStabilizer:
         for base in (RR, GF(5)):
             with pytest.raises(UsageError, match="rational invariants"):
                 stabilizer_info(c, base=base)
-
-
-class TestPencil:
-    def test_sign_insensitive(self, base_c_f5):
-        # T and -T give the same pair of quadrics (T appears squared)
-        rep = alpha1_construct(base_c_f5)
-        p1 = pencil_of(rep, 1)
-        neg = rep.A.scale(base_c_f5.ring.neg(base_c_f5.ring.one))
-        from orbitlab.thetarep import lift
-        p2 = pencil_of(lift(neg), 1)
-        assert p1.q_ambient.gram.rows == p2.q_ambient.gram.rows
-        assert p1.q_twisted.gram.rows == p2.q_twisted.gram.rows
-
-    def test_pencil_grams_symmetric(self, base_c_f5):
-        rep = alpha1_construct(base_c_f5)
-        for i in (1, 2):
-            pen = pencil_of(rep, i)
-            assert pen.q_ambient.gram.is_symmetric()
-            assert pen.q_twisted.gram.is_symmetric()
-
-    def test_pencil_disc_recovers_fpoly(self, base_c_f5):
-        # det(x * q_ambient - q_twisted) vanishes exactly where f(x) does,
-        # up to scalar: compare at sample points
-        ring = base_c_f5.ring
-        rep = alpha1_construct(base_c_f5)
-        pen = pencil_of(rep, 1)
-        from orbitlab.linalg import Mat, det
-        n1 = pen.q_ambient.rank
-        f = base_c_f5.fpoly()
-        vals = []
-        for t in range(ring.p):
-            x = ring.from_int(t)
-            M = Mat(ring, [[ring.sub(ring.mul(x, pen.q_ambient.gram[i, j]),
-                                     pen.q_twisted.gram[i, j])
-                            for j in range(n1)] for i in range(n1)])
-            vals.append((ring.is_zero(det(M)),
-                         ring.is_zero(f.eval(x))))
-        assert all(a == b for a, b in vals)
 
 
 class TestAlgebraSharing:

@@ -35,3 +35,19 @@ def test_no_field_class_imports(module):
                                     "thetarep"])
 def test_no_padic_element_imports(module):
     assert not _imported_names(module, {"Padic"})
+
+
+PLACE_READS = {"is_real", "is_padic", "is_dyadic", "is_finite", "is_global"}
+
+
+def _attribute_reads(module, names):
+    """How many times the module reads an attribute named in `names`."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return sum(isinstance(node, ast.Attribute) and node.attr in names
+               for node in ast.walk(tree))
+
+
+def test_etale_square_classes_dispatch_once():
+    """EtaleAlgebra.coordinates picks the coordinates class of its place
+    kind, and no coordinate method asks the place again."""
+    assert _attribute_reads("etale", PLACE_READS) <= 12

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,10 @@ from hypothesis import strategies as st
 from conftest import SEED, random_rs_invariants
 from orbitlab import descent, orbits
 from orbitlab.descent import DEFAULT_BUDGET, local_image, local_mw_size
-from orbitlab.errors import PrecisionError, PreconditionError
-from orbitlab.etale import (EtaleAlgebra, SquareClass, _factor_bits,
-                            _mod8_factor, _mod8_mul, _nonsquare_unit,
-                            _pad_const, _residues, _separators, _unit2_bits,
-                            _unit_class_reps_2adic, norm_one_classes,
+from orbitlab.errors import PrecisionError, PreconditionError, UsageError
+from orbitlab.etale import (EtaleAlgebra, SquareClass, _mod8_factor,
+                            _mod8_mul, _nonsquare_unit, _pad_const,
+                            _residues, _unit2_bits, norm_one_classes,
                             sign_at_root, square_class)
 from orbitlab.census import DEFAULT_SEED
 from orbitlab.orbits import algebra_of
@@ -289,6 +289,12 @@ def _outcome_of(fn, ring, fi):
     return [ring.scalar_str(c) for c in z.coeffs]
 
 
+def test_coordinates_refuse_a_global_base():
+    L = _alg(QQ, [1, -1, 0, 1])
+    with pytest.raises(UsageError, match="enumeration only over local bases"):
+        L.coordinates
+
+
 def test_nonsquare_unit_matches_trials():
     outcomes = set()
     for ring, coeffs in _nonsquare_cases():
@@ -302,11 +308,173 @@ def test_nonsquare_unit_matches_trials():
         (PreconditionError, "no nonsquare found (is p = 2?)")}
 
 
+# The coordinates as they were, one class asking the place in each method:
+# the oracle of the classes per place kind.
+
+
+def _unit_class_reps_2adic(ring, fi: Poly):
+    """O^x/O^x2 for an unramified factor fi at 2, as {unit bits: unit}: the
+    first unit residue mod 8O of each class, in the order of its base-8
+    code."""
+    d = fi.degree
+    f8, fbar = _mod8_factor(fi)
+    reps = {}
+    for code in range(8 ** d):
+        u8 = tuple(code // 8 ** k % 8 for k in range(d))
+        if not any(c % 2 for c in u8):
+            continue
+        level, t = _unit2_bits(u8, f8, fbar)
+        bits = level << 1 | t << d + 1
+        if bits not in reps:
+            reps[bits] = Poly(ring, [ring.from_int(c) for c in u8])
+            if len(reps) == 2 ** (d + 1):
+                return reps
+    raise PreconditionError("2-adic unit class enumeration incomplete")
+
+
+def _factor_bits(ring, fi: Poly, comp: Poly, norm) -> int:
+    """Coordinates of an element of k[x]/(fi) (module docstring), from its
+    component comp there and its norm; bit 0 is the valuation at Q_p."""
+    if ring.is_finite:
+        if ring.is_zero(norm):
+            raise PreconditionError("square class of a non-unit")
+        return 0 if ring.is_square(norm) else 1
+    p, d = ring.p, fi.degree
+    vN = norm.valuation()
+    if vN % d != 0:
+        raise PreconditionError(
+            "factor appears ramified; only unramified factors are supported")
+    vK = vN // d
+    if not ring.is_dyadic:
+        return vK % 2 | (0 if pow(norm.u % p, (p - 1) // 2, p) == 1 else 2)
+    # p = 2: normalize to a unit of O and classify mod 8
+    unit_el = comp.scale(ring.from_fraction(Fraction(2) ** -vK)).mod(fi)
+    u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
+    level, t = _unit2_bits(tuple(u8), *_mod8_factor(fi))
+    return vK % 2 | level << 1 | t << d + 1
+
+
+class _Coordinates:
+    """F_2 coordinates on L^x/L^x2 over a local base: factor i (real root i
+    over R) owns widths[i] bits of the vector, from bit offsets[i] up."""
+
+    def __init__(self, alg: EtaleAlgebra):
+        ring = alg.ring
+        self.alg = weakref.proxy(alg)  # no cycle: alg owns its coordinates
+        self.widths = [1] * len(alg.real_roots) if ring.is_real else [
+            fi.degree + 2 if ring.is_dyadic else 2 if ring.is_padic else 1
+            for fi in alg.factors]
+        self.offsets = [sum(self.widths[:i]) for i in range(len(self.widths))]
+        self._generators = {}
+
+    def vector(self, rep: Poly) -> int:
+        alg, ring = self.alg, self.alg.ring
+        if ring.is_real:
+            return sum(1 << j for j, root in enumerate(alg.real_roots)
+                       if sign_at_root(rep, root) < 0)
+        return sum(_factor_bits(ring, fi, alg.component(rep, i),
+                                alg.norm_in_factor(rep, i)) << off
+                   for i, (fi, off) in enumerate(zip(alg.factors,
+                                                     self.offsets)))
+
+    def labels(self, vector: int) -> tuple:
+        """Per factor: the sign over R, the residue bit at GF(p), (v, qr)
+        at odd p, (v, level bits, t or None) at 2."""
+        ring = self.alg.ring
+        out = []
+        for w, off in zip(self.widths, self.offsets):
+            bits = vector >> off & (1 << w) - 1
+            if ring.is_real:
+                out.append(1 - 2 * bits)
+            elif not ring.is_padic:
+                out.append(bits)
+            elif not ring.is_dyadic:
+                out.append((bits & 1, bits >> 1))
+            else:
+                level = tuple(bits >> j & 1 for j in range(1, w - 1))
+                out.append((bits & 1, level,
+                            None if any(level) else bits >> w - 1))
+        return tuple(out)
+
+    @cached_property
+    def units(self):
+        """Per factor, {unit bits: unit of k[x]/(f_i), None for 1} in
+        listing order: 1 and a non-square unit at GF(p) and odd p, the
+        2-adic unit representatives at Q_2."""
+        ring = self.alg.ring
+        return [{0: None} if ring.char == 2  # all of GF(2^d) are squares
+                else _unit_class_reps_2adic(ring, fi) if ring.is_dyadic
+                else {0: None, 2 if ring.is_padic else 1:
+                      _nonsquare_unit(ring, fi)} for fi in self.alg.factors]
+
+    @cached_property
+    def images(self):
+        """Per factor, {bits in place: base coordinates of its generator's
+        norm} in listing order, units before their products with p (bit 0)
+        at Q_p: in closed form at GF(p) and odd p (module docstring), from
+        the generators' norms at Q_2, the signs over R."""
+        ring = self.alg.ring
+        if ring.is_real:
+            return [{0: 0, 1 << off: 1} for off in self.offsets]
+        return [{b << off: self._image(i, b) for b in ([
+            *units, *(u | 1 for u in units)] if ring.is_padic else units)}
+            for i, (units, off) in enumerate(zip(self.units, self.offsets))]
+
+    def _image(self, i: int, bits: int) -> int:
+        """Base coordinates of the norm of generator(i, bits)."""
+        alg, ring = self.alg, self.alg.ring
+        if ring.is_dyadic:
+            n = alg.norm_in_factor(self.generator(i, bits), i)
+            return _factor_bits(ring, Poly.gen(ring), Poly.const(ring, n), n)
+        return bits & 2 | bits & alg.factors[i].degree & 1 if ring.is_padic \
+            else bits
+
+    def generator(self, i: int, bits: int) -> Poly:
+        """Generator of factor i with these bits, built on first use: its
+        unit there and 1 elsewhere, times p there (gens[i]) at Q_p bit 0."""
+        gens, alg = self._generators, self.alg
+        if (i, bits) not in gens:
+            if alg.ring.is_padic and bits & 1:
+                if i not in gens:
+                    gens[i] = _pad_const(alg, alg.scalar(alg.ring.p), i)
+                gens[i, bits] = alg.mul(self.generator(i, bits ^ 1), gens[i])
+            else:
+                u = self.units[i][bits]
+                gens[i, bits] = _pad_const(alg, u, i) if u else alg.one()
+        return gens[i, bits]
+
+    @cached_property
+    def separators(self):
+        return _separators(self.alg.real_roots)
+
+    def rep(self, vector: int) -> Poly:
+        """The generator product of a vector, factor by factor; over R the
+        product of the lines x - m at separators m of the real roots whose
+        two sides differ in sign bit."""
+        alg, ring = self.alg, self.alg.ring
+        rep = alg.one()
+        if ring.is_real:
+            for j, m in enumerate(self.separators):
+                if (vector >> j ^ vector >> j + 1) & 1:
+                    rep = alg.mul(rep, Poly(ring, [ring.neg(
+                        ring.from_fraction(m)), ring.one]))
+            return rep
+        for i, (w, off) in enumerate(zip(self.widths, self.offsets)):
+            rep = alg.mul(rep, self.generator(i, vector >> off & (1 << w) - 1))
+        return rep
+
+
+
+def _separators(roots):
+    """Rationals between consecutive roots' intervals, and one above all."""
+    seps = [(a.hi + b.lo) / 2 for a, b in zip(roots, roots[1:])]
+    return seps + [roots[-1].hi + 1] if roots else []
+
 def _oracle_generators(alg):
     """_Coordinates.generators as it was: per factor, {bits in place:
     (generator, base coordinates of its norm)}, every generator built and
     its norm taken."""
-    co, ring = alg.coordinates, alg.ring
+    co, ring = _Coordinates(alg), alg.ring
     gens = []
     for i, off in enumerate(co.offsets):
         if ring.char == 2:
@@ -329,20 +497,26 @@ def _oracle_generators(alg):
     return gens
 
 
+def _kernel(images):
+    """The vectors of the norm-one classes in listing order (first factor
+    fastest), from per-factor {bits in place: norm image} blocks."""
+    for combo in itertools.product(*[block.items()
+                                     for block in reversed(images)]):
+        vector = norm = 0
+        for bits, image in combo:
+            vector, norm = vector | bits, norm ^ image
+        if not norm:
+            yield vector
+
+
 def _oracle_listing(alg):
     """The norm images and the norm-one classes (vector, labels, rep) read
     off the oracle's generators."""
-    co, gens = alg.coordinates, _oracle_generators(alg)
+    co, gens = _Coordinates(alg), _oracle_generators(alg)
     images = [[(bits, image) for bits, (_, image) in block.items()]
               for block in gens]
     classes = []
-    for combo in itertools.product(*[block.items()
-                                     for block in reversed(gens)]):
-        vector = norm = 0
-        for bits, (_, image) in combo:
-            vector, norm = vector | bits, norm ^ image
-        if norm:
-            continue
+    for vector in _kernel([dict(block) for block in images]):
         rep = alg.one()
         for block, w, off in zip(gens, co.widths, co.offsets):
             rep = alg.mul(rep, block[vector & (1 << w) - 1 << off][0])
@@ -354,6 +528,39 @@ def _listing(alg):
     images = [list(block.items()) for block in alg.coordinates.images]
     return images, [(c.vector, c.labels, repr(c.rep))
                     for c in norm_one_classes(alg)]
+
+
+def _answers(alg, coordinates, classes):
+    """Per question, the answer of coordinates(alg) or the (type, message)
+    it raised: widths and offsets, norm images, the norm-one classes
+    (vector, labels, rep) and the vectors and labels of seeded elements."""
+    co = coordinates(alg)
+    rng = random.Random(SEED + 21)
+    elements = [Poly(alg.ring, [alg.ring.from_int(rng.randint(-9, 9))
+                                for _ in range(alg.n)]) for _ in range(6)]
+    questions = [
+        lambda: (co.widths, co.offsets),
+        lambda: [list(block.items()) for block in co.images],
+        lambda: classes(co),
+        *[lambda a=a: (co.vector(a), co.labels(co.vector(a)))
+          for a in elements]]
+    out = []
+    for question in questions:
+        try:
+            out.append(question())
+        except (PreconditionError, PrecisionError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _oracle_answers(alg):
+    return _answers(alg, _Coordinates, lambda co: [
+        (v, co.labels(v), repr(co.rep(v))) for v in _kernel(co.images)])
+
+
+def _new_answers(alg):
+    return _answers(alg, lambda L: L.coordinates, lambda co: [
+        (c.vector, c.labels, repr(c.rep)) for c in norm_one_classes(alg)])
 
 
 def _outcome(listing, ring, coeffs, factors):
@@ -370,11 +577,13 @@ def _outcome(listing, ring, coeffs, factors):
 
 def _images_cases():
     """Seeded (ring, monic f descending, factors or None): squarefree f mod
-    p at GF(p); at Q_p per degree 1-5 one f inert mod p (one factor of that
-    degree), one of good reduction and one of bad, whose factorization
-    raises; and factors with fbar_i = g^k set by hand, the Eisenstein
-    x^3 - p (k = 3) and x^2 - p (k = 2, no non-square unit), alone and
-    beside a linear factor."""
+    p at GF(p), p = 2 included; at Q_p per degree 1-5 (1-3 at Q_2) one f
+    inert mod p (one factor of that degree), one of good reduction (at Q_2
+    of degree 2-4, reducible) and, at odd p, one of bad, whose
+    factorization raises; factors with fbar_i =
+    g^k set by hand, the Eisenstein x^3 - p (k = 3) and x^2 - p (k = 2, no
+    non-square unit), alone and beside a linear factor, and x^2 - 2 at Q_2,
+    ramified; over R, f with 0, 1, 3 and 5 real roots."""
     rng = random.Random(SEED + 20)
 
     def draw(p, d, keep):
@@ -385,7 +594,7 @@ def _images_cases():
                     [c % p for c in reversed(coeffs)], p)):
                 return coeffs
 
-    for p in (3, 5, 7, 11, 13):
+    for p in (2, 3, 5, 7, 11, 13):
         for d in range(1, 6):
             yield GF(p), draw(p, d, lambda disc, split: disc % p), None
     for p in (3, 5, 7):
@@ -399,6 +608,33 @@ def _images_cases():
             yield ring, eisenstein, [eisenstein]
         yield ring, [1, -1, 0, -p, p], [[1, -1], [1, 0, 0, -p]]
         yield ring, [1, 1, -p, -p], [[1, 1], [1, 0, -p]]
+    ring = Qp(2, 20)
+    for d in range(1, 4):
+        yield ring, draw(2, d, lambda disc, split: split[0][0] == d), None
+        yield ring, draw(2, d + 1, lambda disc, split: disc % 2
+                         and split[0][0] <= d), None
+    yield ring, [1, 0, -2], [[1, 0, -2]]
+    for coeffs in ([1, 0, 1], [1, 0, 1, 1], [1, 0, -4, 1],
+                   [1, -1, -9, 9, 2, -1]):
+        yield RR, coeffs, None
+
+
+def test_coordinates_match_the_oracle():
+    """The per-kind coordinates against the single class they replaced, on
+    fresh algebras: the same widths, offsets, norm images, norm-one classes
+    and seeded elements' vectors and labels, or the same error."""
+    answered = set()
+    for ring, coeffs, factors in _images_cases():
+        old = _outcome(_oracle_answers, ring, coeffs, factors)
+        assert _outcome(_new_answers, ring, coeffs, factors) == old, \
+            (ring.tag, coeffs)
+        if isinstance(old, list) and isinstance(old[1], list):
+            answered.add(ring.tag)
+        if ring.is_dyadic and factors:  # x^2 - 2
+            assert (PreconditionError, "factor appears ramified; only "
+                    "unramified factors are supported") in old
+    assert answered == {"F:2", "F:3", "F:5", "F:7", "F:11", "F:13", "Qp:2",
+                        "Qp:3", "Qp:5", "Qp:7", "R"}
 
 
 def test_norm_images_match_generator_norms():
@@ -408,12 +644,14 @@ def test_norm_images_match_generator_norms():
     where the up-front build raised."""
     answered, raised = [], []
     for ring, coeffs, factors in _images_cases():
+        if ring.is_real:  # no generator per root
+            continue
         old = _outcome(_oracle_listing, ring, coeffs, factors)
         assert _outcome(_listing, ring, coeffs, factors) == old, \
             (ring.tag, coeffs)
         (raised if isinstance(old[0], type) else answered).append(
-            (factors is not None, old))
-    assert len(answered) >= 25 + 3 * 10
+            (factors is not None and not ring.is_dyadic, old))
+    assert len(answered) >= 30 + 3 * 10 + 6
     # x^3 - p answers, alone and beside x - 1; x^2 - p raises in both
     assert sum(by_hand for by_hand, _ in answered) == 6
     assert sum(by_hand for by_hand, _ in raised) == 6

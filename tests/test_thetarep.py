@@ -11,9 +11,8 @@ from orbitlab.errors import PreconditionError, UsageError
 from orbitlab.linalg import Mat, block_matrix, charpoly, det
 from orbitlab.poly import discriminant
 from orbitlab.rings import GF, QQ, Qp
-from orbitlab.thetarep import (Invariants, WeightSystem, ambient_gram,
-                               cusp_classify, invariants_of, lift,
-                               regular_nilpotents, star)
+from orbitlab.thetarep import (Invariants, ambient_gram, cusp_classify,
+                               invariants_of, lift, regular_nilpotents, star)
 
 
 def _mat(ring, rows):
@@ -320,28 +319,3 @@ class TestWitnessSearch:
             _assert_witnesses_match(A)
             statuses.add(thetarep.distinguished_witness(lift(A), 1).status)
         assert statuses == {"found", "none"}
-
-
-class TestWeightSystem:
-    def test_inverse_symmetry(self):
-        for n in (3, 5):
-            ws = WeightSystem(n)
-            m = n // 2
-            for i in range(-m, m + 1):
-                for j in range(-m, m + 1):
-                    v = ws.exponent_vector(i, j)
-                    w = ws.exponent_vector(-i, -j)
-                    assert tuple(-x for x in v) == w
-
-    def test_a_mm_minimal(self):
-        for n in (3, 5):
-            ws = WeightSystem(n)
-            m = n // 2
-            lo = ws.minimal()
-            assert lo == (m, m)
-            coords = [(i, j) for i in range(-m, m + 1)
-                      for j in range(-m, m + 1)]
-            assert all(ws.leq(lo, ij) for ij in coords)
-            others = [ij for ij in coords if ij != lo
-                      and all(ws.leq(ij, kl) for kl in coords)]
-            assert not others
