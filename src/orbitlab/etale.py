@@ -613,20 +613,32 @@ def _nonsquare_unit(ring, fi: Poly) -> Poly:
 class _Coordinates:
     """F_2 coordinates on L^x/L^x2 over a local base: factor i (real root i
     over R) owns widths[i] bits of the vector, from bit offsets[i] up. Each
-    place kind states a factor's _bits and _units ({unit bits: unit, None
-    for 1}), and overrides the one-bit _width, _label and _image defaults."""
+    place kind overrides the one-bit _width and _label defaults."""
 
     def __init__(self, alg: EtaleAlgebra, factors):
         self.alg = weakref.proxy(alg)  # no cycle: alg owns its coordinates
         self.widths = [self._width(fi) for fi in factors]
         self.offsets = [sum(self.widths[:i]) for i in range(len(self.widths))]
-        self._generators = {}
 
     def _width(self, fi: Poly) -> int:
         return 1
 
     def _label(self, bits: int, w: int):
         return bits
+
+    def labels(self, vector: int) -> tuple:
+        return tuple(self._label(vector >> off & (1 << w) - 1, w)
+                     for w, off in zip(self.widths, self.offsets))
+
+
+class _FactorCoordinates(_Coordinates):
+    """The kinds with factors (GF(p), Q_p): each states a factor's _bits
+    and _units ({unit bits: unit, None for 1}) and may override the _image
+    default; classes are built from per-factor unit generators."""
+
+    def __init__(self, alg: EtaleAlgebra, factors):
+        super().__init__(alg, factors)
+        self._generators = {}
 
     def _image(self, i: int, bits: int) -> int:
         return bits  # N: F_(p^d)^x -> F_p^x is onto
@@ -640,10 +652,6 @@ class _Coordinates:
                               alg.norm_in_factor(rep, i)) << off
                    for i, (fi, off) in enumerate(zip(alg.factors,
                                                      self.offsets)))
-
-    def labels(self, vector: int) -> tuple:
-        return tuple(self._label(vector >> off & (1 << w) - 1, w)
-                     for w, off in zip(self.widths, self.offsets))
 
     @cached_property
     def units(self):
@@ -672,7 +680,7 @@ class _Coordinates:
         return rep
 
 
-class _FiniteCoordinates(_Coordinates):
+class _FiniteCoordinates(_FactorCoordinates):
     def _bits(self, fi: Poly, comp: Poly, norm) -> int:
         ring = self.alg.ring
         if ring.is_zero(norm):
@@ -685,7 +693,10 @@ class _FiniteCoordinates(_Coordinates):
             0: None, 1: _nonsquare_unit(ring, fi)}
 
 
-class _OddCoordinates(_Coordinates):
+_RAMIFIED = "factor appears ramified; only unramified factors are supported"
+
+
+class _OddCoordinates(_FactorCoordinates):
     """Bit 0 is the valuation mod 2, generated by p, listed after units."""
 
     def _width(self, fi: Poly) -> int:
@@ -693,8 +704,7 @@ class _OddCoordinates(_Coordinates):
 
     def _valuation(self, fi: Poly, norm) -> int:
         if norm.valuation() % fi.degree != 0:
-            raise PreconditionError("factor appears ramified; "
-                                    "only unramified factors are supported")
+            raise PreconditionError(_RAMIFIED)
         return norm.valuation() // fi.degree
 
     def _bits(self, fi: Poly, comp: Poly, norm) -> int:
@@ -732,7 +742,10 @@ class _DyadicCoordinates(_OddCoordinates):
         d, vK = fi.degree, self._valuation(fi, norm)
         unit_el = comp.scale(self.alg.ring.from_fraction(Fraction(2) ** -vK))
         u8 = _residues(unit_el, 8, d, "non-integral unit coordinates at 2")
-        level, t = _unit2_bits(tuple(u8), *_mod8_factor(fi))
+        try:  # a unit of an unramified factor always normalizes
+            level, t = _unit2_bits(tuple(u8), *_mod8_factor(fi))
+        except PreconditionError:
+            raise PreconditionError(_RAMIFIED) from None
         return vK % 2 | level << 1 | t << d + 1
 
     def _label(self, bits: int, w: int):
@@ -744,6 +757,8 @@ class _DyadicCoordinates(_OddCoordinates):
         each class, in the order of its base-8 code."""
         ring, d, reps = self.alg.ring, fi.degree, {}
         f8, fbar = _mod8_factor(fi)
+        if gcd(fbar, fbar.derivative()).degree:  # fbar = g^k with k > 1
+            raise PreconditionError(_RAMIFIED)
         for code in range(8 ** d):
             u8 = tuple(code // 8 ** k % 8 for k in range(d))
             if not any(c % 2 for c in u8):
