@@ -20,8 +20,8 @@ from .errors import OrbitlabError, UsageError
 from .etale import norm_one_classes
 from .lattices import LatticeBasis, cassels_diagonalize, self_dualize
 from .linalg import Mat
-from .orbits import (algebra_of, alpha1_construct, orbit_from_class,
-                     recompute_class, stabilizer_info)
+from .orbits import (algebra_of, alpha1_construct, neg_gamma,
+                     orbit_from_class, recompute_class, stabilizer_info)
 from .quadforms import GramForm
 from .rings import GF, QQ, RR, DEFAULT_PRECISION, Qp, is_prime
 from .thetarep import Invariants, invariants_of, lift
@@ -180,7 +180,7 @@ def _cmd_orbit(args, out) -> int:
     else:
         L = algebra_of(c)
         if args.cls == "-gamma":
-            nu = L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
+            nu = neg_gamma(L)
         else:
             nu = _find_class(L, args.cls).rep
         rep = orbit_from_class(c, nu)

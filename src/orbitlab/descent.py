@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import DEFAULT_SEED
 from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, norm_one_classes, square_class
-from .orbits import algebra_of, stabilizer_info
+from .orbits import algebra_of, neg_gamma, stabilizer_info
 from .poly import Poly, real_roots_exact
 from .rings import QQ
 from .thetarep import Invariants
@@ -80,8 +80,7 @@ def descent_class(P, curve: MarkedCurve, place=None) -> SquareClass:
     L = algebra_of(c)
     ring = c.ring
     if P == "marked":
-        neg_gamma = L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
-        return square_class(L, neg_gamma, place)
+        return square_class(L, neg_gamma(L), place)
     x0, y0 = P
     f = curve.fpoly()
     fx0 = f.eval(x0)
@@ -98,8 +97,7 @@ def descent_class(P, curve: MarkedCurve, place=None) -> SquareClass:
 
 def _point_element(L: EtaleAlgebra, x0, which: int) -> Poly:
     """x0 - gamma, times x0 on curve 2 to land in norm-one classes."""
-    ring = L.ring
-    el = L.add(L.scalar(x0), L.mul(L.gamma(), L.scalar(ring.neg(ring.one))))
+    el = L.add(L.scalar(x0), neg_gamma(L))
     return L.mul(el, L.scalar(x0)) if which == 2 else el
 
 
@@ -225,7 +223,7 @@ def local_image(c: Invariants, place, which: int,
             span.update({v ^ cls.vector: g * cls
                          for v, g in list(span.items())})
 
-    adjoin(L.mul(L.gamma(), L.scalar(cring.neg(cring.one))))
+    adjoin(neg_gamma(L))
     if ring.is_real:
         h = curve.hpoly().map_ring(QQ, Fraction)
         candidates = _real_components(h, Lv.real_roots if which == 1

@@ -2,21 +2,39 @@
 trace forms, stabilizer structure, the class-to-forms map with its kernel
 test, class recovery from a representative and distinguished-orbit
 coincidence.
+
+The distinguished classes 1 and -gamma come from the Kostant section
+E_i + z(F_i) of side i = 1, 2 (thetarep.regular_nilpotents), which meets
+the fiber over c in one point sigma_i(c) of the distinguished orbit
+(Kostant-Rallis; Thorne, Algebra & Number Theory 7 (2013)). On the slice
+E_i + sum x_j C_j the invariants are triangular in the x_j with constant
+slopes, so sigma_i(c) is solved coordinate by coordinate, with no trace
+form, delta_map or isotropic search. It is used over Q and over F_p and
+Q_p for p dividing none of the section's constants (denominators of E_i
+and C_j, slopes): 2, 3 and 5 for n = 3; 2, 3, 5, 7, 11 and 13 for n = 5.
+The point is certified: its recomputed invariants must equal c exactly,
+e included. Other classes and bases take the isotropic search, whose
+answer is negated when its e reads -e(c) (n is odd), so every
+representative lies in c's own fiber.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionError, UsageError
 from .etale import EtaleAlgebra, SquareClass, square_class
-from .linalg import Mat, inverse, rank, solve
+from .linalg import Mat, charpoly, inverse, rank, solve
 from .poly import Poly
 from .quadforms import GramForm, is_split, split_isometry, standard_split_gram
-from .thetarep import Invariants, RepElement, antidiag, lift, star
+from .rings import QQ, factorint
+from .thetarep import (Invariants, RepElement, antidiag, lift, pfaffian,
+                       regular_nilpotents, star)
 
 
 def _nu_element(L: EtaleAlgebra, nu) -> Poly:
@@ -84,8 +102,87 @@ def _split_models(ring, prec, n: int):
     return GramForm(B), GramForm(-B)
 
 
+class _Section(NamedTuple):
+    top: Mat       # the A-block of E_i = [[0, A], [-A*, 0]]
+    basis: tuple   # the A-blocks C_j spanning z(F_i)
+    steps: tuple   # per invariant a_1, ..., a_(n-1), e: (j, slope of x_j)
+
+
+def _invariant(A: Mat, k: int):
+    """a_(k+1) of lift(A) for k < n - 1, e for k = n - 1."""
+    n = A.nrows
+    if k == n - 1:
+        return pfaffian(A)
+    return charpoly(star(A) * A).coeff(n - 1 - k)
+
+
+@lru_cache(maxsize=None)
+def _kostant(n: int):
+    """The sections of sides 1 and 2 over Q, and the primes dividing their
+    constants. Invariant k is linear in one slice coordinate x_j, with a
+    constant slope, and free of the later ones: j and the slope are read
+    off the lines E_i + t C_j at t = 1 and 2. Built on first use."""
+    data = regular_nilpotents(n)
+    sides, bad = [], 1
+    for E, basis in ((data.E1, data.slice1), (data.E2, data.slice2)):
+        top = Mat(QQ, [row[n:] for row in E.rows[:n]])
+        lines = [[[_invariant(top + C.scale(QQ.from_int(t)), k)
+                   for k in range(n)] for t in (1, 2)] for C in basis]
+        steps = []
+        for k in range(n):
+            js = [j for j, (one, two) in enumerate(lines)
+                  if one[k] and two[k] == 2 * one[k]]
+            if len(js) != 1:
+                raise PreconditionError("slice is not triangular")
+            slope = lines[js[0]][0][k]
+            steps.append((js[0], slope))
+            bad *= slope.numerator * slope.denominator
+        for M in (top, *basis):
+            bad *= math.lcm(*(x.denominator for row in M.rows for x in row))
+        sides.append(_Section(top, tuple(basis), tuple(steps)))
+    return sides, frozenset(factorint(abs(bad)))
+
+
+@lru_cache(maxsize=32)
+def _kostant_at(ring, prec, n: int):
+    """_kostant(n)'s sections mapped into the base, once per (ring, n)."""
+    conv = ring.from_fraction
+    return [_Section(s.top.map_ring(ring, conv),
+                     tuple(C.map_ring(ring, conv) for C in s.basis),
+                     tuple((j, conv(slope)) for j, slope in s.steps))
+            for s in _kostant(n)[0]]
+
+
+def section_point(c: Invariants, i: int) -> RepElement:
+    """sigma_i(c), the point of the Kostant section of side i over c: x_j
+    for invariant k is (c_k - invariant k at the point so far) / slope,
+    one read per coordinate. Raises PreconditionError unless its
+    invariants equal c's exactly."""
+    ring = c.ring
+    top, basis, steps = _kostant_at(ring, getattr(ring, "prec", None),
+                                    c.n)[i - 1]
+    want = (*c.a, c.e)
+    A = top
+    for k, (j, slope) in enumerate(steps):
+        # E_i is nilpotent: every invariant reads 0 at the start
+        r = _invariant(A, k) if k else ring.zero
+        A = A + basis[j].scale(ring.div(ring.sub(want[k], r), slope))
+    rep = lift(A)
+    got = rep.invariants
+    if not all(ring.eq(x, y) for x, y in zip((*got.a, got.e), want)):
+        raise PreconditionError("section point misses the invariants")
+    return rep
+
+
+def neg_gamma(L: EtaleAlgebra) -> Poly:
+    """-gamma in L, whose class is the second distinguished one."""
+    return L.mul(L.gamma(), L.scalar(L.ring.neg(L.ring.one)))
+
+
 def orbit_from_class(c: Invariants, nu) -> RepElement:
-    """Representative with invariants c whose recomputed class is nu."""
+    """Representative with invariants c whose recomputed class is nu: the
+    Kostant section's point for nu = 1 or -gamma where the section is
+    defined (see the module docstring), else the isotropic search's."""
     ring = c.ring
     if ring.is_dyadic:
         raise UsageError("no representative construction over Q_2 "
@@ -94,6 +191,22 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
         raise UsageError("no representative construction over R")
     if not c.is_regular_semisimple():
         raise PreconditionError("invariants must be regular semisimple")
+    L = algebra_of(c)
+    v = _nu_element(L, nu)
+    side = 1 if v == L.one() else 2 if v == neg_gamma(L) else None
+    if side and (ring.is_global or ring.p not in _kostant(c.n)[1]):
+        return section_point(c, side)
+    rep = orbit_by_search(c, v)
+    if ring.eq(rep.invariants.e, ring.neg(c.e)):
+        return rep.negated()
+    return rep
+
+
+def orbit_by_search(c: Invariants, nu) -> RepElement:
+    """A representative with invariants a(c) and e = +-e(c) whose class is
+    nu, for regular semisimple c: the trace forms of nu, split by an
+    isotropic search (split_isometry), transport gamma to A."""
+    ring = c.ring
     L = algebra_of(c)
     n = c.n
     g1, g2, in_ker = delta_map(c, nu)
@@ -205,6 +318,4 @@ def _cyclic_vector(M: Mat):
 def distinguished_coincide(c: Invariants, place=None) -> bool:
     """Whether -gamma is a square in L (at the place, or over the base)."""
     L = algebra_of(c)
-    ring = c.ring
-    neg_gamma = L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
-    return square_class(L, neg_gamma, place).is_trivial()
+    return square_class(L, neg_gamma(L), place).is_trivial()

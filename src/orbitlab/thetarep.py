@@ -105,6 +105,15 @@ class RepElement:
         """invariants_of(self), computed once."""
         return invariants_of(self)
 
+    def negated(self) -> "RepElement":
+        """lift(-A), in the fiber of e -> -e: (-A)*(-A) = A*A, and n is odd,
+        so e = +-det(BA) changes sign. Known invariants carry over."""
+        neg = RepElement(-self.A)
+        if "invariants" in vars(self):
+            c = self.invariants
+            neg.invariants = Invariants(c.ring, c.a, c.ring.neg(c.e))
+        return neg
+
     def t_squared_block(self, i: int) -> Mat:
         """T^2 restricted to V_i: AA* for i = 1, A*A for i = 2."""
         if i == 1:
@@ -131,13 +140,18 @@ def invariants_of(rep: RepElement) -> Invariants:
     n = rep.n
     cp = charpoly(rep.AstarA)
     a = [cp.coeff(n - i) for i in range(1, n + 1)]
-    e = _det_by_minors(Mat(R, rep.A.rows[::-1]))  # BA: A's rows reversed
-    if n * (n - 1) // 2 % 2:
-        e = R.neg(e)
+    e = pfaffian(rep.A)
     if not R.eq(R.mul(e, e), a[n - 1]):
         raise PreconditionError("pfaffian square does not match the constant "
                                 "invariant")
     return Invariants(R, tuple(a[: n - 1]), e)
+
+
+def pfaffian(A: Mat):
+    """e of lift(A): (-1)^(n(n-1)/2) det(BA), BA being A's rows reversed."""
+    R, n = A.ring, A.nrows
+    e = _det_by_minors(Mat(R, A.rows[::-1]))
+    return R.neg(e) if n * (n - 1) // 2 % 2 else e
 
 
 def _det_by_minors(M: Mat):

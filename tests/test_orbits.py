@@ -24,11 +24,9 @@ def _neg_gamma(L, ring):
     return L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
 
 
-def _same_up_to_e_sign(c1, c2):
+def _same_invariants(c1, c2):
     ring = c1.ring
-    if not all(ring.eq(a, b) for a, b in zip(c1.a, c2.a)):
-        return False
-    return ring.eq(c1.e, c2.e) or ring.eq(c1.e, ring.neg(c2.e))
+    return all(ring.eq(a, b) for a, b in zip(c1.a + (c1.e,), c2.a + (c2.e,)))
 
 
 class TestDeltaMap:
@@ -66,7 +64,7 @@ class TestRoundTrip:
         for cls in norm_one_classes(L):
             rep = orbit_from_class(base_c_f5, cls.rep)
             back = invariants_of(rep)
-            assert _same_up_to_e_sign(back, base_c_f5)
+            assert _same_invariants(back, base_c_f5)
             rec = recompute_class(rep)
             assert rec.labels == cls.labels
 
@@ -75,14 +73,14 @@ class TestRoundTrip:
         for _ in range(30):
             c = random_rs_invariants(f5, rng)
             rep = alpha1_construct(c)
-            assert _same_up_to_e_sign(invariants_of(rep), c)
+            assert _same_invariants(invariants_of(rep), c)
 
     def test_random_q(self):
         rng = random.Random(SEED + 1)
         for _ in range(20):
             c = random_rs_invariants(QQ, rng, span=5)
             rep = alpha1_construct(c)
-            assert _same_up_to_e_sign(invariants_of(rep), c)
+            assert _same_invariants(invariants_of(rep), c)
 
     def test_random_q7(self, q7):
         rng = random.Random(SEED + 2)
@@ -90,7 +88,7 @@ class TestRoundTrip:
             c = random_rs_invariants(q7, rng, span=5)
             rep = alpha1_construct(c)
             back = invariants_of(rep)
-            assert _same_up_to_e_sign(back, c)
+            assert _same_invariants(back, c)
 
     def test_adjoint_star_identity(self, base_c_f5):
         L = algebra_of(base_c_f5)
@@ -125,14 +123,16 @@ class TestSplitModel:
         return seen
 
     def test_repeated_construct_frames_once(self, monkeypatch):
+        # cubics at Q_5 and GF(5) take the search (5 divides a constant
+        # of the Kostant section)
         orbits._split_models.cache_clear()
         seen = self._model_frames(monkeypatch, 3)
-        for base in ("Qp:7:20", "Qp:7:20", "F:5", "Qp:7:20", "F:5"):
+        for base in ("Qp:5:20", "Qp:5:20", "F:5", "Qp:5:20", "F:5"):
             argv = ["orbit", "construct", "--f", "1,0,-1,1", "--e", "1",
                     "--base", base]
             assert dispatch(argv, io.StringIO()) == 0
         assert sorted(seen(), key=repr) == [(GF(5), None)] * 2 + \
-            [(Qp(7, 20), 20)] * 2
+            [(Qp(5, 20), 20)] * 2
 
     @pytest.mark.parametrize("cls", [[], ["--class=-gamma"]])
     @pytest.mark.parametrize("base, f, e", [("Q", "1,0,-1,1", "1"),
@@ -141,24 +141,38 @@ class TestSplitModel:
     def test_construct_diagonalizes_each_trace_form_once(
             self, monkeypatch, base, f, e, cls):
         """is_split and the isotropic search of split_frame share the one
-        diagonalization kept on each of the two trace forms."""
+        diagonalization kept on each of the two trace forms; the Kostant
+        section, which cubics over Q and Q_7 take, diagonalizes none."""
         argv = ["orbit", "construct", "--f", f, "--e", e, *cls,
                 "--base", base]
         assert dispatch(argv, io.StringIO()) == 0  # frames the split models
         calls = count_calls(monkeypatch, quadforms, "diagonalize")
         assert dispatch(argv, io.StringIO()) == 0
-        assert len(calls) == 2
+        assert len(calls) == (2 if base == "F:5" else 0)
 
-    def test_escalated_precision_frames_afresh(self, monkeypatch, q7):
+    @pytest.mark.parametrize("ring", [QQ, Qp(7, 20)], ids=["Q", "Qp:7"])
+    def test_search_diagonalizes_each_trace_form_once(self, monkeypatch,
+                                                      ring):
+        c = Invariants(ring, (ring.zero, ring.from_int(-1)), ring.one)
+        L = algebra_of(c)
+        for nu in (L.one(), _neg_gamma(L, ring)):
+            orbits.orbit_by_search(c, nu)  # frames the split models
+            calls = count_calls(monkeypatch, quadforms, "diagonalize")
+            orbits.orbit_by_search(c, nu)
+            assert len(calls) == 2
+            monkeypatch.undo()
+
+    def test_escalated_precision_frames_afresh(self, monkeypatch):
         """Q_p rings of one p compare equal whatever their precision; a
         construction over Qp(p, 2 * prec) still gets its own models, at its
         own precision."""
         orbits._split_models.cache_clear()
         seen = self._model_frames(monkeypatch, 3)
-        c = Invariants(q7, (q7.from_int(0), q7.from_int(-1)), q7.one)
+        q5 = Qp(5, 20)  # the search: 5 divides a constant of the section
+        c = Invariants(q5, (q5.from_int(0), q5.from_int(-1)), q5.one)
         alpha1_construct(c)
         assert [prec for _, prec in seen()] == [20, 20]
-        wide = Qp(7, 40)
+        wide = Qp(5, 40)
         c2 = Invariants(wide, tuple(wide.from_fraction(a.to_fraction())
                                     for a in c.a), wide.one)
         alpha1_construct(c2)
@@ -272,8 +286,8 @@ class TestAlgebraSharing:
         argv = ["orbit", "construct", "--f", "1,0,-1,1", "--e", "1",
                 "--base", "Q"]
         assert dispatch(argv, out) == 0
-        # the recomputed invariants have e = -1 and share the algebra
-        assert '"e": "-1"' in out.getvalue()
+        # the recomputed invariants have c's e = 1 and share the algebra
+        assert '"e": "1"' in out.getvalue()
         assert len(built) == 1
 
     def test_fiber_op_builds_one(self, built, base_c_f5):
