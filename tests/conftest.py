@@ -32,6 +32,14 @@ def random_rs_invariants(ring, rng, n=3, span=9):
             return c
 
 
+def section_witness(ring, n):
+    """span(e_1..e_m) of V_i, m = n // 2, as distinguished_witness
+    candidates: the maximal isotropic subspace a Kostant section point
+    carries on its own side."""
+    return [[[ring.one if r == q else ring.zero for r in range(n)]
+             for q in range(n // 2)]]
+
+
 def abs_digits(x):
     """The absolute precision of a p-adic value, None when exact."""
     if x.is_exact_zero():

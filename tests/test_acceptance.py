@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, random_rs_invariants
+from conftest import SEED, random_rs_invariants, section_witness
 from orbitlab.census import (bruteforce_orbits, diverges_family, fp_sweep,
                              group_order, height_box_count, height_enumerate,
                              height_lt, scale_invariants)
@@ -116,13 +116,6 @@ def test_criterion_03():
             done += 1
 
 
-def _section_witness(ring, n):
-    """span(e_1..e_m) of V_i, m = n // 2: the maximal isotropic subspace a
-    Kostant section point carries on its own side."""
-    return [[[ring.one if r == q else ring.zero for r in range(n)]
-             for q in range(n // 2)]]
-
-
 @criterion(4, "distinguishedness of constructed representatives")
 def test_criterion_04():
     # GF(5) takes the isotropic search for cubics, GF(7) and Q the section
@@ -139,7 +132,7 @@ def test_criterion_04():
                     assert distinguished_witness(rep, i)
                 if ring != GF(5):
                     assert distinguished_witness(
-                        rep, i, candidates=_section_witness(ring, 3))
+                        rep, i, candidates=section_witness(ring, 3))
 
 
 @criterion(5, "distinguished-orbit coincidence equivalence")

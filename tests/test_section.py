@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SEED, count_calls, random_rs_invariants
+from conftest import (SEED, count_calls, random_rs_invariants,
+                      section_witness)
 from orbitlab import orbits
 from orbitlab.cli import dispatch
 from orbitlab.errors import PrecisionError, PreconditionError
@@ -27,12 +28,6 @@ from orbitlab.quadforms import GramForm, split_isometry, standard_split_gram
 from orbitlab.rings import GF, QQ, Qp
 from orbitlab.thetarep import (Invariants, distinguished_witness,
                                invariants_of, star)
-
-
-def _section_witness(ring, n):
-    """span(e_1..e_m) of V_i, m = n // 2."""
-    return [[[ring.one if r == q else ring.zero for r in range(n)]
-             for q in range(n // 2)]]
 
 
 def _search_witness(c, nu, i):
@@ -97,11 +92,11 @@ def test_section_matches_the_search(ring, n):
                 assert _same_class(L, point, nu)
                 assert _same_class(L, found, nu)
                 assert distinguished_witness(
-                    point, i, candidates=_section_witness(ring, n))
+                    point, i, candidates=section_witness(ring, n))
                 if n == 3:  # the search's witness, as criterion 4 had it
-                    assert (distinguished_witness(found, i) if ring.is_finite
-                            else distinguished_witness(
-                                found, i, candidates=_search_witness(c, nu, i)))
+                    witness = (None if ring.is_finite
+                               else _search_witness(c, nu, i))
+                    assert distinguished_witness(found, i, witness)
         except PrecisionError:
             continue  # p-adic draw whose f is inseparable mod p
         done += 1
