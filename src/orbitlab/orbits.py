@@ -196,13 +196,13 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
     side = 1 if v == L.one() else 2 if v == neg_gamma(L) else None
     if side and (ring.is_global or ring.p not in _kostant(c.n)[1]):
         return section_point(c, side)
-    rep = orbit_by_search(c, v)
+    rep = _orbit_by_search(c, v)
     if ring.eq(rep.invariants.e, ring.neg(c.e)):
         return rep.negated()
     return rep
 
 
-def orbit_by_search(c: Invariants, nu) -> RepElement:
+def _orbit_by_search(c: Invariants, nu) -> RepElement:
     """A representative with invariants a(c) and e = +-e(c) whose class is
     nu, for regular semisimple c: the trace forms of nu, split by an
     isotropic search (split_isometry), transport gamma to A."""

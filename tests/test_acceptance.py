@@ -20,7 +20,8 @@ from orbitlab.lattices import (LatticeBasis, integral_representative,
                                working_precision)
 from orbitlab.linalg import Mat
 from orbitlab.orbits import (algebra_of, alpha1_construct, delta_map,
-                             distinguished_coincide, orbit_from_class)
+                             distinguished_coincide, neg_gamma,
+                             orbit_from_class)
 from orbitlab.poly import discriminant, factor
 from orbitlab.quadforms import GramForm
 from orbitlab.rings import GF, QQ, RR, PrimeField, Qp
@@ -124,7 +125,7 @@ def test_criterion_04():
         for _ in range(50):
             c = random_rs_invariants(ring, rng, span=7)
             L = algebra_of(c)
-            ng = L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
+            ng = neg_gamma(L)
             rep1 = alpha1_construct(c)
             rep2 = orbit_from_class(c, ng)
             for i, rep in ((1, rep1), (2, rep2)):
@@ -230,7 +231,7 @@ def test_criterion_08():
                 else:
                     c = random_rs_invariants(ring, rng, span=5)
                 L = algebra_of(c)
-                ng = L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
+                ng = neg_gamma(L)
                 expect = square_class(L, ng)
                 for which in (1, 2):
                     cls = descent_class("marked", MarkedCurve(c, which))

@@ -12,16 +12,13 @@ from orbitlab.cli import dispatch
 from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.etale import EtaleAlgebra, norm_one_classes, square_class
 from orbitlab.orbits import (algebra_of, alpha1_construct, delta_map,
-                             distinguished_coincide, orbit_from_class,
-                             recompute_class, stabilizer_info)
+                             distinguished_coincide, neg_gamma,
+                             orbit_from_class, recompute_class,
+                             stabilizer_info)
 from orbitlab.quadforms import GramForm, is_split, standard_split_gram
 from orbitlab.rings import GF, QQ, RR, Qp
 from orbitlab.thetarep import (Invariants, distinguished_witness,
                                invariants_of, star)
-
-
-def _neg_gamma(L, ring):
-    return L.mul(L.gamma(), L.scalar(ring.neg(ring.one)))
 
 
 def _same_invariants(c1, c2):
@@ -155,10 +152,10 @@ class TestSplitModel:
                                                       ring):
         c = Invariants(ring, (ring.zero, ring.from_int(-1)), ring.one)
         L = algebra_of(c)
-        for nu in (L.one(), _neg_gamma(L, ring)):
-            orbits.orbit_by_search(c, nu)  # frames the split models
+        for nu in (L.one(), neg_gamma(L)):
+            orbits._orbit_by_search(c, nu)  # frames the split models
             calls = count_calls(monkeypatch, quadforms, "diagonalize")
-            orbits.orbit_by_search(c, nu)
+            orbits._orbit_by_search(c, nu)
             assert len(calls) == 2
             monkeypatch.undo()
 
@@ -218,7 +215,7 @@ class TestDistinguished:
         for _ in range(15):
             c = random_rs_invariants(f5, rng)
             L = algebra_of(c)
-            rep = orbit_from_class(c, _neg_gamma(L, f5))
+            rep = orbit_from_class(c, neg_gamma(L))
             assert distinguished_witness(rep, 2).status == "found"
 
     def test_distinguished_coincide_iff_neg_gamma_square(self, f5):
@@ -226,7 +223,7 @@ class TestDistinguished:
         for _ in range(20):
             c = random_rs_invariants(f5, rng)
             L = algebra_of(c)
-            cls = square_class(L, _neg_gamma(L, f5))
+            cls = square_class(L, neg_gamma(L))
             expected = all(lab == 0 for lab in cls.labels)
             assert distinguished_coincide(c) == expected
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
@@ -13,12 +13,6 @@ from orbitlab.rings import (GF, QQ, RR, PadicField, Qp, factorint,
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50)).filter(lambda x: x != 0)
-# Qp(p) is built only for p that is_prime proves prime (below about 3.3e24).
-# A denominator below 10^20 keeps numerator and denominator under that
-# bound, so every prime place of the number can be built.
-placeable_rationals = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50),
-    max_denominator=10 ** 20).filter(lambda x: x != 0)
 
 
 class TestRationals:
@@ -177,7 +171,7 @@ class TestHilbertSymbol:
         for place in (RR, Qp(2, 24), Qp(7, 20)):
             assert hilbert_symbol(a, -a, place) == 1
 
-    @given(a=placeable_rationals, b=placeable_rationals)
+    @given(a=nonzero_rationals, b=nonzero_rationals)
     @settings(max_examples=30, deadline=None)
     def test_product_formula(self, a, b):
         # product over all places of (a, b)_v = 1; only finitely many -1
@@ -185,9 +179,14 @@ class TestHilbertSymbol:
         for x in (a, b):
             for t in (x.numerator, x.denominator):
                 primes.update(sympy.factorint(abs(t)))
+        try:
+            places = [Qp(p, 24) for p in sorted(primes)]
+        except UsageError:
+            # Qp refuses a prime that is_prime cannot certify (>= 3.3e24)
+            assume(False)
         prod = hilbert_symbol(a, b, RR)
-        for p in sorted(primes):
-            prod *= hilbert_symbol(a, b, Qp(p, 24))
+        for place in places:
+            prod *= hilbert_symbol(a, b, place)
         assert prod == 1
 
 
