@@ -185,7 +185,9 @@ def _cmd_orbit(args, out) -> int:
             nu = _find_class(L, args.cls).rep
         rep = orbit_from_class(c, nu)
         label = args.cls
-    recovered = recompute_class(rep)  # shares c's algebra and disc(f)
+    # over an exact base this shares c's algebra and disc(f); over Q_p the
+    # read-back builds a second algebra and computes disc(f) again
+    recovered = recompute_class(rep)
     result = {"A": _scalar_strs(rep.A), "class": label,
               "invariants": _invariants_json(rep.invariants)}
     if recovered.labels is not None:

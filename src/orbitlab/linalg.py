@@ -178,7 +178,7 @@ def rref(M: Mat):
         for i in range(m):
             if i != r and not R.is_zero(A[i][c]):
                 f = A[i][c]
-                A[i] = [R.sub(a, R.mul(f, b)) for a, b in zip(A[i], A[r])]
+                A[i] = [R.submul(a, f, b) for a, b in zip(A[i], A[r])]
         piv_cols.append(c)
         r += 1
     return Mat(R, A), piv_cols
@@ -245,18 +245,19 @@ def charpoly(M: Mat) -> Poly:
     over GF(p) on integer lifts; over Q_p on the p-adic entries."""
     R, n = M.ring, M.nrows
     if R.is_padic:
-        return Poly(R, _berkowitz(M.rows, R.zero, R.one))
+        return Poly(R, _berkowitz(M.rows, R.zero, R.one, R.submul))
     if R.is_finite:
-        return Poly(R, [R.from_int(c) for c in _berkowitz(M.rows, 0, 1)])
+        return Poly(R, [R.from_int(c)
+                        for c in _berkowitz(M.rows, 0, 1, R.submul)])
     d, ints = clear_denominators([a for r in M.rows for a in r])
-    C = _berkowitz([ints[i * n:i * n + n] for i in range(n)], 0, 1)
+    C = _berkowitz([ints[i * n:i * n + n] for i in range(n)], 0, 1, R.submul)
     return Poly(R, [Fraction(c, d ** (n - k)) for k, c in enumerate(C)])
 
 
-def _berkowitz(rows, zero, one):
-    """Ascending coefficients of det(xI - M) in the entries' own +, -, *:
-    step k multiplies them by the Toeplitz matrix of t_0 = M[k][k],
-    t_i = row sub^(i-1) col, sub the top-left k x k block."""
+def _berkowitz(rows, zero, one, submul):
+    """Ascending coefficients of det(xI - M) in the entries' own +, -, *
+    and the ring's submul: step k multiplies them by the Toeplitz matrix
+    of t_0 = M[k][k], t_i = row sub^(i-1) col, sub the top-left block."""
     if not rows:
         return [one]
     C = [-rows[0][0], one]
@@ -272,6 +273,6 @@ def _berkowitz(rows, zero, one):
             newC[d + 1] = newC[d + 1] + C[d]
         for i, ti in enumerate(t):
             for d in range(k + 1 - i):
-                newC[d] = newC[d] - ti * C[d + i]
+                newC[d] = submul(newC[d], ti, C[d + i])
         C = newC
     return C

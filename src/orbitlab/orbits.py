@@ -46,8 +46,8 @@ def _nu_element(L: EtaleAlgebra, nu) -> Poly:
 
 
 # algebras held by live Invariants, by the ring and coefficients of f; the
-# invariants recomputed from a representative (e up to sign) find the
-# algebra of the invariants it was built from
+# invariants recomputed from a representative find the algebra of the
+# invariants it was built from
 _ALGEBRAS = weakref.WeakValueDictionary()
 
 

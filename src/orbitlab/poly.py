@@ -115,19 +115,18 @@ class Poly:
             q, r = _zdivmod_monic(self.coeffs,
                                   [c * inv_lc % p for c in other.coeffs], p)
             return Poly(R, [c * inv_lc % p for c in q]), Poly(R, r)
-        q = [R.zero] * max(self.degree - other.degree + 1, 0)
+        n = len(other.coeffs)
+        q = [R.zero] * (len(self.coeffs) - n + 1)
         r = list(self.coeffs)
         inv_lc = R.inv(other.lc)
-        while len(r) - 1 >= other.degree and r:
-            while r and R.is_zero(r[-1]):
+        while len(r) >= n:
+            if R.is_zero(r[-1]):
                 r.pop()
-            if len(r) - 1 < other.degree:
-                break
-            k = len(r) - 1 - other.degree
-            c = R.mul(r[-1], inv_lc)
-            q[k] = c
+                continue
+            k = len(r) - n
+            c = q[k] = R.mul(r[-1], inv_lc)
             for i, b in enumerate(other.coeffs):
-                r[k + i] = R.sub(r[k + i], R.mul(c, b))
+                r[k + i] = R.submul(r[k + i], c, b)
         return Poly(R, q), Poly(R, r)
 
     def mod(self, other: "Poly") -> "Poly":

@@ -227,8 +227,18 @@ def _relevant_primes(diag) -> list:
     ps = {2}
     for d in diag:
         fr = Fraction(d)
-        ps.update(factorint(abs(fr.numerator)), factorint(fr.denominator))
+        ps.update(_factor(abs(fr.numerator)), _factor(fr.denominator))
     return sorted(ps)
+
+
+def _factor(n: int) -> dict:
+    """factorint, refusing a factor past the certified prime bound."""
+    try:
+        return factorint(n)
+    except UsageError as exc:
+        raise PreconditionError(
+            f"cannot factor an integer of {n.bit_length()} bits: {exc}"
+        ) from exc
 
 
 def is_split(Q: GramForm, place=None) -> bool:
@@ -277,7 +287,7 @@ def _squarefree(n: int) -> int:
     if n == 0:
         return 0
     return (-1 if n < 0 else 1) * prod(
-        p for p, e in factorint(abs(n)).items() if e % 2)
+        p for p, e in _factor(abs(n)).items() if e % 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ inner-product kernel each place brings: over GF(p) one integer sum reduced
 mod p once, over Q and R one common denominator and one Fraction at the
 end, over Q_p one integer sum of the terms' units mod p^A, A the least
 absolute precision of the products (the digits of the term-by-term sum).
+`submul(x, c, b)` = x - c * b, the update step of division, rref and
+Berkowitz, is one reduction over GF(p) and one normalisation over Q_p.
 
 Each ring is also the place it stands for, and the only object that knows
 which place that is: its `tag` names it in JSON, `is_global`, `is_real`,
@@ -17,7 +19,8 @@ which place that is: its `tag` names it in JSON, `is_global`, `is_real`,
 p-adic scalars are precision-tracked triples (valuation, unit mod p^N, N);
 all cancellation is accounted for explicitly and a value that cannot be
 certified nonzero at its tracked precision raises PrecisionError when a
-valuation is demanded.
+valuation is demanded. On two units, +, -, * and unary - build their one
+result inline and read p^k from a bounded table filled on first use.
 
 The integer helpers have their one implementation here: is_prime
 (Miller-Rabin with a proven basis set), factorint (trial division, then
@@ -184,6 +187,48 @@ def sqrt_mod(a: int, n: int):
     return half
 
 
+# _POWERS[p][k] = p^k for k < _POW_LEN, with rows for at most _POW_ROWS primes
+_POW_LEN, _POW_ROWS, _POWERS = 64, 16, {}
+
+
+def _power_row(p: int) -> tuple:
+    if len(_POWERS) >= _POW_ROWS:
+        _POWERS.clear()
+    return _POWERS.setdefault(p, tuple(p ** k for k in range(_POW_LEN)))
+
+
+def _sum(sign: int):
+    """Padic.__add__ (sign 1) or __sub__ (sign -1). Two units are summed
+    mod p^(A - m), A and m the least absolute precision and valuation."""
+    def op(x: "Padic", y: "Padic") -> "Padic":
+        u, w = x.u, sign * y.u
+        if not (u and w):  # a zero: the other operand to its precision
+            y = -y if sign < 0 else y
+            if u:
+                x, y = y, x
+            if x.v is None:
+                return y
+            if not y.u:
+                return x if y.v is None else Padic.zero(x.p, min(x.v, y.v))
+            return y._truncate_abs(x.v)
+        p, m, n = x.p, x.v, y.v
+        k = m + x.prec if m + x.prec < n + y.prec else n + y.prec
+        if m > n:
+            m, n, u, w = n, m, w, u
+        d, k = n - m, k - m
+        T = _POWERS.get(p) or _power_row(p)
+        s = u + w * (T[d] if d < _POW_LEN else p ** d)
+        s %= T[k] if k < _POW_LEN else p ** k
+        if s == 0:
+            return Padic.zero(p, m + k)
+        while s % p == 0:
+            s, m, k = s // p, m + 1, k - 1
+        z = object.__new__(Padic)
+        z.p, z.v, z.u, z.prec = p, m, s, k
+        return z
+    return op
+
+
 class Padic:
     """A truncated p-adic number p^v * u + O(p^(v+N)).
 
@@ -268,29 +313,7 @@ class Padic:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _abs_prec(self):
-        """Absolute precision: value is known mod p^(this)."""
-        if self.u == 0:
-            return self.v  # None = infinite
-        return self.v + self.prec
-
-    def __add__(self, other: "Padic") -> "Padic":
-        p = self.p
-        a1, a2 = self._abs_prec(), other._abs_prec()
-        if self.u == 0 and other.u == 0:
-            if a1 is None:
-                return other
-            if a2 is None:
-                return self
-            return Padic.zero(p, min(a1, a2))
-        if self.u == 0:
-            return other._truncate_abs(a1)
-        if other.u == 0:
-            return self._truncate_abs(a2)
-        m = min(self.v, other.v)
-        return Padic.from_digits(
-            p, m, self.u * p ** (self.v - m) + other.u * p ** (other.v - m),
-            min(a1, a2))
+    __add__, __sub__ = _sum(1), _sum(-1)
 
     def _truncate_abs(self, abs_prec) -> "Padic":
         if abs_prec is None or self.u == 0:
@@ -303,21 +326,25 @@ class Padic:
     def __neg__(self) -> "Padic":
         if self.u == 0:
             return self
-        return Padic._unit(self.p, self.v, -self.u % self.p ** self.prec,
-                           self.prec)
-
-    def __sub__(self, other: "Padic") -> "Padic":
-        return self + (-other)
+        p, N, x = self.p, self.prec, object.__new__(Padic)
+        x.p, x.v, x.prec = p, self.v, N
+        x.u = -self.u % ((_POWERS.get(p) or _power_row(p))[N]
+                         if N < _POW_LEN else p ** N)
+        return x
 
     def __mul__(self, other: "Padic") -> "Padic":
-        p = self.p
-        if self.is_exact_zero() or other.is_exact_zero():
-            return Padic.zero(p)
-        if self.u == 0 or other.u == 0:
-            # O(p^a) * (unit info) -> O(p^(a + v)), pessimistic when both fuzzy
-            return Padic.zero(p, self.v + other.v)
-        N = min(self.prec, other.prec)
-        return Padic._unit(p, self.v + other.v, self.u * other.u % p ** N, N)
+        u, w = self.u, other.u
+        if u and w:
+            N = self.prec if self.prec < other.prec else other.prec
+            p, x = self.p, object.__new__(Padic)
+            x.p, x.v, x.prec = p, self.v + other.v, N
+            x.u = u * w % ((_POWERS.get(p) or _power_row(p))[N]
+                           if N < _POW_LEN else p ** N)
+            return x
+        if self.v is None or other.v is None:  # an exact zero factor
+            return self if self.v is None else other
+        # O(p^a) * (unit info) -> O(p^(a + v)), pessimistic when both fuzzy
+        return Padic.zero(self.p, self.v + other.v)
 
     def inverse(self) -> "Padic":
         if self.u == 0:
@@ -354,6 +381,11 @@ class Place:
     tag: str
     add, sub, mul, neg = map(staticmethod, (operator.add, operator.sub,
                                             operator.mul, operator.neg))
+
+    submul = staticmethod(lambda x, c, b: x - c * b)
+
+    def inv(self, a):
+        return self.div(self.one, a)
 
     def hilbert(self, a, b) -> int:
         raise UsageError(f"Hilbert symbol undefined over {self!r}")
@@ -397,9 +429,6 @@ class RationalField(Place):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
         return a / b
-
-    def inv(self, a):
-        return self.div(self.one, a)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -491,6 +520,9 @@ class PrimeField(Place):
         _same_length(xs, ys)
         return sum(map(operator.mul, xs, ys)) % self.p
 
+    def submul(self, x, c, b):
+        return (x - c * b) % self.p
+
     def neg(self, a):
         return -a % self.p
 
@@ -498,9 +530,6 @@ class PrimeField(Place):
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in GF({self.p})")
         return a * pow(b, -1, self.p) % self.p
-
-    def inv(self, a):
-        return self.div(1, a)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -585,6 +614,24 @@ class PadicField(Place):
         m = min((v for v, _ in terms), default=A)
         return Padic.from_digits(
             p, m, sum(u * p ** (v - m) for v, u in terms), A)
+
+    def submul(self, x, c, b):
+        """x - c * b in one normalisation, digit for digit the three-step
+        result: each step reduces mod a power of p at least p^A, A the
+        result's absolute precision. A zero factor or an O(p^k) x takes
+        the three steps."""
+        if not (c.u and b.u) or not x.u and x.v is not None:
+            return x - c * b
+        p, m, s = self.p, c.v + b.v, -c.u * b.u
+        A = m + (c.prec if c.prec < b.prec else b.prec)
+        if x.u:
+            v, T = x.v, _POWERS.get(p) or _power_row(p)
+            if v + x.prec < A:
+                A = v + x.prec
+            d = v - m if v > m else m - v
+            t = T[d] if d < _POW_LEN else p ** d
+            s, m = (x.u * t + s, m) if v > m else (x.u + s * t, v)
+        return Padic.from_digits(p, m, s, A)
 
     def div(self, a, b):
         return a * b.inverse()

@@ -100,6 +100,22 @@ class TestRoundTrip:
             alpha1_construct(c)
 
 
+class TestQuinticRoundTrip:
+    """n = 5, where brute force cannot reach: on 8 seeded regular
+    semisimple fibers at each of GF(7), GF(11) and GF(13), every norm-one
+    class is read back from its constructed orbit, whose e is exactly e(c)."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_every_class(self, p):
+        F, rng = GF(p), random.Random(SEED + 38 + p)
+        for _ in range(8):
+            c = random_rs_invariants(F, rng, n=5)
+            for cls in norm_one_classes(algebra_of(c)):
+                rep = orbit_from_class(c, cls.rep)
+                assert recompute_class(rep).labels == cls.labels, (c, cls)
+                assert rep.invariants.e == c.e, (c, cls)
+
+
 class TestSplitModel:
     """orbit_from_class frames the split models B and -B of V1 and V2 once
     per (ring, n); the trace forms are framed on every call."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 from orbitlab import quadforms
-from orbitlab.errors import UsageError
+from orbitlab.errors import PreconditionError, UsageError
 from orbitlab.linalg import Mat, det
 from orbitlab.quadforms import (GramForm, _legendre_solve, _relevant_primes,
                                 _squarefree, diagonalize, form_invariants,
@@ -325,3 +325,27 @@ class TestLegendreSolve:
             if b not in (0, 1):
                 soluble += self._check(a, b)
         assert soluble >= 200
+
+
+class TestUncertifiedFactoring:
+    """An integer the library built itself, with a prime factor past the
+    bound below which rings.is_prime is proven, is a PreconditionError
+    (exit 3) that gives its bit size, not a usage error (exit 2)."""
+
+    M89 = 2 ** 89 - 1  # a Mersenne prime, past the certified bound
+
+    def test_squarefree(self):
+        with pytest.raises(PreconditionError, match="89 bits"):
+            _squarefree(self.M89)
+        with pytest.raises(PreconditionError, match="90 bits"):
+            _squarefree(-2 * self.M89)
+
+    def test_relevant_primes(self):
+        with pytest.raises(PreconditionError, match="89 bits"):
+            _relevant_primes([Fraction(self.M89)])
+        with pytest.raises(PreconditionError, match="89 bits"):
+            _relevant_primes([3, Fraction(1, self.M89)])
+
+    def test_certified_inputs_unchanged(self):
+        assert _squarefree(-2 ** 5 * 3 ** 2 * 7) == -14
+        assert _relevant_primes([Fraction(-45, 14), 11]) == [2, 3, 5, 7, 11]
