@@ -13,9 +13,11 @@ form, delta_map or isotropic search. It is used over Q and over F_p and
 Q_p for p dividing none of the section's constants (denominators of E_i
 and C_j, slopes): 2, 3 and 5 for n = 3; 2, 3, 5, 7, 11 and 13 for n = 5.
 The point is certified: its recomputed invariants must equal c exactly,
-e included. Other classes and bases take the isotropic search, whose
-answer is negated when its e reads -e(c) (n is odd), so every
-representative lies in c's own fiber.
+e included. Over Q the section is the only construction: nu takes it when
+nu or nu * (-gamma) is a square, by the certified global square test, and
+every other class is refused. Other classes at F_p and Q_p, and the bad
+primes, take the isotropic search, whose answer is negated when its e
+reads -e(c) (n is odd), so every representative lies in c's own fiber.
 """
 
 from __future__ import annotations
@@ -179,10 +181,21 @@ def neg_gamma(L: EtaleAlgebra) -> Poly:
     return L.mul(L.gamma(), L.scalar(L.ring.neg(L.ring.one)))
 
 
+def _global_side(L: EtaleAlgebra, v: Poly) -> int:
+    """The section side of nu over Q: 1 when nu is a square, 2 when
+    nu * (-gamma) is; any other class has no construction over Q."""
+    for side, w in ((1, v), (2, L.mul(v, neg_gamma(L)))):
+        if square_class(L, w).is_trivial():
+            return side
+    raise UsageError("over Q only the classes 1 and -gamma have a "
+                     "representative (the Kostant section)")
+
+
 def orbit_from_class(c: Invariants, nu) -> RepElement:
     """Representative with invariants c whose recomputed class is nu: the
-    Kostant section's point for nu = 1 or -gamma where the section is
-    defined (see the module docstring), else the isotropic search's."""
+    Kostant section's point for the classes 1 and -gamma where the section
+    is defined (see the module docstring), else, at F_p and Q_p, the
+    isotropic search's."""
     ring = c.ring
     if ring.is_dyadic:
         raise UsageError("no representative construction over Q_2 "
@@ -194,7 +207,9 @@ def orbit_from_class(c: Invariants, nu) -> RepElement:
     L = algebra_of(c)
     v = _nu_element(L, nu)
     side = 1 if v == L.one() else 2 if v == neg_gamma(L) else None
-    if side and (ring.is_global or ring.p not in _kostant(c.n)[1]):
+    if ring.is_global:
+        return section_point(c, side or _global_side(L, v))
+    if side and ring.p not in _kostant(c.n)[1]:
         return section_point(c, side)
     rep = _orbit_by_search(c, v)
     if ring.eq(rep.invariants.e, ring.neg(c.e)):

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import PrecisionError, PreconditionError, UsageError
+from .errors import PrecisionError, PreconditionError
 from .rings import QQ, Padic, is_prime
 
 
@@ -821,12 +821,3 @@ def _factor_qp(f: Poly) -> list:
            for L in lifted]
     return sorted(out, key=lambda t: t[0].degree)
 
-
-def parse_coeff_list(text: str, ring) -> Poly:
-    """Parse ascending comma-separated integers or rationals a/b."""
-    try:
-        coeffs = [ring.from_fraction(Fraction(part.strip()))
-                  for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed coefficient list {text!r}: {exc}") from exc
-    return Poly(ring, coeffs)

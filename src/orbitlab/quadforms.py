@@ -1,22 +1,23 @@
 """Quadratic form toolkit: diagonalization, local invariants, splitness and
 explicit isometries onto split models.
 
-A form is classified at its place (the base ring, or a completion of Q)
-by one diagonalization: the signature at R, the discriminant and the
-Hasse invariant at Q_p (Serre, A Course in Arithmetic, ch. IV); at GF(p)
-by det(G), as the Hasse invariant there is 1. Splitness compares those
-with the split model; over Q it is glued from R and the relevant Q_p by
-Hasse-Minkowski. The diagonalization is kept on the form
-(GramForm.diagonal), so is_split, form_invariants and isotropic_vector
-share one per form.
+A form is classified at a local place (its base ring, or a completion of
+Q for a rational form) by one diagonalization: the signature at R, the
+discriminant and the Hasse invariant at Q_p (Serre, A Course in
+Arithmetic, ch. IV); at GF(p) by det(G), as the Hasse invariant there is 1.
+Splitness compares those with the split model. The diagonalization is
+kept on the form (GramForm.diagonal), so is_split, form_invariants and
+isotropic_vector share one per form. The global place Q is refused: the
+rational orbits come from the Kostant section (see orbits), so no
+quadratic-form fact is decided over Q.
 
 The module owns the one symmetric congruence, G = P^t G0 P kept with its
 basis change P (Congruence): diagonalize drives it here, and lattices
 drives it for the Z_p block reduction.
 
-Isotropic vectors come from: exhaustive/diagonal search over GF(q),
-mod-p solutions plus Hensel lifting over Q_p (p odd), and Lagrange
-descent for ternary forms over Q. Over Q_2 only invariants are used.
+Isotropic vectors come from: exhaustive/diagonal search over GF(q), and
+mod-p solutions plus Hensel lifting over Q_p (p odd). Over Q_2 only
+invariants are used.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, best_pivot, det as mat_det, inverse, nullspace
-from .rings import (QQ, RR, Padic, Qp, factorint, hilbert_symbol,
-                    sqrt_mod)
+from .rings import Padic, hilbert_symbol
 
 
 class GramForm:
@@ -190,14 +189,22 @@ def _hasse(diag, place) -> int:
     return eps
 
 
+def _local_place(Q: GramForm, place):
+    """The place, by default the form's base; the global place is refused."""
+    place = Q.ring if place is None else place
+    if place.is_global:
+        raise UsageError("no quadratic-form invariants, splitness or "
+                         "isotropic search over Q (local places only)")
+    return place
+
+
 def form_invariants(Q: GramForm, place=None) -> FormInvariants:
     """Rank, discriminant, and the signature (R) or the Hasse invariant
-    (GF(p), Q_p) at the place; the form's base must be the place or Q. At
-    GF(p), where Hilbert symbols of units are 1 and a diagonal P^t G P has
-    product det(G) det(P)^2, they are det(G) and 1, with no diagonal."""
+    (GF(p), Q_p) at the local place; the form's base must be the place or
+    Q. At GF(p), where Hilbert symbols of units are 1 and a diagonal P^t G P
+    has product det(G) det(P)^2, they are det(G) and 1, with no diagonal."""
     ring = Q.ring
-    if place is None:
-        place = ring
+    place = _local_place(Q, place)
     if not Q.is_nondegenerate():
         raise PreconditionError("degenerate form")
     if place != ring and (place.is_finite or not ring.is_global):
@@ -217,54 +224,14 @@ def _diag_invariants(diag, ring, place) -> FormInvariants:
     if place.is_real:
         pos = sum(1 for d in diag if d > 0)
         return FormInvariants(n, disc, None, (pos, n - pos), place)
-    if place.is_global:
-        return FormInvariants(n, disc, None, None, place)
     return FormInvariants(n, disc, _hasse(diag, place), None, place)
 
 
-def _relevant_primes(diag) -> list:
-    """2 and the primes of the numerators and denominators of diag."""
-    ps = {2}
-    for d in diag:
-        fr = Fraction(d)
-        ps.update(_factor(abs(fr.numerator)), _factor(fr.denominator))
-    return sorted(ps)
-
-
-def _factor(n: int) -> dict:
-    """factorint, refusing a factor past the certified prime bound."""
-    try:
-        return factorint(n)
-    except UsageError as exc:
-        raise PreconditionError(
-            f"cannot factor an integer of {n.bit_length()} bits: {exc}"
-        ) from exc
-
-
 def is_split(Q: GramForm, place=None) -> bool:
-    """Maximal Witt index at the place (global Hasse-Minkowski over Q)."""
-    ring = Q.ring
-    if place is None:
-        place = ring
+    """Maximal Witt index at the local place, the form's base by default."""
+    place = _local_place(Q, place)
     if not Q.is_nondegenerate():
         return False
-    n = Q.rank
-    m = n // 2
-    if place.is_global:
-        if not ring.is_global:
-            raise UsageError("global splitness needs rational coordinates")
-        _, diag = Q.diagonal
-        if n % 2 == 0:
-            disc = Fraction(1)
-            for d in diag:
-                disc *= Fraction(d)
-            if not QQ.is_square(disc * (-1) ** m):
-                return False
-        # every place reads the one rational diagonal
-        if not _is_split_at(_diag_invariants(diag, ring, RR)):
-            return False
-        return all(_is_split_at(_diag_invariants(diag, ring, Qp(p)))
-                   for p in _relevant_primes(diag))
     if place.char == 2:
         raise UsageError("characteristic 2 not supported")
     return _is_split_at(form_invariants(Q, place))
@@ -281,13 +248,6 @@ def _is_split_at(inv: FormInvariants) -> bool:
     if n % 2 == 0 and not place.is_square(c):
         return False
     return inv.hasse == _hasse([1, -1] * m + [c] * (n % 2), place)
-
-
-def _squarefree(n: int) -> int:
-    if n == 0:
-        return 0
-    return (-1 if n < 0 else 1) * prod(
-        p for p, e in _factor(abs(n)).items() if e % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,97 +324,22 @@ def _unit_group_isotropic(group, ring):
     return None
 
 
-def _legendre_solve(a: int, b: int):
-    """(x, y, z) != 0 with x^2 = a*y^2 + b*z^2; a, b squarefree nonzero.
-
-    None when (a, b)_v = -1 at R or a prime of 2ab. Otherwise Lagrange's
-    descent solves it, and each step keeps it soluble, so the symbols are
-    read once (Cremona-Rusin, Math. Comp. 72, 2003): sqrt_mod(a, |b|) has a
-    root, as (a, b)_p = (a/p) = 1 at an odd p | b, p not dividing a; t^2 = a
-    cannot hold for a squarefree a != 1; b b' m^2 = t^2 - a is a norm from
-    Q(sqrt a), so (a, b')_v = (a, b)_v = 1 at every v; and a zero triple
-    would need a zero triple one level down.
-    """
-    for pl in [RR] + [Qp(p) for p in _relevant_primes([a, b])]:
-        if hilbert_symbol(Fraction(a), Fraction(b), pl) != 1:
-            return None
-    return _lagrange_descent(a, b)
-
-
-def _lagrange_descent(a: int, b: int):
-    """_legendre_solve for a locally soluble x^2 = a*y^2 + b*z^2."""
-    if a == 1:
-        return (1, 1, 0)
-    if b == 1:
-        return (1, 0, 1)
-    if abs(a) > abs(b):
-        x, y, z = _lagrange_descent(b, a)
-        return (x, z, y)
-    # now |a| <= |b|, |b| >= 2
-    t = sqrt_mod(a, abs(b))
-    r = (t * t - a) // b
-    bprime = _squarefree(r)
-    m = isqrt(r // bprime)
-    x1, y1, z1 = _lagrange_descent(a, bprime)
-    # (x1 t + a y1)^2 - a (x1 + t y1)^2 = (t^2 - a)(x1^2 - a y1^2) = b (b' m z1)^2
-    return (x1 * t + a * y1, x1 + t * y1, bprime * m * z1)
-
-
-def _isotropic_diag_qq(diag):
-    """Over Q: a pair, else Legendre's descent on a ternary subform."""
-    fr = [Fraction(d) for d in diag]
-    pair = _isotropic_pair(enumerate(fr), QQ)
-    if pair is not None:
-        return pair
-    for (i, j, k) in itertools.combinations(range(len(fr)), 3):
-        d1, d2, d3 = fr[i], fr[j], fr[k]
-        aa = -d1 * d2
-        bb = -d1 * d3
-        a, b = (_squarefree(x.numerator * x.denominator) for x in (aa, bb))
-        sol = _legendre_solve(a, b)
-        if sol is None:
-            continue
-        X, Y, Z = sol  # never all zero
-        alpha = QQ.sqrt(aa / a)     # aa = a * alpha^2
-        beta = QQ.sqrt(bb / b)
-        return [(i, Fraction(X)), (j, d1 * Y / alpha), (k, d1 * Z / beta)]
-    return None
-
-
-def _normalize_vector(v, ring):
-    """Over Q, scale v for determinism to a primitive integer vector with a
-    positive leading entry; over GF(p) and Q_p, v as a list, unscaled."""
-    if not ring.is_global:
-        return list(v)
-    fr = [Fraction(c) for c in v]
-    den = lcm(*(c.denominator for c in fr))
-    ints = [int(c * den) for c in fr]
-    g = gcd(*ints) or 1
-    if next((c for c in ints if c), 0) < 0:
-        g = -g
-    return [ring.from_int(c // g) for c in ints]
-
-
 def isotropic_vector(Q: GramForm):
     """A nonzero v with Q(v) = 0, or None if none found/exists."""
-    ring = Q.ring
-    P, diag = Q.diagonal
+    ring = _local_place(Q, None)
     if ring.is_real:
         raise UsageError("no isotropic search over R")
     if ring.is_dyadic:
         raise UsageError("no isotropic search over Q_2 (invariants only)")
-    if ring.is_global:
-        w = _isotropic_diag_qq(diag)
-    elif ring.is_finite:
-        w = _isotropic_diag_gf(diag, ring)
-    else:
-        w = _isotropic_diag_qp(diag, ring)
+    P, diag = Q.diagonal
+    search = _isotropic_diag_gf if ring.is_finite else _isotropic_diag_qp
+    w = search(diag, ring)
     if w is None:
         return None
     v = [ring.zero] * len(diag)
     for i, c in w:  # the searches return ring elements
         v[i] = c
-    v = _normalize_vector(P.apply(v), ring)
+    v = P.apply(v)
     if not ring.is_zero(Q.quad(v)):
         raise PreconditionError("isotropic search produced a bad vector")
     return v

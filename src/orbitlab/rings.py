@@ -24,8 +24,7 @@ result inline and read p^k from a bounded table filled on first use.
 
 The integer helpers have their one implementation here: is_prime
 (Miller-Rabin with a proven basis set), factorint (trial division, then
-Pollard rho), sqrt_mod_p (Tonelli-Shanks) and sqrt_mod (CRT over a
-squarefree modulus).
+Pollard rho) and sqrt_mod_p (Tonelli-Shanks).
 """
 
 from __future__ import annotations
@@ -162,29 +161,6 @@ def sqrt_mod_p(a: int, p: int) -> int:
     if r * r % p != a:
         raise PreconditionError(f"{a} is not a square mod {p}")
     return r
-
-
-def sqrt_mod(a: int, n: int):
-    """A root of x^2 = a mod a squarefree n >= 1, or None when there is
-    none. The roots mod each prime of n, ascending, are joined by CRT in
-    itertools.product order; the first join other than n // 2 is returned,
-    or n minus it when it exceeds n // 2. That choice fixes the isotropic
-    vector of a rational ternary form, and so the printed representative of
-    `orbit construct --base Q`."""
-    primes, roots = list(factorint(n)), []
-    for p in primes:
-        r = a % p
-        if p > 2 and r and pow(r, (p - 1) // 2, p) != 1:
-            return None
-        r = sqrt_mod_p(r, p) if p > 2 else r
-        roots.append(sorted({r, -r % p}))
-    basis = [n // p * pow(n // p, -1, p) for p in primes]
-    half = n // 2
-    for combo in itertools.product(*roots):
-        x = sum(map(operator.mul, combo, basis)) % n
-        if x != half:
-            return x if x < half else n - x
-    return half
 
 
 # _POWERS[p][k] = p^k for k < _POW_LEN, with rows for at most _POW_ROWS primes

@@ -51,3 +51,14 @@ def test_etale_square_classes_dispatch_once():
     """EtaleAlgebra.coordinates picks the coordinates class of its place
     kind, and no coordinate method asks the place again."""
     assert _attribute_reads("etale", PLACE_READS) <= 12
+
+
+def test_quadforms_reads_only_local_places():
+    """quadforms refuses the global place in one helper and keeps no
+    rational branch of its own."""
+    assert _attribute_reads("quadforms", PLACE_READS) <= 9
+
+
+def test_orbits_place_reads():
+    """orbit_from_class sends Q to the section with one place read."""
+    assert _attribute_reads("orbits", PLACE_READS) <= 5

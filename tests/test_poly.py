@@ -8,7 +8,7 @@ import sympy
 from orbitlab.errors import PrecisionError
 from orbitlab.poly import (Poly, _bezout_mod_p, _lift_pair, _zdivmod_monic,
                            _zgcd, _zmul, _zsub, discriminant, euler_split,
-                           factor, gcd, parse_coeff_list, resultant)
+                           factor, gcd, resultant)
 from orbitlab.rings import GF, QQ, RR, Qp
 
 
@@ -120,12 +120,6 @@ class TestFactor:
         F = GF(5)
         f = _poly(F, [1, 4, 1, 4])
         assert gcd(f, f.derivative()).degree == 0
-
-    def test_parse_coeff_list_ascending(self):
-        f = parse_coeff_list("1,-1,0,1", QQ)
-        assert f.coeffs == (Fraction(1), Fraction(-1), Fraction(0),
-                            Fraction(1))
-        assert f.eval(Fraction(2)) == 7
 
 
 class TestEulerSplit:

@@ -5,11 +5,10 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.rings import (GF, QQ, RR, PadicField, Qp, factorint,
-                            hilbert_symbol, is_prime, sqrt_mod, sqrt_mod_p)
+                            hilbert_symbol, is_prime, sqrt_mod_p)
 
 nonzero_rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50)).filter(lambda x: x != 0)
@@ -235,7 +234,7 @@ CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
 
 
 class TestIntegerHelpers:
-    """is_prime, factorint and sqrt_mod against sympy, the oracle."""
+    """is_prime and factorint against sympy, the oracle."""
 
     def test_is_prime_matches_sympy_on_seeded_integers(self):
         rng = random.Random(17)
@@ -286,27 +285,3 @@ class TestIntegerHelpers:
             assert factorint(n) == sympy.factorint(n), n
         with pytest.raises(PreconditionError):
             factorint(0)
-
-    @staticmethod
-    def _squarefree_moduli(lo, hi):
-        return [b for b in range(lo, hi)
-                if all(e == 1 for e in sympy.factorint(b).values())]
-
-    def _check_every_residue(self, b):
-        squares = {x * x % b for x in range(b)}
-        for a in range(b):
-            want = sympy_sqrt_mod(a, b) if a in squares else None
-            assert sqrt_mod(a, b) == want, (a, b)
-
-    def test_sqrt_mod_matches_sympy_on_every_residue(self):
-        """Every residue of every squarefree modulus below 1000, and of 40
-        seeded squarefree moduli in [1000, 3000)."""
-        big = self._squarefree_moduli(1000, 3000)
-        for b in (self._squarefree_moduli(1, 1000)
-                  + random.Random(31).sample(big, 40)):
-            self._check_every_residue(b)
-
-    def test_sqrt_mod_reduces_negative_residues(self):
-        for b in (2, 3, 30, 77, 2 * 3 * 5 * 7 * 11 * 13):
-            for a in range(-b, 0):
-                assert sqrt_mod(a, b) == sqrt_mod(a + b, b)

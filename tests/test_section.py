@@ -1,7 +1,8 @@
 """The Kostant section against the isotropic search it replaces for the
-classes 1 and -gamma: the search stays as the oracle. Both must give the
-same recovered class; the section's point has exactly c's invariants and
-carries its own distinguished witness, span(e_1..e_m) of V_i."""
+classes 1 and -gamma at F_p and Q_p: the search stays as the oracle there.
+Both must give the same recovered class; the section's point has exactly
+c's invariants and carries its own distinguished witness, span(e_1..e_m)
+of V_i. Over Q the section is the only construction."""
 
 import io
 import json
@@ -20,10 +21,11 @@ from conftest import (SEED, count_calls, random_rs_invariants,
                       section_witness)
 from orbitlab import orbits
 from orbitlab.cli import dispatch
-from orbitlab.errors import PrecisionError, PreconditionError
+from orbitlab.errors import PrecisionError, PreconditionError, UsageError
 from orbitlab.etale import norm_one_classes, square_class
 from orbitlab.linalg import det, inverse
-from orbitlab.orbits import (_orbit_by_search, algebra_of, neg_gamma,
+from orbitlab.orbits import (_orbit_by_search, algebra_of,
+                             distinguished_coincide, neg_gamma,
                              orbit_from_class, recompute_class, section_point)
 from orbitlab.quadforms import GramForm, split_isometry, standard_split_gram
 from orbitlab.rings import GF, QQ, Qp
@@ -88,12 +90,15 @@ def test_section_matches_the_search(ring, n):
         L = algebra_of(c)
         try:
             for i, nu in ((1, L.one()), (2, neg_gamma(L))):
-                point, found = section_point(c, i), _orbit_by_search(c, nu)
+                point = section_point(c, i)
                 assert _exact(point, c)
                 assert _same_class(L, point, nu)
-                assert _same_class(L, found, nu)
                 assert distinguished_witness(
                     point, i, candidates=section_witness(ring, n))
+                if ring.is_global:  # no search over Q to compare with
+                    continue
+                found = _orbit_by_search(c, nu)
+                assert _same_class(L, found, nu)
                 if n == 3:  # the search's witness, as criterion 4 had it
                     witness = (None if ring.is_finite
                                else _search_witness(c, nu, i))
@@ -154,6 +159,36 @@ def test_other_classes_and_quintics_at_7_take_the_search(monkeypatch):
             "--base", "F:7"]
     assert dispatch(argv, io.StringIO()) == 0
     assert len(calls) == 4
+
+
+def test_rational_classes_by_the_square_test():
+    """Over Q, nu = 4 and 4 * (-gamma) take the section by the global
+    square test: the section's point, exact invariants, and the class of
+    nu read back."""
+    rng = random.Random(SEED + 74)
+    for n in (3, 3, 5):
+        c = random_rs_invariants(QQ, rng, n=n, span=9)
+        L = algebra_of(c)
+        four = L.scalar(QQ.from_int(4))
+        # when -gamma is a square, both classes take side 1
+        sides = (1, 1) if distinguished_coincide(c) else (1, 2)
+        for i, nu in zip(sides, (four, L.mul(four, neg_gamma(L)))):
+            rep = orbit_from_class(c, nu)
+            assert rep.A == section_point(c, i).A
+            assert _exact(rep, c) and _same_class(L, rep, nu)
+
+
+def test_rational_other_classes_refused(monkeypatch):
+    """Over Q a class other than 1 and -gamma is refused before any trace
+    form is built: there is no isotropic search over Q."""
+    calls = count_calls(monkeypatch, orbits, "trace_gram")
+    c = Invariants(QQ, (Fraction(0), Fraction(-1)), Fraction(1))
+    L = algebra_of(c)
+    for nu in (L.scalar(QQ.from_int(2)), L.gamma(),
+               L.mul(L.gamma(), L.scalar(QQ.from_int(3)))):
+        with pytest.raises(UsageError, match="1 and -gamma"):
+            orbit_from_class(c, nu)
+    assert not calls
 
 
 def test_section_certifies_its_invariants(monkeypatch):
