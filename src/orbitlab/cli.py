@@ -208,6 +208,9 @@ def _cmd_descent(args, out) -> int:
     c = parse_invariants(args.f, args.e, ring)
     place = None if args.place is None else _parse_place(args.place)
     if not ring.is_global:  # a local base is its own place
+        if place not in (None, ring):
+            raise UsageError(f"--place {args.place} is not the place of "
+                             f"the base {args.base}")
         place = None
     if args.action == "sel12":
         image = sel12_local(c, place, budget=args.budget, seed=args.seed)

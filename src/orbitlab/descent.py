@@ -135,14 +135,11 @@ class LocalImage:
 
 
 def _good_reduction(c: Invariants, ring, which: int) -> bool:
-    """Odd residue characteristic, p-integral invariants, unit disc(f);
-    curve 2 (y^2 = x f(x)) additionally needs f(0) = e^2 to be a unit.
+    """At Q_p, p odd: p-integral invariants and a unit disc(f); curve 2
+    (y^2 = x f(x)) additionally needs f(0) = e^2 to be a unit. c lives
+    over Q_p or Q (stabilizer_info refuses any other change of place).
     Rational invariants are exact, so from_fraction reads their
     valuations (and that of disc(f)) exactly at Q_p."""
-    if not ring.is_padic or ring.is_dyadic:
-        return False
-    if c.ring != ring and not c.ring.is_global:
-        raise UsageError("place change requires rational invariants")
     e, disc, *a = (x if c.ring == ring else ring.from_fraction(x)
                    for x in (c.e, c.disc, *c.a))
     if any(x.valuation() < 0 for x in a if not x.is_zero()):
@@ -203,8 +200,15 @@ def local_image(c: Invariants, place, which: int,
     if ring.is_finite:
         # every class is soluble over a finite field
         return LocalImage(ring, norm_one_classes(Lv), target, True, which)
-
-    if _good_reduction(c, ring, which):
+    if ring.is_real:
+        curve = MarkedCurve(c, which)
+        h = curve.hpoly().map_ring(QQ, Fraction)
+        candidates = _real_components(h, Lv.real_roots if which == 1
+                                      else real_roots_exact(h))
+    elif ring.is_dyadic or not _good_reduction(c, ring, which):
+        curve = MarkedCurve(c, which)
+        candidates = _qp_candidates(ring.p, budget, seed)
+    else:
         classes = [cl for cl in norm_one_classes(Lv)
                    if all(lab[0] == 0 for lab in cl.labels)]
         if len(classes) != target:
@@ -212,7 +216,6 @@ def local_image(c: Invariants, place, which: int,
                 "unramified subgroup size disagrees with the 2-torsion count")
         return LocalImage(ring, classes, target, True, which)
 
-    curve = MarkedCurve(c, which)
     cring = c.ring
     span = {0: SquareClass(Lv, Lv.one())}  # by vector
 
@@ -224,13 +227,6 @@ def local_image(c: Invariants, place, which: int,
                          for v, g in list(span.items())})
 
     adjoin(neg_gamma(L))
-    if ring.is_real:
-        h = curve.hpoly().map_ring(QQ, Fraction)
-        candidates = _real_components(h, Lv.real_roots if which == 1
-                                      else real_roots_exact(h))
-    else:
-        candidates = _qp_candidates(ring.p, budget, seed)
-
     f = curve.fpoly()
     used = 0
     for x0 in candidates:

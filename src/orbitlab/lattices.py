@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import PrecisionError, PreconditionError, UsageError
 from .etale import EtaleAlgebra, _nonsquare_unit
 from .linalg import Mat, best_pivot, det, inverse
-from .orbits import algebra_of, trace_gram
+from .orbits import algebra_of, neg_gamma, trace_gram
 from .poly import Poly, discriminant
 from .quadforms import Congruence, GramForm, is_split, isotropic_vector
 from .thetarep import Invariants
@@ -474,7 +474,6 @@ def _products_integral(L: EtaleAlgebra, mult: Poly, lat: LatticeBasis
 def ideal_triple_verify(t: IdealTriple):
     """(all_ok, report) for the containment/norm/splitness conditions."""
     L = t.algebra
-    ring = L.ring
     gamma = L.gamma()
     report = {}
     g1inv = _gamma_inverse_lattice(
@@ -486,12 +485,12 @@ def ideal_triple_verify(t: IdealTriple):
         L, L.mul(t.nu, gamma), t.I2)
     report["iv_norm_I1"] = (
         2 * t.I1.norm_valuation() == -L.norm(t.nu).valuation())
-    neg_gamma_nu = L.mul(t.nu, L.mul(gamma, L.scalar(ring.neg(ring.one))))
+    neg_gamma_nu = L.mul(t.nu, neg_gamma(L))
     report["v_norm_I2"] = (
         2 * t.I2.norm_valuation() == -L.norm(neg_gamma_nu).valuation())
     g1 = GramForm(trace_gram(L, t.nu))
     g2 = GramForm(trace_gram(L, neg_gamma_nu))
-    report["vi_forms_split"] = is_split(g1, ring) and is_split(g2, ring)
+    report["vi_forms_split"] = is_split(g1) and is_split(g2)
     return all(report.values()), report
 
 

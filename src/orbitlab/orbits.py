@@ -79,12 +79,9 @@ def trace_gram(L: EtaleAlgebra, mult: Poly) -> Mat:
     return L.pairing_gram(L.mul(L.reduce(L.f.derivative()), mult))
 
 
-def delta_map(c: Invariants, nu, place=None):
-    """(form on L, form on L*beta, in_kernel) for the class nu."""
+def delta_map(c: Invariants, nu):
+    """(form on L, form on L*beta, in_kernel: both split) for the class nu."""
     L = algebra_of(c)
-    ring = c.ring
-    if place is None:
-        place = ring
     v = _nu_element(L, nu)
     if not L.is_unit(v):
         raise PreconditionError("nu must be a unit")
@@ -92,7 +89,7 @@ def delta_map(c: Invariants, nu, place=None):
     # Second-copy multiplier is +v*gamma: that is the convention under which
     # multiplication by gamma on L (+) L is self-adjoint for diag(g1, g2).
     g2 = GramForm(trace_gram(L, L.mul(v, L.gamma())))
-    in_ker = is_split(g1, place) and is_split(g2, place)
+    in_ker = is_split(g1) and is_split(g2)
     return g1, g2, in_ker
 
 
@@ -281,7 +278,7 @@ def stabilizer_info(c: Invariants, base=None) -> StabilizerInfo:
     return StabilizerInfo(degs, 2 ** (r - 1), 2 ** (c.n - 1))
 
 
-def recompute_class(rep: RepElement, place=None) -> SquareClass:
+def recompute_class(rep: RepElement) -> SquareClass:
     """Class of a representative: pull the V1 form back to L and read the
     multiplier against the base trace pairing."""
     ring = rep.ring
@@ -302,7 +299,7 @@ def recompute_class(rep: RepElement, place=None) -> SquareClass:
     nu = Poly(ring, nu_coeffs)
     if not trace_gram(L, nu) == GL:
         raise PreconditionError("recovered multiplier fails the Gram check")
-    return square_class(L, nu, place)
+    return square_class(L, nu)
 
 
 def _cyclic_vector(M: Mat):
@@ -330,7 +327,7 @@ def _cyclic_vector(M: Mat):
     raise PreconditionError("no cyclic vector (operator not regular)")
 
 
-def distinguished_coincide(c: Invariants, place=None) -> bool:
-    """Whether -gamma is a square in L (at the place, or over the base)."""
+def distinguished_coincide(c: Invariants) -> bool:
+    """Whether -gamma is a square in L over the base."""
     L = algebra_of(c)
-    return square_class(L, neg_gamma(L), place).is_trivial()
+    return square_class(L, neg_gamma(L)).is_trivial()

@@ -1,15 +1,15 @@
 """Quadratic form toolkit: diagonalization, local invariants, splitness and
 explicit isometries onto split models.
 
-A form is classified at a local place (its base ring, or a completion of
-Q for a rational form) by one diagonalization: the signature at R, the
-discriminant and the Hasse invariant at Q_p (Serre, A Course in
-Arithmetic, ch. IV); at GF(p) by det(G), as the Hasse invariant there is 1.
-Splitness compares those with the split model. The diagonalization is
-kept on the form (GramForm.diagonal), so is_split, form_invariants and
-isotropic_vector share one per form. The global place Q is refused: the
-rational orbits come from the Kostant section (see orbits), so no
-quadratic-form fact is decided over Q.
+A form is classified over its own base, a local place, by one
+diagonalization: the signature at R, the discriminant and the Hasse
+invariant at Q_p (Serre, A Course in Arithmetic, ch. IV); at GF(p) by
+det(G), as the Hasse invariant there is 1. Splitness compares those with
+the split model. _local reads the place kind once, for the invariants and
+the isotropic search; is_split, form_invariants and isotropic_vector share
+the diagonalization kept on the form (GramForm.diagonal). The global place
+Q is refused: the rational orbits come from the Kostant section (see
+orbits), so no quadratic-form fact is decided over Q.
 
 The module owns the one symmetric congruence, G = P^t G0 P kept with its
 basis change P (Congruence): diagonalize drives it here, and lattices
@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from math import prod
 
 from .errors import PreconditionError, UsageError
 from .linalg import Mat, best_pivot, det as mat_det, inverse, nullspace
@@ -181,73 +182,78 @@ class FormInvariants:
     place: object
 
 
-def _hasse(diag, place) -> int:
-    eps = 1
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            eps *= hilbert_symbol(diag[i], diag[j], place)
-    return eps
-
-
-def _local_place(Q: GramForm, place):
-    """The place, by default the form's base; the global place is refused."""
-    place = Q.ring if place is None else place
-    if place.is_global:
+def _local(ring):
+    """The one reading of the base's place kind: (the invariants of a
+    nondegenerate form, the isotropic search on its diagonal or why there
+    is none). Q is refused; diagonalize refuses GF(2)."""
+    if ring.is_global:
         raise UsageError("no quadratic-form invariants, splitness or "
                          "isotropic search over Q (local places only)")
-    return place
+    if ring.is_real:
+        return _signature_invariants, "no isotropic search over R"
+    if ring.is_finite:
+        return (_det_invariants if ring.char != 2 else _hasse_invariants,
+                _isotropic_diag_gf)
+    if ring.is_dyadic:
+        return (_hasse_invariants,
+                "no isotropic search over Q_2 (invariants only)")
+    return _hasse_invariants, _isotropic_diag_qp
 
 
-def form_invariants(Q: GramForm, place=None) -> FormInvariants:
+def _hasse(diag, place) -> int:
+    return prod(hilbert_symbol(a, b, place)
+                for a, b in itertools.combinations(diag, 2))
+
+
+def _det_invariants(Q: GramForm) -> FormInvariants:
+    """At GF(p), p odd, Hilbert symbols of units are 1 and a diagonal
+    P^t G P has product det(G) det(P)^2: det(G) and 1, with no diagonal."""
+    return FormInvariants(Q.rank, Q.det(), 1, None, Q.ring)
+
+
+def _hasse_invariants(Q: GramForm) -> FormInvariants:
+    ring, (_, diag) = Q.ring, Q.diagonal
+    return FormInvariants(len(diag), reduce(ring.mul, diag, ring.one),
+                          _hasse(diag, ring), None, ring)
+
+
+def _signature_invariants(Q: GramForm) -> FormInvariants:
+    ring, (_, diag) = Q.ring, Q.diagonal
+    n, pos = len(diag), sum(1 for d in diag if d > 0)
+    return FormInvariants(n, reduce(ring.mul, diag, ring.one), None,
+                          (pos, n - pos), ring)
+
+
+def form_invariants(Q: GramForm) -> FormInvariants:
     """Rank, discriminant, and the signature (R) or the Hasse invariant
-    (GF(p), Q_p) at the local place; the form's base must be the place or
-    Q. At GF(p), where Hilbert symbols of units are 1 and a diagonal P^t G P
-    has product det(G) det(P)^2, they are det(G) and 1, with no diagonal."""
-    ring = Q.ring
-    place = _local_place(Q, place)
+    (GF(p), Q_p) over the form's base."""
+    invariants, _ = _local(Q.ring)
     if not Q.is_nondegenerate():
         raise PreconditionError("degenerate form")
-    if place != ring and (place.is_finite or not ring.is_global):
-        raise UsageError(
-            f"no invariants at {place!r} for a form over {ring!r}")
-    if place.is_finite and place.char != 2:  # diagonalize refuses char 2
-        return FormInvariants(Q.rank, Q.det(), 1, None, place)
-    return _diag_invariants(Q.diagonal[1], ring, place)
+    return invariants(Q)
 
 
-def _diag_invariants(diag, ring, place) -> FormInvariants:
-    """form_invariants of the diagonal form with these entries over ring."""
-    disc = ring.one
-    for d in diag:
-        disc = ring.mul(disc, d)
-    n = len(diag)
-    if place.is_real:
-        pos = sum(1 for d in diag if d > 0)
-        return FormInvariants(n, disc, None, (pos, n - pos), place)
-    return FormInvariants(n, disc, _hasse(diag, place), None, place)
-
-
-def is_split(Q: GramForm, place=None) -> bool:
-    """Maximal Witt index at the local place, the form's base by default."""
-    place = _local_place(Q, place)
+def is_split(Q: GramForm) -> bool:
+    """Maximal Witt index over the form's base."""
+    invariants, _ = _local(Q.ring)
     if not Q.is_nondegenerate():
         return False
-    if place.char == 2:
+    if Q.ring.char == 2:
         raise UsageError("characteristic 2 not supported")
-    return _is_split_at(form_invariants(Q, place))
+    return _is_split_at(invariants(Q))
 
 
 def _is_split_at(inv: FormInvariants) -> bool:
-    """Maximal Witt index at a local place, from the form's invariants."""
-    place, n, m = inv.place, inv.rank, inv.rank // 2
-    if place.is_real:
+    """Maximal Witt index, from the form's invariants."""
+    ring, n, m = inv.place, inv.rank, inv.rank // 2
+    if inv.signature is not None:
         pos, neg = inv.signature
         return abs(pos - neg) <= (n % 2)
     # compare with the split model H^m, plus <c> in odd rank
-    c = place.mul(place.from_int((-1) ** m), place.from_fraction(inv.disc))
-    if n % 2 == 0 and not place.is_square(c):
+    c = ring.mul(ring.from_int((-1) ** m), inv.disc)
+    if n % 2 == 0 and not ring.is_square(c):
         return False
-    return inv.hasse == _hasse([1, -1] * m + [c] * (n % 2), place)
+    return inv.hasse == _hasse([1, -1] * m + [c] * (n % 2), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +332,10 @@ def _unit_group_isotropic(group, ring):
 
 def isotropic_vector(Q: GramForm):
     """A nonzero v with Q(v) = 0, or None if none found/exists."""
-    ring = _local_place(Q, None)
-    if ring.is_real:
-        raise UsageError("no isotropic search over R")
-    if ring.is_dyadic:
-        raise UsageError("no isotropic search over Q_2 (invariants only)")
+    ring, (_, search) = Q.ring, _local(Q.ring)
+    if isinstance(search, str):
+        raise UsageError(search)
     P, diag = Q.diagonal
-    search = _isotropic_diag_gf if ring.is_finite else _isotropic_diag_qp
     w = search(diag, ring)
     if w is None:
         return None

@@ -137,6 +137,29 @@ class TestDescentVerb:
                                      "message": "budget must be nonnegative"}
         assert run_json(argv + ["--budget", "0"])[0] == 0
 
+    @pytest.mark.parametrize("base", ["Qp:5", "F:5"])
+    @pytest.mark.parametrize("action", ["local", "sel12"])
+    def test_other_place_on_local_base_refused(self, action, base):
+        """A local base is its own place: another --place is a usage
+        error, not silently replaced by the base."""
+        code, lines = run_json(["descent", action, "--f", "1,0,-1,1",
+                                "--e", "1", "--base", base, "--place", "7"])
+        assert code == 2
+        assert lines[0]["error"] == {
+            "code": "UsageError", "exit": 2,
+            "message": f"--place 7 is not the place of the base {base}"}
+
+    @pytest.mark.parametrize("base,place", [("Qp:7:30", "7"), ("R", "R")])
+    def test_own_place_on_local_base(self, base, place, monkeypatch):
+        """The base's own place answers at the base, at its precision."""
+        calls = count_calls(monkeypatch, cli, "local_image")
+        argv = ["descent", "local", "--f", "1,0,-1,1", "--e", "1",
+                "--base", base]
+        assert run(argv + ["--place", place]) == run(argv)
+        assert [args[1] for args in calls] == [None, None]
+        if base.startswith("Qp"):
+            assert calls[0][0].ring.prec == 30
+
 
 class TestLatticeVerb:
     def test_selfdual_refines(self, tmp_path):

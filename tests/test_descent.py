@@ -334,11 +334,12 @@ class TestGoodReduction:
     def test_rational_valuations_match_qp_invariants(self):
         """Over seeded (a1, a2, e, p, which) the exact rational reading
         decides as the Q_p invariants did, exceptions included: p | e,
-        p | disc, p in a denominator, e = 0, disc = 0, p = 2."""
+        p | disc, p in a denominator, e = 0, disc = 0, at the odd p where
+        local_image asks."""
         rng = random.Random(SEED + 18)
         seen = {}
-        for _ in range(4000):
-            p = rng.choice((2, 3, 3, 5, 5, 7, 11))
+        for _ in range(6000):
+            p = rng.choice((3, 3, 5, 5, 7, 11))
             ring = Qp(p, 20)
 
             def scalar():
@@ -361,7 +362,7 @@ class TestGoodReduction:
             assert got == _decision(_qp_good_reduction, c, ring, which)
             d = c.disc
             a_at_p = any(x.denominator % p == 0 for x in a)
-            tags = {"p=2": p == 2, "e=0": e == 0,
+            tags = {"e=0": e == 0,
                     "p|e": e != 0 and e.numerator % p == 0,
                     "p|disc": d != 0 and d.numerator % p == 0,
                     "disc=0": d == 0,
@@ -372,9 +373,6 @@ class TestGoodReduction:
             for tag, hit in tags.items():
                 seen[tag] = seen.get(tag, 0) + hit
         assert min(seen.values()) >= 40, seen
-        c7 = Invariants(GF(7), (1, 2), 3)  # no place change from GF(7)
-        for fn in (descent._good_reduction, _qp_good_reduction):
-            assert _decision(fn, c7, Qp(7, 20), 1) is UsageError
 
 
 class TestSel12:
